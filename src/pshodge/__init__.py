@@ -18,6 +18,7 @@ All arithmetic is exact (:class:`fractions.Fraction`); there is no
 floating-point mode.
 """
 
+from . import hodge, strata
 from .cache import CacheFormatError, cache_load, cache_store, cache_verify
 from .expr import (Lam, Lit, ParseError, Pow, Prod, Psi, Sum, Diff,
                    SymbolRangeError, parse_expression, to_text)
@@ -35,6 +36,14 @@ from .wk import (KappaPsiMonomial, WKKey, WKTable, default_table,
 
 __version__ = "0.1.0"
 
+
+def clear_caches():
+    """Drop the Hodge-integral and GRR memos and the memoised
+    ``hat_lambda`` products (the WK table is managed separately)."""
+    hodge.clear_caches()
+    strata._HAT_LAMBDA_PRODUCTS.clear()
+
+
 __all__ = [
     "CacheFormatError", "cache_load", "cache_store", "cache_verify",
     "Lam", "Lit", "ParseError", "Pow", "Prod", "Psi", "Sum", "Diff",
@@ -49,5 +58,5 @@ __all__ = [
     "ps_hodge_integral", "restrict_lambda_to_tails", "t_pullback_ch",
     "KappaPsiMonomial", "WKKey", "WKTable", "default_table",
     "kappa_psi_integral", "wk_integral",
-    "__version__",
+    "clear_caches", "__version__",
 ]

@@ -77,8 +77,18 @@ def _cmd_eval(args):
         else:
             print(value)
     else:
-        with open(args.batch, "r", encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh]
+        try:
+            with open(args.batch, "r", encoding="utf-8") as fh:
+                lines = [line.strip() for line in fh]
+        except (OSError, UnicodeDecodeError) as exc:
+            message = f"cannot read batch file: {exc}"
+            if args.json:
+                print(json.dumps({"g": args.g, "n": args.n,
+                                  "space": args.space, "batch": args.batch,
+                                  "error": message}))
+            else:
+                print(f"error: {message}", file=sys.stderr)
+            return 1
         entries = [(k, line) for k, line in enumerate(lines, start=1) if line]
 
         def work(line):
@@ -241,7 +251,13 @@ def _build_parser():
 
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    # argparse takes an EXPR such as "-3*psi1^4" for an unknown option
+    if (args.command == "eval" and args.expr is None and len(extra) == 1
+            and extra[0][:1] == "-" and extra[0][:2] != "--"):
+        args.expr, extra = extra[0], []
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     return args.func(args)
 
 

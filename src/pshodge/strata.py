@@ -32,6 +32,22 @@ restricted to the deeper stratum carrying the other factor's unmatched
 tails, where the Hodge bundle splits off one tail line bundle per new
 tail.  Integration factorises: the core integral is a Hodge integral and
 every tail contributes ``1/24`` per ``psi_bullet`` (and 0 without one).
+
+:func:`expr_integral` evaluates a polynomial in four steps:
+
+1. expand the expression once into a sparse polynomial in the lambda
+   and psi classes, dropping monomials above the dimension as they
+   arise and keeping only those of exactly top degree;
+2. for each lambda multiset that occurs, form the product of the
+   ``hat_lambda_j`` (memoised, built from its prefix); stably, each
+   monomial is a Hodge integral and no strata class is formed;
+3. attach the monomial's psi part to every term of that product by
+   adding exponents to ``core_psi``, since psi classes pull back
+   unchanged;
+4. integrate the resulting class.
+
+Each ``hat_lambda_j`` is homogeneous of degree j, so no product needs
+truncating.
 """
 
 from __future__ import annotations
@@ -40,6 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product as iproduct
 from math import factorial
+from operator import add, mul
 
 from . import expr as expr_mod
 from .hodge import HodgeMonomial, ch_in_lambda, hodge_integral
@@ -426,54 +443,122 @@ def t_pullback_ch(g, n, l):
     return TautClass.from_terms(g, n, terms)
 
 
-def _eval_expr(node, g, n, lam_factory, dim):
-    if isinstance(node, expr_mod.Lit):
-        return TautClass.scalar(g, n, node.value)
-    if isinstance(node, expr_mod.Lam):
-        return lam_factory(node.index)
-    if isinstance(node, expr_mod.Psi):
-        exps = [0] * n
-        exps[node.index - 1] = 1
-        return TautClass.psi_monomial(g, n, exps)
-    if isinstance(node, expr_mod.Sum):
-        return (_eval_expr(node.left, g, n, lam_factory, dim)
-                + _eval_expr(node.right, g, n, lam_factory, dim))
-    if isinstance(node, expr_mod.Diff):
-        return (_eval_expr(node.left, g, n, lam_factory, dim)
-                - _eval_expr(node.right, g, n, lam_factory, dim))
-    if isinstance(node, expr_mod.Prod):
-        left = _eval_expr(node.left, g, n, lam_factory, dim)
-        right = _eval_expr(node.right, g, n, lam_factory, dim)
-        return (left * right).prune_above(dim)
-    if isinstance(node, expr_mod.Pow):
-        base = _eval_expr(node.base, g, n, lam_factory, dim)
-        out = TautClass.one(g, n)
-        for _ in range(node.exponent):
-            out = (out * base).prune_above(dim)
-        return out
-    raise TypeError(f"not an expression node: {node!r}")
+def _expand(node, g, n, dim):
+    """Expand an expression tree into a sparse polynomial.
+
+    Returns a dict from exponent vectors to nonzero Fractions; a vector
+    lists the exponents of ``lambda_1 .. lambda_g`` and then of
+    ``psi_1 .. psi_n``.  Monomials of degree above ``dim`` integrate to
+    zero and are dropped as soon as they arise.
+    """
+    weights = tuple(range(1, g + 1)) + (1,) * n
+    zero = (0,) * len(weights)
+
+    def degree(exps):
+        return sum(map(mul, weights, exps))
+
+    def unit(slot):
+        exps = list(zero)
+        exps[slot] = 1
+        return {tuple(exps): _ONE}
+
+    def combine(p, q, sign):
+        out = dict(p)
+        for exps, c in q.items():
+            out[exps] = out.get(exps, _ZERO) + sign * c
+        return {exps: c for exps, c in out.items() if c}
+
+    def times(p, q):
+        out = {}
+        q_deg = [(b, degree(b), d) for b, d in q.items()]
+        for a, c in p.items():
+            room = dim - degree(a)
+            for b, db, d in q_deg:
+                if db <= room:
+                    exps = tuple(map(add, a, b))
+                    out[exps] = out.get(exps, _ZERO) + c * d
+        return {exps: c for exps, c in out.items() if c}
+
+    def walk(node):
+        if isinstance(node, expr_mod.Lit):
+            return {zero: Fraction(node.value)} if node.value else {}
+        if isinstance(node, expr_mod.Lam):
+            return unit(node.index - 1)
+        if isinstance(node, expr_mod.Psi):
+            return unit(g + node.index - 1)
+        if isinstance(node, expr_mod.Sum):
+            return combine(walk(node.left), walk(node.right), 1)
+        if isinstance(node, expr_mod.Diff):
+            return combine(walk(node.left), walk(node.right), -1)
+        if isinstance(node, expr_mod.Prod):
+            return times(walk(node.left), walk(node.right))
+        if isinstance(node, expr_mod.Pow):
+            base = walk(node.base)
+            out = {zero: _ONE}
+            for _ in range(node.exponent):
+                if not out:
+                    break
+                out = times(out, base)
+            return out
+        raise TypeError(f"not an expression node: {node!r}")
+
+    return {exps: c for exps, c in walk(node).items() if degree(exps) == dim}
+
+
+_HAT_LAMBDA_PRODUCTS = {}
+
+
+def _hat_lambda_product(g, n, lams):
+    """``prod_{j in lams} hat_lambda_j`` on Mbar_{g,n} for a sorted multiset.
+
+    Memoised by ``(g, n, lams)``; each product is its prefix's product
+    times one more factor, so products sharing a prefix share the work.
+    Every ``hat_lambda_j`` is homogeneous of degree j, so no truncation
+    is needed.
+    """
+    if not lams:
+        return TautClass.one(g, n)
+    key = (g, n, lams)
+    cls = _HAT_LAMBDA_PRODUCTS.get(key)
+    if cls is None:
+        cls = hat_lambda(g, n, lams[-1])
+        if len(lams) > 1:
+            cls = class_multiply(_hat_lambda_product(g, n, lams[:-1]), cls)
+        _HAT_LAMBDA_PRODUCTS[key] = cls
+    return cls
 
 
 def expr_integral(g, n, expression, space="stable"):
     """Integrate a lambda/psi polynomial over the chosen moduli space.
 
     ``space`` is ``"stable"`` or ``"ps"``; empty ambient moduli raise
-    :class:`EmptyModuliError`.
+    :class:`EmptyModuliError`.  Evaluation takes the four steps set out
+    in the module docstring.
     """
     if space not in ("stable", "ps"):
         raise ValueError("space must be 'stable' or 'ps'")
     if space == "ps":
         if not is_pseudostable(g, n):
             raise EmptyModuliError(g, n, "ps")
-        lam_factory = lambda j: hat_lambda(g, n, j)
-    else:
-        if not is_stable(g, n):
-            raise EmptyModuliError(g, n, "stable")
-        lam_factory = lambda j: TautClass.lambda_class(g, n, j)
+    elif not is_stable(g, n):
+        raise EmptyModuliError(g, n, "stable")
     expr_mod.validate(expression, g, n)
-    dim = 3 * g - 3 + n
-    cls = _eval_expr(expression, g, n, lam_factory, dim)
-    return class_integrate(cls)
+    poly = _expand(expression, g, n, 3 * g - 3 + n)
+    if space == "stable":
+        total = _ZERO
+        for exps, coeff in poly.items():
+            lam = tuple((j, e) for j, e in enumerate(exps[:g], 1) if e)
+            total += coeff * hodge_integral(
+                HodgeMonomial(g, n, lam, exps[g:]))
+        return total
+    terms = []
+    for exps, coeff in poly.items():
+        lams = tuple(j for j, e in enumerate(exps[:g], 1) for _ in range(e))
+        psi = exps[g:]
+        for t in _hat_lambda_product(g, n, lams).terms:
+            terms.append(StratumTerm(coeff * t.coeff, t.tails, t.core_lambda,
+                                     tuple(map(add, t.core_psi, psi))))
+    return class_integrate(TautClass.from_terms(g, n, terms))
 
 
 def ps_hodge_integral(g, n, expression):

@@ -58,6 +58,47 @@ class TestEval:
         assert code == 1
         assert "error" in err
 
+    def test_leading_minus_expression(self, capsys):
+        code, out, _ = run(capsys, "eval", "--g", "2", "--n", "1",
+                           "-3*psi1^4")
+        assert (code, out) == (0, "-1/384\n")
+        code, out, _ = run(capsys, "eval", "-3*psi1^4", "--g", "2", "--n",
+                           "1", "--json")
+        assert code == 0
+        assert json.loads(out)["value"] == "-1/384"
+
+    def test_unknown_option_still_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "eval", "--g", "2", "--n", "1", "--bogus")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+    def test_batch_missing_file(self, capsys, tmp_path):
+        missing = str(tmp_path / "absent.txt")
+        code, out, err = run(capsys, "eval", "--g", "2", "--n", "1",
+                             "--batch", missing)
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot read batch file")
+        assert "absent.txt" in err
+        code, out, _ = run(capsys, "eval", "--g", "2", "--n", "1", "--json",
+                           "--batch", missing)
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["batch"] == missing
+        assert payload["error"].startswith("cannot read batch file")
+
+    def test_batch_unreadable_file(self, capsys, tmp_path):
+        code, _, err = run(capsys, "eval", "--g", "2", "--n", "1",
+                           "--batch", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error: cannot read batch file")
+        binary = tmp_path / "binary.txt"
+        binary.write_bytes(b"\xff\xfe\x00psi1^4\n")
+        code, _, err = run(capsys, "eval", "--g", "2", "--n", "1",
+                           "--batch", str(binary))
+        assert code == 1
+        assert err.startswith("error: cannot read batch file")
+
     def test_batch(self, capsys, tmp_path):
         batch = tmp_path / "exprs.txt"
         batch.write_text("psi1^4\nlambda9\npsi1^4\n")

@@ -6,7 +6,9 @@ from math import factorial
 
 import pytest
 
-from pshodge import strata
+import pshodge
+from pshodge import expr as E
+from pshodge import hodge, strata
 from pshodge.expr import parse_expression
 from pshodge.hodge import HodgeMonomial, bell_polynomial, hodge_integral
 from pshodge.multiset import compositions
@@ -17,6 +19,62 @@ from pshodge.strata import (EmptyModuliError, TautClass, class_integrate,
                             restrict_lambda_to_tails, t_pullback_ch)
 from pshodge.strata import _make_term
 from pshodge.wk import wk_integral
+
+
+def reference_integral(g, n, node, space):
+    """Reference evaluator over the expression tree, sharing no code with
+    the normal form: every node becomes a strata class, every product is
+    pruned to the dimension, and the result is integrated."""
+    dim = 3 * g - 3 + n
+
+    def lam(j):
+        if space == "ps":
+            return hat_lambda(g, n, j)
+        return TautClass.lambda_class(g, n, j)
+
+    def walk(node):
+        if isinstance(node, E.Lit):
+            return TautClass.scalar(g, n, node.value)
+        if isinstance(node, E.Lam):
+            return lam(node.index)
+        if isinstance(node, E.Psi):
+            exps = [0] * n
+            exps[node.index - 1] = 1
+            return TautClass.psi_monomial(g, n, exps)
+        if isinstance(node, E.Sum):
+            return walk(node.left) + walk(node.right)
+        if isinstance(node, E.Diff):
+            return walk(node.left) - walk(node.right)
+        if isinstance(node, E.Prod):
+            return class_multiply(walk(node.left),
+                                  walk(node.right)).prune_above(dim)
+        if isinstance(node, E.Pow):
+            base = walk(node.base)
+            out = TautClass.one(g, n)
+            for _ in range(node.exponent):
+                out = class_multiply(out, base).prune_above(dim)
+            return out
+        raise TypeError(node)
+
+    return class_integrate(walk(node))
+
+
+def random_expression(rng, g, n, depth):
+    """A random tree of sums, differences, products and powers of
+    lambda_j, psi_i and rationals."""
+    if depth == 0 or rng.random() < 0.2:
+        kind = rng.choice(["lit", "lam", "lam", "lam", "psi"] if n
+                          else ["lit", "lam", "lam"])
+        if kind == "lit":
+            return E.Lit(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        if kind == "lam":
+            return E.Lam(rng.randint(1, g))
+        return E.Psi(rng.randint(1, n))
+    op = rng.choice([E.Sum, E.Diff, E.Prod, E.Prod, E.Pow])
+    if op is E.Pow:
+        return E.Pow(random_expression(rng, g, n, depth - 1), rng.randint(0, 3))
+    return op(random_expression(rng, g, n, depth - 1),
+              random_expression(rng, g, n, depth - 1))
 
 
 def term(g, n, coeff, tails=(), lam=(), psi=None):
@@ -289,3 +347,50 @@ class TestBellAssembly:
                 mono = TautClass.psi_monomial(g, n, exps)
                 assert class_integrate(class_multiply(lhs, mono)) == \
                     class_integrate(class_multiply(rhs, mono))
+
+
+class TestNormalFormEvaluation:
+    def test_matches_tree_evaluator(self):
+        """Differential oracle: the normal-form evaluator against the
+        tree-over-TautClass evaluator, in both spaces.  A complement of
+        every degree (psi powers, or lambda classes when n = 0) lifts each
+        random tree's monomials to the top degree, so most values are
+        nonzero and many differ between the two spaces."""
+        rng = random.Random(2024)
+        ambients = [(1, 2), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2),
+                    (4, 0), (4, 1), (4, 2)]
+        nonzero = differ = 0
+        for _ in range(40):
+            g, n = rng.choice(ambients)
+            node = random_expression(rng, g, n, 3)
+            complement = E.Lit(Fraction(1))
+            for d in range(1, 3 * g - 3 + n + 1):
+                lift = (E.Pow(E.Psi(rng.randint(1, n)), d) if n
+                        else E.Lam(rng.randint(1, g)))
+                complement = E.Sum(complement, lift)
+            node = E.Prod(node, complement)
+            values = {}
+            for space in ("stable", "ps"):
+                value = expr_integral(g, n, node, space)
+                assert value == reference_integral(g, n, node, space), \
+                    (g, n, E.to_text(node), space)
+                values[space] = value
+                nonzero += value != 0
+            differ += values["stable"] != values["ps"]
+        assert nonzero >= 50 and differ >= 10
+
+    def test_nonlinear_differs_from_stable_g5(self):
+        text = "(1-lambda1+lambda2-lambda3+lambda4-lambda5)^3*psi1^6"
+        e = parse_expression(text, 5, 1)
+        assert ps_hodge_integral(5, 1, e) == Fraction(619, 137625600)
+        assert expr_integral(5, 1, e, "stable") == Fraction(-1829, 87091200)
+
+    def test_clear_caches_empties_product_memo(self):
+        e = parse_expression("lambda1^2*lambda2*psi1^3", 3, 1)
+        first = ps_hodge_integral(3, 1, e)
+        assert strata._HAT_LAMBDA_PRODUCTS
+        assert hodge._HODGE_MEMO
+        pshodge.clear_caches()
+        assert not strata._HAT_LAMBDA_PRODUCTS
+        assert not hodge._HODGE_MEMO and not hodge._CH_MEMO
+        assert ps_hodge_integral(3, 1, e) == first
