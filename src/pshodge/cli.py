@@ -8,8 +8,8 @@ Subcommands::
     selfcheck  run the consistency suites
     cache      store / load / verify the psi-correlator memo table
 
-Exit status: 0 on success, 1 on an evaluation or user error, 2 on a
-selfcheck failure.
+Exit status: 0 on success, 1 on an evaluation or user error (usage errors
+included), 2 on a selfcheck failure.
 """
 
 from __future__ import annotations
@@ -196,8 +196,16 @@ def _cmd_cache(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors with status 1 instead of argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pshodge",
         description="Exact Hodge integrals on moduli of stable and "
                     "pseudostable curves.")

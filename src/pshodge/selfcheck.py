@@ -191,7 +191,7 @@ def suite_linear_hodge(gmax=3, nmax=2):
     return result
 
 
-def suite_elsv(dmax=3, mmax=6):
+def suite_elsv(dmax=5, mmax=8):
     """Transposition counts match their Hodge-integral evaluation."""
     result = SuiteResult("elsv-agreement", True)
 

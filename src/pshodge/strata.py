@@ -225,14 +225,6 @@ class TautClass:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative exponent")
-        out = TautClass.one(self.g, self.n)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def prune_above(self, max_degree):
         """Drop terms of degree beyond ``max_degree`` (they integrate to 0)."""
         return TautClass(self.g, self.n, tuple(

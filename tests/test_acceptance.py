@@ -10,7 +10,8 @@ from fractions import Fraction
 from math import factorial
 
 from pshodge.hodge import HodgeMonomial, bell_polynomial, hodge_integral
-from pshodge.hurwitz import (HurwitzInstance, elsv_value, hurwitz_brute,
+from pshodge.hurwitz import (ENUMERATION_D_MAX, ENUMERATION_M_MAX,
+                             HurwitzInstance, elsv_value, hurwitz_brute,
                              riemann_hurwitz_m)
 from pshodge.multiset import compositions
 from pshodge.selfcheck import mumford_relation_terms, random_taut_class
@@ -101,20 +102,22 @@ def test_criterion_5_elsv_cross_check():
             for rest in partitions(d - first, first):
                 yield (first,) + rest
 
+    # the whole region the enumeration guard admits
     checked = 0
-    for d in range(1, 5):
+    for d in range(1, ENUMERATION_D_MAX + 1):
         for mu in partitions(d):
             for g in range(0, 4):
                 if 2 * g - 2 + len(mu) <= 0:
                     continue
                 m = riemann_hurwitz_m(g, mu)
-                if m > 7:
+                if m > ENUMERATION_M_MAX:
                     continue
                 brute = hurwitz_brute(HurwitzInstance.of(mu, m))
                 formula = elsv_value(g, mu)
                 assert formula == brute, (g, mu, m, brute, formula)
                 checked += 1
-    report(5, "ELSV cross-check |mu|<=4 m<=7", t0, f"{checked} instances")
+    assert checked == 46
+    report(5, "ELSV cross-check |mu|<=6 m<=8", t0, f"{checked} instances")
 
 
 def test_criterion_6_strata_conformance():

@@ -70,8 +70,26 @@ class TestEval:
     def test_unknown_option_still_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "eval", "--g", "2", "--n", "1", "--bogus")
-        assert exc.value.code == 2
+        assert exc.value.code == 1
         assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+    def test_missing_required_option_is_user_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "eval", "--n", "1", "psi1")
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: pshodge eval")
+        assert "required: --g" in err
+        with pytest.raises(SystemExit) as exc:
+            run(capsys)
+        assert exc.value.code == 1
+        assert "required: command" in capsys.readouterr().err
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "eval", "--help")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: pshodge eval")
 
     def test_batch_missing_file(self, capsys, tmp_path):
         missing = str(tmp_path / "absent.txt")
