@@ -16,25 +16,17 @@ Layers, bottom up:
 
 All arithmetic is exact (:class:`fractions.Fraction`); there is no
 floating-point mode.
+
+Library names are imported from their submodules, e.g.
+``from pshodge.strata import expr_integral``; the package itself exports
+only :func:`clear_caches` and ``__version__``.
 """
 
 from . import hodge, strata
-from .cache import CacheFormatError, cache_load, cache_store, cache_verify
-from .expr import (Lam, Lit, ParseError, Pow, Prod, Psi, Sum, Diff,
-                   SymbolRangeError, parse_expression, to_text)
-from .hodge import (HodgeMonomial, SparsePoly, bell_polynomial, bernoulli,
-                    ch_in_lambda, ch_monomial_integral, ch_to_lambda,
-                    hodge_integral, lambda_to_ch)
-from .hurwitz import (EnumerationBoundError, HurwitzInstance, elsv_value,
-                      hurwitz_brute, riemann_hurwitz_m)
-from .strata import (EmptyModuliError, StratumTerm, TautClass, class_integrate,
-                     class_multiply, expr_integral, hat_lambda,
-                     is_pseudostable, ps_hodge_integral,
-                     restrict_lambda_to_tails, t_pullback_ch)
-from .wk import (KappaPsiMonomial, WKKey, WKTable, default_table,
-                 kappa_psi_integral, wk_integral)
 
 __version__ = "0.1.0"
+
+__all__ = ["clear_caches", "__version__"]
 
 
 def clear_caches():
@@ -42,21 +34,3 @@ def clear_caches():
     ``hat_lambda`` products (the WK table is managed separately)."""
     hodge.clear_caches()
     strata._HAT_LAMBDA_PRODUCTS.clear()
-
-
-__all__ = [
-    "CacheFormatError", "cache_load", "cache_store", "cache_verify",
-    "Lam", "Lit", "ParseError", "Pow", "Prod", "Psi", "Sum", "Diff",
-    "SymbolRangeError", "parse_expression", "to_text",
-    "HodgeMonomial", "SparsePoly", "bell_polynomial", "bernoulli",
-    "ch_in_lambda", "ch_monomial_integral", "ch_to_lambda",
-    "hodge_integral", "lambda_to_ch",
-    "EnumerationBoundError", "HurwitzInstance", "elsv_value",
-    "hurwitz_brute", "riemann_hurwitz_m",
-    "EmptyModuliError", "StratumTerm", "TautClass", "class_integrate",
-    "class_multiply", "expr_integral", "hat_lambda", "is_pseudostable",
-    "ps_hodge_integral", "restrict_lambda_to_tails", "t_pullback_ch",
-    "KappaPsiMonomial", "WKKey", "WKTable", "default_table",
-    "kappa_psi_integral", "wk_integral",
-    "clear_caches", "__version__",
-]

@@ -8,8 +8,13 @@ Subcommands::
     selfcheck  run the consistency suites
     cache      store / load / verify the psi-correlator memo table
 
+Batch lines are evaluated in order, one at a time.  ``--cache PATH``
+loads the psi memo table before the work and stores it after; a cache
+file that cannot be read, parsed or written is an error, reported like
+an unreadable ``--batch`` file.
+
 Exit status: 0 on success, 1 on an evaluation or user error (usage errors
-included), 2 on a selfcheck failure.
+and unusable batch or cache files included), 2 on a selfcheck failure.
 """
 
 from __future__ import annotations
@@ -17,28 +22,46 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import factorial
 
 from .cache import CacheFormatError, cache_load, cache_store, cache_verify
 from .expr import ParseError, SymbolRangeError, parse_expression
-from .multiset import compositions
+from .multiset import partitions
 from .selfcheck import run_all
 from .strata import EmptyModuliError, expr_integral
-from .wk import default_table
+from .wk import default_table, is_stable
 
 __all__ = ["main"]
 
-
-def _load_cache_if_given(path):
-    if path:
-        cache_load(path, table=default_table())
+# what reading, parsing or writing a cache file can raise
+_CACHE_ERRORS = (OSError, UnicodeDecodeError, CacheFormatError)
 
 
-def _store_cache_if_given(path):
-    if path:
-        cache_store(path, table=default_table())
+def _file_error(args, option, message):
+    """Report the unusable file named by ``args.<option>``; returns status 1.
+
+    Under ``--json`` the report is one JSON object on stdout."""
+    if getattr(args, "json", False):
+        print(json.dumps({"g": args.g, "n": args.n, "space": args.space,
+                          option: getattr(args, option), "error": message}))
+    else:
+        print(f"error: {message}", file=sys.stderr)
+    return 1
+
+
+def _cache_ok(args, action):
+    """Apply ``cache_load`` or ``cache_store`` to ``args.cache`` with the
+    default table; False once an unusable file has been reported."""
+    if not args.cache:
+        return True
+    try:
+        action(args.cache, table=default_table())
+    except _CACHE_ERRORS as exc:
+        verb = "load" if action is cache_load else "store"
+        _file_error(args, "cache", f"cannot {verb} cache file: {exc}")
+        return False
+    return True
 
 
 def _eval_one(text, g, n, space):
@@ -60,7 +83,8 @@ def _cmd_eval(args):
         print("eval: provide exactly one of EXPR or --batch FILE",
               file=sys.stderr)
         return 1
-    _load_cache_if_given(args.cache)
+    if not _cache_ok(args, cache_load):
+        return 1
     status = 0
     if args.expr is not None:
         try:
@@ -81,43 +105,27 @@ def _cmd_eval(args):
             with open(args.batch, "r", encoding="utf-8") as fh:
                 lines = [line.strip() for line in fh]
         except (OSError, UnicodeDecodeError) as exc:
-            message = f"cannot read batch file: {exc}"
-            if args.json:
-                print(json.dumps({"g": args.g, "n": args.n,
-                                  "space": args.space, "batch": args.batch,
-                                  "error": message}))
-            else:
-                print(f"error: {message}", file=sys.stderr)
-            return 1
-        entries = [(k, line) for k, line in enumerate(lines, start=1) if line]
-
-        def work(line):
+            return _file_error(args, "batch", f"cannot read batch file: {exc}")
+        for lineno, line in enumerate(lines, start=1):
+            if not line:
+                continue
             try:
-                return str(_eval_one(line, args.g, args.n, args.space)), None
+                value = _eval_one(line, args.g, args.n, args.space)
             except (ParseError, SymbolRangeError, EmptyModuliError,
                     ValueError) as exc:
-                return None, str(exc)
-
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(work, [line for _, line in entries]))
-        else:
-            results = [work(line) for _, line in entries]
-        for (lineno, line), (value, error) in zip(entries, results):
-            if error is None:
-                if args.json:
-                    print(_format_json(args.g, args.n, args.space, line,
-                                       Fraction(value)))
-                else:
-                    print(value)
-            else:
                 status = 1
                 if args.json:
                     print(_format_json(args.g, args.n, args.space, line,
-                                       error=error))
+                                       error=str(exc)))
                 else:
-                    print(f"line {lineno}: error: {error}")
-    _store_cache_if_given(args.cache)
+                    print(f"line {lineno}: error: {exc}")
+                continue
+            if args.json:
+                print(_format_json(args.g, args.n, args.space, line, value))
+            else:
+                print(value)
+    if not _cache_ok(args, cache_store):
+        return 1
     return status
 
 
@@ -128,7 +136,8 @@ def _cmd_series(args):
     if not 2 <= args.gmax <= 6:
         print("series: --gmax must be between 2 and 6", file=sys.stderr)
         return 1
-    _load_cache_if_given(args.cache)
+    if not _cache_ok(args, cache_load):
+        return 1
     n = args.n
     print(f"{'g':>2}  {'integral':>16}  {'series coeff':>16}  result")
     status = 0
@@ -142,12 +151,14 @@ def _cmd_series(args):
             status = 1
         print(f"{g:>2}  {str(value):>16}  {str(coeff):>16}  "
               f"{'PASS' if ok else 'FAIL'}")
-    _store_cache_if_given(args.cache)
+    if not _cache_ok(args, cache_store):
+        return 1
     return status
 
 
 def _cmd_selfcheck(args):
-    _load_cache_if_given(args.cache)
+    if not _cache_ok(args, cache_load):
+        return 1
     failed = False
     for result in run_all():
         if result.passed:
@@ -155,37 +166,39 @@ def _cmd_selfcheck(args):
         else:
             failed = True
             print(f"FAIL  {result.name}: {result.detail}")
-    _store_cache_if_given(args.cache)
+    if not _cache_ok(args, cache_store):
+        return 1
     return 2 if failed else 0
 
 
 def _cmd_cache(args):
+    try:
+        return _cache_action(args)
+    except _CACHE_ERRORS as exc:
+        print(f"error: cannot {args.action} cache file: {exc}", file=sys.stderr)
+        return 1
+
+
+def _cache_action(args):
     if args.action == "store":
         table = default_table()
         for g in range(0, args.gmax + 1):
             for n in range(1, args.dim_max + 4):
                 dim = 3 * g - 3 + n
-                if dim < 0 or dim > args.dim_max or 2 * g - 2 + n <= 0:
+                if dim < 0 or dim > args.dim_max or not is_stable(g, n):
                     continue
-                for d in compositions(dim, n):
-                    table.integral(g, d)
+                # correlators are symmetric: one sorted key per multiset
+                for part in partitions(dim):
+                    if len(part) <= n:
+                        table.integral(g, part + (0,) * (n - len(part)))
         count = cache_store(args.path, table)
         print(f"stored {count} entries to {args.path}")
         return 0
     if args.action == "load":
-        try:
-            table = cache_load(args.path)
-        except CacheFormatError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        table = cache_load(args.path)
         print(f"loaded {len(table)} entries from {args.path}")
         return 0
-    # verify
-    try:
-        checked, mismatches = cache_verify(args.path, sample=args.sample)
-    except CacheFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    checked, mismatches = cache_verify(args.path, sample=args.sample)
     if mismatches:
         for g, d, stored, again in mismatches:
             print(f"MISMATCH g={g} d={list(d)}: stored {stored}, "
@@ -226,8 +239,6 @@ def _build_parser():
                         help="load/store the psi memo table at PATH")
     p_eval.add_argument("--batch", metavar="FILE", default=None,
                         help="evaluate one expression per line of FILE")
-    p_eval.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for batch evaluation")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_series = sub.add_parser(

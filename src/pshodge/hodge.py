@@ -26,10 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from threading import Lock
 
 from .multiset import counts, replace_one, sub_multisets
-from .wk import default_table
+from .wk import default_table, is_stable, psi_exponents
 
 __all__ = [
     "SparsePoly",
@@ -268,7 +267,7 @@ class HodgeMonomial:
     @staticmethod
     def of(g, n, lambdas=None, psis=None):
         """Build a monomial; ``lambdas`` maps index j to its exponent and
-        ``psis`` is a marking->exponent map or a length-n list."""
+        ``psis`` is read by :func:`pshodge.wk.psi_exponents`."""
         lam = {}
         if lambdas:
             items = lambdas.items() if isinstance(lambdas, dict) else lambdas
@@ -280,22 +279,8 @@ class HodgeMonomial:
                     raise ValueError("exponents must be non-negative")
                 if e:
                     lam[j] = lam.get(j, 0) + e
-        if psis is None:
-            exps = [0] * n
-        elif isinstance(psis, dict):
-            exps = [0] * n
-            for i, e in psis.items():
-                if not 1 <= i <= n:
-                    raise ValueError(f"psi marking {i} out of range 1..{n}")
-                exps[i - 1] = int(e)
-        else:
-            exps = [int(e) for e in psis]
-            if len(exps) != n:
-                raise ValueError("psi exponent list must have length n")
-        if any(e < 0 for e in exps):
-            raise ValueError("exponents must be non-negative")
         return HodgeMonomial(int(g), int(n), tuple(sorted(lam.items())),
-                             tuple(exps))
+                             psi_exponents(n, psis))
 
     def degree(self):
         return sum(j * e for j, e in self.lambda_exp) + sum(self.psi_exp)
@@ -303,14 +288,12 @@ class HodgeMonomial:
 
 _CH_MEMO = {}
 _HODGE_MEMO = {}
-_MEMO_LOCK = Lock()
 
 
 def clear_caches():
     """Drop the reduction memos (the WK table is managed separately)."""
-    with _MEMO_LOCK:
-        _CH_MEMO.clear()
-        _HODGE_MEMO.clear()
+    _CH_MEMO.clear()
+    _HODGE_MEMO.clear()
 
 
 def ch_monomial_integral(g, psi, kappa=(), ch=()):
@@ -331,7 +314,7 @@ def ch_monomial_integral(g, psi, kappa=(), ch=()):
 
 def _reduce(g, psi, kappa, ch):
     n = len(psi)
-    if 2 * g - 2 + n <= 0:
+    if not is_stable(g, n):
         return _ZERO
     if g == 0 and ch:
         return _ZERO  # rank-zero Hodge bundle
@@ -369,9 +352,8 @@ def _reduce(g, psi, kappa, ch):
                     if s1 % 3 or not 0 <= s1 // 3 <= g:
                         continue
                     h = s1 // 3
-                    if 2 * h - 2 + n1 <= 0:
-                        continue
-                    if 2 * (g - h) - 2 + len(psi2) + 1 <= 0:
+                    if not (is_stable(h, n1)
+                            and is_stable(g - h, len(psi2) + 1)):
                         continue
                     left = _reduce(h, tuple(sorted(psi1 + (a,))), kap1, ch1)
                     if not left:
@@ -382,8 +364,7 @@ def _reduce(g, psi, kappa, ch):
     acc += boundary / 2
 
     value = pref * acc
-    with _MEMO_LOCK:
-        _CH_MEMO[key] = value
+    _CH_MEMO[key] = value
     return value
 
 
@@ -398,7 +379,7 @@ def hodge_integral(monomial):
     Fraction(1, 24)
     """
     g, n = monomial.g, monomial.n
-    if 2 * g - 2 + n <= 0:
+    if not is_stable(g, n):
         return _ZERO
     if monomial.degree() != 3 * g - 3 + n:
         return _ZERO
@@ -418,6 +399,5 @@ def hodge_integral(monomial):
     value = _ZERO
     for mono, coeff in poly.terms.items():
         value += coeff * _reduce(g, psi, (), mono)
-    with _MEMO_LOCK:
-        _HODGE_MEMO[key] = value
+    _HODGE_MEMO[key] = value
     return value

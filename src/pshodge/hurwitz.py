@@ -20,7 +20,7 @@ fewer survive the prunes: 519 for mu=(3,3), m=6 against ``15^6`` leaf
 tuples.  Every sign-consistent instance the guard ``d <= 6, m <= 8``
 admits finishes within a second; inputs beyond it are refused outright.
 
-For ``2g - 2 + len(mu) > 0`` and ``m = 2g - 2 + len(mu) + |mu|`` the same
+For stable ``(g, len(mu))`` and ``m = 2g - 2 + len(mu) + |mu|`` the same
 number is computed by the ELSV formula
 
     h^m_mu = m! prod_i (mu_i^{mu_i + 1} / mu_i!)
@@ -39,6 +39,7 @@ from math import factorial
 
 from .hodge import HodgeMonomial, hodge_integral
 from .multiset import compositions
+from .wk import is_stable
 
 __all__ = [
     "ENUMERATION_D_MAX",
@@ -207,7 +208,7 @@ def elsv_value(g, mu):
     """
     mu = tuple(sorted((int(x) for x in mu), reverse=True))
     ell = len(mu)
-    if 2 * g - 2 + ell <= 0:
+    if not is_stable(g, ell):
         raise ValueError(f"({g}, {ell}) is unstable: the formula is out of range")
     dim = 3 * g - 3 + ell
     total = Fraction(0)

@@ -71,3 +71,22 @@ def compositions(total, parts):
     for first in range(total + 1):
         for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def partitions(total, max_part=None):
+    """Yield the partitions of ``total`` as non-increasing tuples of
+    positive parts, each at most ``max_part`` (by default ``total``).
+
+    >>> list(partitions(4))
+    [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    >>> list(partitions(4, max_part=2))
+    [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    """
+    if max_part is None:
+        max_part = total
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(total, max_part), 0, -1):
+        for rest in partitions(total - first, first):
+            yield (first,) + rest

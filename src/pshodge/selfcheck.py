@@ -20,10 +20,10 @@ from math import factorial
 
 from .hodge import HodgeMonomial, bell_polynomial, hodge_integral
 from .hurwitz import HurwitzInstance, elsv_value, hurwitz_brute, riemann_hurwitz_m
-from .multiset import compositions
+from .multiset import compositions, partitions
 from .strata import (TautClass, class_integrate, class_multiply, hat_lambda,
                      is_pseudostable, t_pullback_ch, _make_term)
-from .wk import default_table, wk_integral
+from .wk import default_table, is_stable, wk_integral
 
 __all__ = ["SuiteResult", "run_all", "mumford_relation_terms",
            "random_taut_class"]
@@ -91,7 +91,7 @@ def suite_wk_properties():
     for g in range(0, 3):
         for n in range(1, 6):
             dim = 3 * g - 3 + n
-            if dim < 0 or 2 * g - 2 + n <= 0:
+            if dim < 0 or not is_stable(g, n):
                 continue
             for d in compositions(dim, n):
                 base = table.integral(g, d)
@@ -129,7 +129,7 @@ def suite_kappa_order(seed=DEFAULT_SEED, trials=25):
     while done < trials:
         g = rng.randint(0, 2)
         n = rng.randint(1, 3)
-        if 2 * g - 2 + n <= 0:
+        if not is_stable(g, n):
             continue
         dim = 3 * g - 3 + n
         if not 0 <= dim <= 8:
@@ -158,7 +158,7 @@ def suite_mumford(gmax=3, nmax=1):
     result = SuiteResult("mumford-relations", True)
     for g in range(1, gmax + 1):
         for n in range(0, nmax + 1):
-            if 2 * g - 2 + n <= 0:
+            if not is_stable(g, n):
                 continue
             dim = 3 * g - 3 + n
             for deg in range(1, min(2 * g, dim) + 1):
@@ -194,20 +194,10 @@ def suite_linear_hodge(gmax=3, nmax=2):
 def suite_elsv(dmax=5, mmax=8):
     """Transposition counts match their Hodge-integral evaluation."""
     result = SuiteResult("elsv-agreement", True)
-
-    def partitions(d, mx=None):
-        mx = mx or d
-        if d == 0:
-            yield ()
-            return
-        for first in range(min(d, mx), 0, -1):
-            for rest in partitions(d - first, first):
-                yield (first,) + rest
-
     for d in range(1, dmax + 1):
         for mu in partitions(d):
             for g in range(0, 4):
-                if 2 * g - 2 + len(mu) <= 0:
+                if not is_stable(g, len(mu)):
                     continue
                 m = riemann_hurwitz_m(g, mu)
                 if m > mmax:

@@ -60,6 +60,7 @@ from operator import add, mul
 
 from . import expr as expr_mod
 from .hodge import HodgeMonomial, ch_in_lambda, hodge_integral
+from .wk import is_stable, psi_exponents
 
 __all__ = [
     "EmptyModuliError",
@@ -83,13 +84,9 @@ STABLE_EXCLUDED = ((0, 0), (0, 1), (0, 2), (1, 0))
 PS_EXCLUDED = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0))
 
 
-def is_stable(g, n):
-    return 2 * g - 2 + n > 0
-
-
 def is_pseudostable(g, n):
     """True when the moduli space of pseudostable (g, n)-curves is nonempty."""
-    return is_stable(g, n) and (g, n) not in ((1, 1), (2, 0))
+    return is_stable(g, n) and (g, n) not in PS_EXCLUDED
 
 
 class EmptyModuliError(ValueError):
@@ -197,10 +194,8 @@ class TautClass:
 
     @staticmethod
     def psi_monomial(g, n, exps):
-        exps = tuple(int(e) for e in exps)
-        if len(exps) != n:
-            raise ValueError("need one psi exponent per marking")
-        return TautClass.from_terms(g, n, [_make_term(g, n, 1, (), (), exps)])
+        return TautClass.from_terms(
+            g, n, [_make_term(g, n, 1, (), (), psi_exponents(n, exps))])
 
     def _check_ambient(self, other):
         if (self.g, self.n) != (other.g, other.n):
@@ -229,9 +224,6 @@ class TautClass:
         """Drop terms of degree beyond ``max_degree`` (they integrate to 0)."""
         return TautClass(self.g, self.n, tuple(
             t for t in self.terms if t.degree() <= max_degree))
-
-    def integrate(self):
-        return class_integrate(self)
 
 
 def restrict_lambda_to_tails(j, new_tails):

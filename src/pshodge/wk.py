@@ -15,8 +15,8 @@ paths:
   plus boundary terms that lower the genus or split the surface.
 
 Base normalisations: ``<tau_0^3>_0 = 1`` and ``<tau_1>_1 = 1/24``.
-Unstable ``(g, n)`` (``2g - 2 + n <= 0``) and dimension mismatches give 0
-rather than an error, so the recursions need no case analysis.
+Unstable ``(g, n)`` (see :func:`is_stable`) and dimension mismatches give
+0 rather than an error, so the recursions need no case analysis.
 
 kappa classes use the pointed convention ``kappa_a = pi_*(psi^{a+1})``
 for one extra marked point.  A kappa factor is eliminated against such an
@@ -24,19 +24,22 @@ extra point, absorbing any subset of the remaining kappa factors with
 alternating signs; iterating reduces every mixed kappa/psi integral to
 pure psi correlators.
 
-All values are memoised.  The psi memo table can be persisted in a plain
-text format, see :mod:`pshodge.cache`.
+All values are memoised in plain dicts.  Every evaluation is a pure
+function of its key, so threads that race on a key store equal values and
+no lock is needed.  The psi memo table can be persisted in a plain text
+format, see :mod:`pshodge.cache`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from threading import Lock
 
 from .multiset import counts, replace_one, sub_multisets
 
 __all__ = [
+    "is_stable",
+    "psi_exponents",
     "WKKey",
     "KappaPsiMonomial",
     "WKTable",
@@ -48,6 +51,42 @@ __all__ = [
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _TAU1_GENUS1 = Fraction(1, 24)
+
+
+def is_stable(g, n):
+    """True when the moduli space of stable (g, n)-curves is nonempty:
+    ``2g - 2 + n > 0``.
+
+    >>> [is_stable(0, 3), is_stable(1, 0), is_stable(1, 1), is_stable(2, 0)]
+    [True, False, True, True]
+    """
+    return 2 * g - 2 + n > 0
+
+
+def psi_exponents(n, psi=None):
+    """One psi exponent per marking, as a tuple of length n.
+
+    ``psi`` is ``None`` (all zero), a marking->exponent map with markings
+    ``1..n``, or a list of n exponents.
+
+    >>> psi_exponents(3, {2: 4})
+    (0, 4, 0)
+    """
+    if psi is None:
+        return (0,) * n
+    if isinstance(psi, dict):
+        exps = [0] * n
+        for i, e in psi.items():
+            if not 1 <= i <= n:
+                raise ValueError(f"psi marking {i} out of range 1..{n}")
+            exps[i - 1] = int(e)
+    else:
+        exps = [int(e) for e in psi]
+        if len(exps) != n:
+            raise ValueError("psi exponent list must have length n")
+    if any(e < 0 for e in exps):
+        raise ValueError("psi exponents must be non-negative")
+    return tuple(exps)
 
 
 def odd_double_factorial(m):
@@ -82,12 +121,6 @@ class WKKey:
     def n(self):
         return len(self.d)
 
-    def dimension(self):
-        return 3 * self.g - 3 + self.n
-
-    def is_stable(self):
-        return 2 * self.g - 2 + self.n > 0
-
 
 @dataclass(frozen=True)
 class KappaPsiMonomial:
@@ -100,41 +133,27 @@ class KappaPsiMonomial:
 
     @staticmethod
     def of(g, n, psi=None, kappa=()):
-        """Build a monomial; ``psi`` is a marking->exponent map or a length-n list."""
-        if psi is None:
-            exps = [0] * n
-        elif isinstance(psi, dict):
-            exps = [0] * n
-            for i, e in psi.items():
-                if not 1 <= i <= n:
-                    raise ValueError(f"psi marking {i} out of range 1..{n}")
-                exps[i - 1] = int(e)
-        else:
-            exps = [int(e) for e in psi]
-            if len(exps) != n:
-                raise ValueError("psi exponent list must have length n")
-        if any(e < 0 for e in exps):
-            raise ValueError("psi exponents must be non-negative")
+        """Build a monomial; ``psi`` is read by :func:`psi_exponents`."""
+        exps = psi_exponents(n, psi)
         kap = tuple(sorted(int(a) for a in kappa))
         if any(a < 1 for a in kap):
             raise ValueError("kappa indices must be positive")
-        return KappaPsiMonomial(g, n, tuple(exps), kap)
+        return KappaPsiMonomial(g, n, exps, kap)
 
     def degree(self):
         return sum(self.psi_exp) + sum(self.kappa)
 
 
 class WKTable:
-    """Memo table of correlators, with serialised insertion.
+    """Memo table of correlators.
 
-    All evaluation entry points are pure; concurrent queries for equal
-    keys return equal values, and writes are guarded by a lock.
+    All evaluation entry points are pure, so concurrent queries for equal
+    keys store and return equal values; each store is one dict assignment.
     """
 
     def __init__(self):
         self._psi = {}
         self._kappa = {}
-        self._lock = Lock()
 
     def __len__(self):
         return len(self._psi)
@@ -148,9 +167,8 @@ class WKTable:
 
     def preload(self, entries):
         """Bulk-insert ``((g, d), value)`` pairs (used by the cache loader)."""
-        with self._lock:
-            for (g, d), value in entries:
-                self._psi[(int(g), tuple(sorted(d)))] = Fraction(value)
+        for (g, d), value in entries:
+            self._psi[(int(g), tuple(sorted(d)))] = Fraction(value)
 
     # -- pure psi correlators -------------------------------------------
 
@@ -166,7 +184,7 @@ class WKTable:
 
     def _psi_eval(self, g, d):
         n = len(d)
-        if 2 * g - 2 + n <= 0:
+        if not is_stable(g, n):
             return _ZERO
         if sum(d) != 3 * g - 3 + n:
             return _ZERO
@@ -180,12 +198,11 @@ class WKTable:
             value = _TAU1_GENUS1
         elif d[0] == 0:
             value = self._string(g, d)
-        elif d[0] == 1 and 2 * g - 3 + n > 0:
+        elif d[0] == 1 and is_stable(g, n - 1):
             value = (2 * g - 3 + n) * self._psi_eval(g, d[1:])
         else:
             value = self._dvv(g, d)
-        with self._lock:
-            self._psi[key] = value
+        self._psi[key] = value
         return value
 
     def _string(self, g, d):
@@ -228,16 +245,14 @@ class WKTable:
 
     def kappa_integral(self, g, n, psi, kappa):
         """Integral of ``prod kappa_a prod psi_i^{e_i}`` over Mbar_{g,n}."""
-        exps = tuple(sorted(int(e) for e in psi))
-        if len(exps) != n:
-            raise ValueError("psi exponent list must have length n")
+        exps = tuple(sorted(psi_exponents(n, psi)))
         return self._kappa_eval(g, exps, tuple(sorted(int(a) for a in kappa)))
 
     def _kappa_eval(self, g, psi, kappa):
         if not kappa:
             return self._psi_eval(g, psi)
         n = len(psi)
-        if 2 * g - 2 + n <= 0:
+        if not is_stable(g, n):
             return _ZERO
         if sum(psi) + sum(kappa) != 3 * g - 3 + n:
             return _ZERO
@@ -248,8 +263,7 @@ class WKTable:
         value = _ZERO
         for coeff, new_psi, new_kappa in self._kappa_step(g, psi, kappa, 0):
             value += coeff * self._kappa_eval(g, new_psi, new_kappa)
-        with self._lock:
-            self._kappa[key] = value
+        self._kappa[key] = value
         return value
 
     @staticmethod
@@ -277,7 +291,7 @@ class WKTable:
         if not kappa:
             return self._psi_eval(g, psi)
         n = len(psi)
-        if 2 * g - 2 + n <= 0:
+        if not is_stable(g, n):
             return _ZERO
         if sum(psi) + sum(kappa) != 3 * g - 3 + n:
             return _ZERO

@@ -13,12 +13,12 @@ from pshodge.hodge import HodgeMonomial, bell_polynomial, hodge_integral
 from pshodge.hurwitz import (ENUMERATION_D_MAX, ENUMERATION_M_MAX,
                              HurwitzInstance, elsv_value, hurwitz_brute,
                              riemann_hurwitz_m)
-from pshodge.multiset import compositions
+from pshodge.multiset import compositions, partitions
 from pshodge.selfcheck import mumford_relation_terms, random_taut_class
 from pshodge.strata import (TautClass, class_integrate, class_multiply,
                             hat_lambda, is_pseudostable, t_pullback_ch,
                             _make_term)
-from pshodge.wk import WKTable, default_table, wk_integral
+from pshodge.wk import WKTable, default_table, is_stable, wk_integral
 
 
 def report(number, label, t0, extra=""):
@@ -40,7 +40,7 @@ def test_criterion_2_mumford_relation_suite():
     checked = 0
     for g in range(1, 5):
         for n in range(0, 3):
-            if 2 * g - 2 + n <= 0:
+            if not is_stable(g, n):
                 continue
             dim = 3 * g - 3 + n
             for deg in range(1, min(2 * g, dim) + 1):
@@ -92,22 +92,12 @@ def test_criterion_4_mumford_failure_series():
 
 def test_criterion_5_elsv_cross_check():
     t0 = time.time()
-
-    def partitions(d, mx=None):
-        mx = mx or d
-        if d == 0:
-            yield ()
-            return
-        for first in range(min(d, mx), 0, -1):
-            for rest in partitions(d - first, first):
-                yield (first,) + rest
-
     # the whole region the enumeration guard admits
     checked = 0
     for d in range(1, ENUMERATION_D_MAX + 1):
         for mu in partitions(d):
             for g in range(0, 4):
-                if 2 * g - 2 + len(mu) <= 0:
+                if not is_stable(g, len(mu)):
                     continue
                 m = riemann_hurwitz_m(g, mu)
                 if m > ENUMERATION_M_MAX:
@@ -197,7 +187,7 @@ def test_criterion_8_kappa_reduction():
     while done < 50:
         g = rng.randint(0, 2)
         n = rng.randint(1, 3)
-        if 2 * g - 2 + n <= 0:
+        if not is_stable(g, n):
             continue
         dim = 3 * g - 3 + n
         if not 1 <= dim <= 8:

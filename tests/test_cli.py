@@ -4,7 +4,11 @@ import json
 
 import pytest
 
+from pshodge import cli
+from pshodge.cache import cache_load
 from pshodge.cli import main
+from pshodge.multiset import compositions
+from pshodge.wk import WKTable, is_stable
 
 
 def run(capsys, *argv):
@@ -72,6 +76,12 @@ class TestEval:
             run(capsys, "eval", "--g", "2", "--n", "1", "--bogus")
         assert exc.value.code == 1
         assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        # batch lines run in order in one thread; there is no --jobs
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "eval", "--g", "2", "--n", "1", "--jobs", "4",
+                "psi1^4")
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
     def test_missing_required_option_is_user_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -128,15 +138,6 @@ class TestEval:
         assert lines[1].startswith("line 2: error:")
         assert lines[2] == "1/1152"
 
-    def test_batch_parallel_order(self, capsys, tmp_path):
-        batch = tmp_path / "exprs.txt"
-        batch.write_text("psi1^4\n2*psi1^4\n3*psi1^4\n")
-        code, out, _ = run(capsys, "eval", "--g", "2", "--n", "1",
-                           "--space", "stable", "--jobs", "3",
-                           "--batch", str(batch))
-        assert code == 0
-        assert out.splitlines() == ["1/1152", "1/576", "1/384"]
-
     def test_cache_flag_round_trip(self, capsys, tmp_path):
         path = tmp_path / "wk.cache"
         code, out1, _ = run(capsys, "eval", "--g", "2", "--n", "1",
@@ -146,6 +147,34 @@ class TestEval:
                             "--cache", str(path), "psi1^4")
         assert code == 0
         assert out1 == out2 == "1/1152\n"
+
+    def test_cache_bad_header(self, capsys, tmp_path):
+        path = tmp_path / "wk.cache"
+        path.write_text("nonsense\n")
+        code, out, err = run(capsys, "eval", "--g", "2", "--n", "1",
+                             "--cache", str(path), "psi1^4")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot load cache file: bad header")
+        code, out, _ = run(capsys, "eval", "--g", "2", "--n", "1", "--json",
+                           "--cache", str(path), "psi1^4")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["cache"] == str(path)
+        assert payload["error"].startswith("cannot load cache file")
+
+    def test_cache_store_into_missing_directory(self, capsys, tmp_path):
+        path = str(tmp_path / "missing" / "wk.cache")
+        code, out, err = run(capsys, "eval", "--g", "2", "--n", "1",
+                             "--cache", path, "psi1^4")
+        assert (code, out) == (1, "1/1152\n")
+        assert err.startswith("error: cannot store cache file")
+        code, out, _ = run(capsys, "eval", "--g", "2", "--n", "1", "--json",
+                           "--cache", path, "psi1^4")
+        assert code == 1
+        value, failure = map(json.loads, out.splitlines())
+        assert value["value"] == "1/1152"
+        assert failure["cache"] == path
+        assert failure["error"].startswith("cannot store cache file")
 
 
 class TestSeries:
@@ -165,6 +194,13 @@ class TestSeries:
         code, _, err = run(capsys, "series", "--n", "1", "--gmax", "7")
         assert code == 1
         assert "gmax" in err
+
+    def test_cache_bad_header(self, capsys, tmp_path):
+        path = tmp_path / "wk.cache"
+        path.write_text("nonsense\n")
+        code, out, err = run(capsys, "series", "--cache", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot load cache file: bad header")
 
 
 class TestSelfcheck:
@@ -215,3 +251,37 @@ class TestCacheCommand:
         code, _, err = run(capsys, "cache", "load", str(path))
         assert code == 1
         assert "header" in err
+
+    def test_load_directory(self, capsys, tmp_path):
+        code, out, err = run(capsys, "cache", "load", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot load cache file")
+
+    def test_store_into_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "wk.cache"
+        code, out, err = run(capsys, "cache", "store", str(path),
+                             "--dim-max", "2", "--gmax", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot store cache file")
+
+    def test_verify_non_utf8(self, capsys, tmp_path):
+        path = tmp_path / "wk.cache"
+        path.write_bytes(b"\xff\xfe\x00PSHODGE-WKCACHE v1\n")
+        code, out, err = run(capsys, "cache", "verify", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot verify cache file")
+
+    def test_store_keys_are_the_sorted_compositions(self, capsys, tmp_path,
+                                                    monkeypatch):
+        # a fresh table, so that only the keys the store walk reaches count
+        table = WKTable()
+        monkeypatch.setattr(cli, "default_table", lambda: table)
+        path = tmp_path / "wk.cache"
+        run(capsys, "cache", "store", str(path), "--dim-max", "5",
+            "--gmax", "2")
+        stored = {key for key, _ in cache_load(str(path)).psi_items()}
+        walked = {(g, tuple(sorted(d)))
+                  for g in range(3) for n in range(1, 9)
+                  if is_stable(g, n) and 0 <= 3 * g - 3 + n <= 5
+                  for d in compositions(3 * g - 3 + n, n)}
+        assert stored == walked

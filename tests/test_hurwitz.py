@@ -13,7 +13,7 @@ from pshodge.hurwitz import (ENUMERATION_D_MAX, ENUMERATION_M_MAX,
                              EnumerationBoundError, HurwitzInstance,
                              canonical_permutation, count_factorizations,
                              elsv_value, hurwitz_brute, riemann_hurwitz_m)
-from pshodge.multiset import compositions
+from pshodge.multiset import compositions, partitions
 from pshodge.strata import expr_integral, is_pseudostable
 
 
@@ -118,16 +118,6 @@ def reference_count(target, m):
 
     rec(tuple(range(d)), 0)
     return count
-
-
-def partitions(d, mx=None):
-    mx = mx or d
-    if d == 0:
-        yield ()
-        return
-    for first in range(min(d, mx), 0, -1):
-        for rest in partitions(d - first, first):
-            yield (first,) + rest
 
 
 class TestBruteForce:

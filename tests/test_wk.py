@@ -1,6 +1,7 @@
 """Correlator engine: pinned values, string/dilaton/symmetry, kappa reduction."""
 
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import factorial
@@ -9,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pshodge
+from pshodge.hodge import HodgeMonomial, bernoulli, hodge_integral
 from pshodge.multiset import compositions
-from pshodge.wk import (KappaPsiMonomial, WKKey, WKTable, kappa_psi_integral,
-                        wk_integral)
+from pshodge.wk import (KappaPsiMonomial, WKKey, WKTable, is_stable,
+                        kappa_psi_integral, wk_integral)
 
 
 def genus0_string_oracle(d):
@@ -77,7 +80,7 @@ def _dimension_keys(gmax=3, dim_bound=12):
     for g in range(gmax + 1):
         for n in range(1, 8):
             dim = 3 * g - 3 + n
-            if dim < 0 or dim > dim_bound or 2 * g - 2 + n <= 0:
+            if dim < 0 or dim > dim_bound or not is_stable(g, n):
                 continue
             yield g, n, dim
 
@@ -152,7 +155,7 @@ class TestKappa:
         while done < 50:
             g = rng.randint(0, 2)
             n = rng.randint(1, 3)
-            if 2 * g - 2 + n <= 0:
+            if not is_stable(g, n):
                 continue
             dim = 3 * g - 3 + n
             if not 1 <= dim <= 8:
@@ -178,15 +181,33 @@ class TestKappa:
             done += 1
 
 
+def faber_top_lambdas(g):
+    """Faber's closed form for the integral of lambda_g lambda_{g-1}
+    lambda_{g-2} over Mbar_g."""
+    return (abs(bernoulli(2 * g - 2)) * abs(bernoulli(2 * g))
+            / (2 * factorial(2 * g - 2) * (2 * g - 2) * (2 * g)))
+
+
 class TestConcurrency:
     def test_concurrent_readers_consistent(self):
+        """Racing threads fill the WK table and the GRR memos, which take
+        no lock, and every value still matches its closed form."""
         table = WKTable()
-        keys = [(g, (3 * g - 2,)) for g in range(1, 6)] * 8
-
-        def work(key):
-            return table.integral(*key)
-
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            values = list(pool.map(work, keys))
-        for (g, d), value in zip(keys, values):
-            assert value == Fraction(1, 24 ** g * factorial(g))
+        pshodge.clear_caches()
+        cases = [(table.integral, (g, (3 * g - 2,)),
+                  Fraction(1, 24 ** g * factorial(g))) for g in range(1, 6)]
+        cases += [(hodge_integral,
+                   (HodgeMonomial.of(g, 0, {j: 1 for j in range(g - 2, g + 1)
+                                            if j}),),
+                   faber_top_lambdas(g)) for g in (2, 3, 4)]
+        assert faber_top_lambdas(2) == Fraction(1, 5760)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                values = list(pool.map(lambda case: case[0](*case[1]),
+                                       cases * 8))
+        finally:
+            sys.setswitchinterval(interval)
+        for (_, args, want), value in zip(cases * 8, values):
+            assert value == want, args
