@@ -5,7 +5,7 @@ Layers, bottom up:
 * :mod:`pshodge.wk` -- psi and kappa/psi intersection numbers via the
   Witten--Kontsevich (DVV) recursion;
 * :mod:`pshodge.hodge` -- lambda-class integrals through Chern-character
-  reduction (Newton/Bell conversion plus the Grothendieck--Riemann--Roch
+  reduction (Newton conversion plus the Grothendieck--Riemann--Roch
   boundary recursion);
 * :mod:`pshodge.strata` -- the elliptic-tail strata algebra and the
   translation of pseudostable Hodge integrals to stable ones;

@@ -198,6 +198,9 @@ def _cache_action(args):
         table = cache_load(args.path)
         print(f"loaded {len(table)} entries from {args.path}")
         return 0
+    if args.sample < 0:
+        print("cache: --sample must be non-negative", file=sys.stderr)
+        return 1
     checked, mismatches = cache_verify(args.path, sample=args.sample)
     if mismatches:
         for g, d, stored, again in mismatches:

@@ -7,9 +7,11 @@ steps:
 1. every lambda factor is rewritten as a universal polynomial in the
    Chern characters ``ch_1, ch_2, ...`` of E.  Chern classes are
    elementary symmetric functions of the Chern roots and Chern
-   characters are rescaled power sums, so Newton's identities apply;
-   they are packaged through Bell polynomials.  Even Chern characters of
-   the Hodge bundle vanish and are dropped;
+   characters are rescaled power sums, so Newton's identities convert
+   one into the other.  Polynomials are plain dicts keyed by the sorted
+   tuple of symbol indices (see :mod:`pshodge.multiset`).  Even Chern
+   characters of the Hodge bundle vanish, so only the odd-ch part of
+   each lambda factor is multiplied out;
 2. one Chern character factor at a time is eliminated with Mumford's
    Grothendieck--Riemann--Roch evaluation of ch(E): the replacement is a
    kappa class, psi corrections at the markings, and pushforwards from
@@ -27,142 +29,22 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .multiset import counts, replace_one, sub_multisets
+from .multiset import accumulate, counts, multiply, replace_one, sub_multisets
 from .wk import default_table, is_stable, psi_exponents
 
 __all__ = [
-    "SparsePoly",
     "HodgeMonomial",
     "bell_polynomial",
     "bernoulli",
     "lambda_to_ch",
     "ch_in_lambda",
-    "ch_to_lambda",
     "ch_monomial_integral",
     "hodge_integral",
     "clear_caches",
 ]
 
 _ZERO = Fraction(0)
-
-
-class SparsePoly:
-    """Rational-coefficient polynomial in commuting symbols ``s_1, s_2, ...``.
-
-    A monomial is keyed by the sorted tuple of its symbol indices with
-    multiplicity, e.g. ``(1, 1, 3)`` stands for ``s_1^2 s_3``.  The same
-    class serves for polynomials in Chern characters (symbol l = ch_l)
-    and in lambda classes (symbol j = lambda_j).
-
-    >>> p = SparsePoly.symbol(1) + 2 * SparsePoly.symbol(2)
-    >>> sorted((p * p).terms.items())
-    [((1, 1), Fraction(1, 1)), ((1, 2), Fraction(4, 1)), ((2, 2), Fraction(4, 1))]
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        data = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for mono, c in items:
-                c = Fraction(c)
-                if not c:
-                    continue
-                mono = tuple(sorted(mono))
-                data[mono] = data.get(mono, _ZERO) + c
-        self.terms = {m: c for m, c in data.items() if c}
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls({(): 1})
-
-    @classmethod
-    def constant(cls, c):
-        return cls({(): c})
-
-    @classmethod
-    def symbol(cls, i):
-        return cls({(int(i),): 1})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, SparsePoly):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == SparsePoly.constant(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SparsePoly.constant(other)
-        if not isinstance(other, SparsePoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, _ZERO) + c
-        return SparsePoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return SparsePoly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, SparsePoly)
-                       else SparsePoly.constant(-Fraction(other)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return SparsePoly({m: c * other for m, c in self.terms.items()})
-        if not isinstance(other, SparsePoly):
-            return NotImplemented
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                key = tuple(sorted(m1 + m2))
-                out[key] = out.get(key, _ZERO) + c1 * c2
-        return SparsePoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative exponent")
-        out = SparsePoly.one()
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def substitute(self, images):
-        """Replace every symbol by ``images(i)`` and expand."""
-        out = SparsePoly.zero()
-        for mono, c in self.terms.items():
-            term = SparsePoly.constant(c)
-            for i in mono:
-                term = term * images(i)
-            out = out + term
-        return out
-
-    def drop_symbols(self, predicate):
-        """Zero out monomials containing a symbol with ``predicate(i)`` true."""
-        return SparsePoly({m: c for m, c in self.terms.items()
-                           if not any(predicate(i) for i in m)})
-
-    def __repr__(self):
-        if not self.terms:
-            return "SparsePoly(0)"
-        bits = [f"{c}*{m}" for m, c in sorted(self.terms.items())]
-        return "SparsePoly(" + " + ".join(bits) + ")"
+_ONE = Fraction(1)
 
 
 def bell_polynomial(k, xs, one=1):
@@ -174,9 +56,8 @@ def bell_polynomial(k, xs, one=1):
     ``x_1, x_2, ...`` and needs at least ``k`` entries; the entries may
     live in any commutative ring whose identity is passed as ``one``.
 
-    >>> x = [SparsePoly.symbol(i) for i in (1, 2, 3)]
-    >>> bell_polynomial(2, x, one=SparsePoly.one()) == x[0] * x[0] + x[1]
-    True
+    >>> bell_polynomial(2, [Fraction(1, 2), 3])  # x_1^2 + x_2
+    Fraction(13, 4)
     """
     if k < 0:
         raise ValueError("Bell polynomial index must be non-negative")
@@ -207,52 +88,46 @@ def bernoulli(m):
 def lambda_to_ch(j, g):
     """``lambda_j`` as a universal polynomial in ``ch_1 .. ch_j`` (rank g).
 
-    With ``x_l = (-1)^(l-1) (l-1)! l! ch_l`` one has
-    ``lambda_j = B_j(x) / j!``; this is Newton's conversion of elementary
-    symmetric functions into power sums.  The identity holds for any
-    rank-g bundle; ``j > g`` gives the zero polynomial (rank bound) and
-    no parity substitution is applied here.
+    Newton's identity ``j e_j = sum_{i=1}^{j} (-1)^(i-1) p_i e_{j-i}`` for
+    elementary symmetric functions ``e`` and power sums ``p_i = i! ch_i``
+    of the Chern roots.  Keys are sorted tuples of ch indices.  The
+    identity holds for any rank-g bundle; ``j > g`` gives the zero
+    polynomial (rank bound) and no parity substitution is applied here.
+    The memoised dict is shared: do not mutate it.
 
-    >>> lambda_to_ch(1, 3) == SparsePoly.symbol(1)
-    True
+    >>> lambda_to_ch(2, 3)
+    {(1, 1): Fraction(1, 2), (2,): Fraction(-1, 1)}
     """
     if j < 0 or j > g:
-        return SparsePoly.zero()
+        return {}
     if j == 0:
-        return SparsePoly.one()
-    xs = [Fraction((-1) ** (l - 1) * factorial(l - 1) * factorial(l))
-          * SparsePoly.symbol(l) for l in range(1, j + 1)]
-    return Fraction(1, factorial(j)) * bell_polynomial(j, xs, one=SparsePoly.one())
-
-
-@lru_cache(maxsize=None)
-def _power_sum_in_elementary(k):
-    # Newton: p_k = (-1)^(k-1) k e_k + sum_{i=1}^{k-1} (-1)^(i-1) e_i p_{k-i}
-    if k == 0:
-        return SparsePoly.constant(0)
-    acc = Fraction((-1) ** (k - 1) * k) * SparsePoly.symbol(k)
-    for i in range(1, k):
-        acc = acc + Fraction((-1) ** (i - 1)) * SparsePoly.symbol(i) \
-            * _power_sum_in_elementary(k - i)
-    return acc
+        return {(): _ONE}
+    out = {}
+    for i in range(1, j + 1):
+        p_i = {(i,): Fraction((-1) ** (i - 1) * factorial(i), j)}
+        accumulate(out, multiply(lambda_to_ch(j - i, g), p_i).items())
+    return out
 
 
 @lru_cache(maxsize=None)
 def ch_in_lambda(l):
     """``ch_l`` as a universal polynomial in lambda classes (any rank).
 
-    >>> ch_in_lambda(2) == Fraction(1, 2) * (
-    ...     SparsePoly.symbol(1) ** 2 - 2 * SparsePoly.symbol(2))
-    True
+    Newton's identity ``p_l = (-1)^(l-1) l e_l
+    + sum_{i=1}^{l-1} (-1)^(i-1) e_i p_{l-i}`` with ``p_l = l! ch_l``.
+    Keys are sorted tuples of lambda indices.  The memoised dict is
+    shared: do not mutate it.
+
+    >>> ch_in_lambda(2)
+    {(2,): Fraction(-1, 1), (1, 1): Fraction(1, 2)}
     """
-    if l == 0:
+    if l < 1:
         raise ValueError("ch_0 is the rank, not a polynomial in lambda classes")
-    return Fraction(1, factorial(l)) * _power_sum_in_elementary(l)
-
-
-def ch_to_lambda(poly):
-    """Rewrite a Chern-character polynomial as a lambda-class polynomial."""
-    return poly.substitute(ch_in_lambda)
+    out = {(l,): Fraction((-1) ** (l - 1), factorial(l - 1))}
+    for i in range(1, l):
+        e_i = {(i,): Fraction((-1) ** (i - 1) * factorial(l - i), factorial(l))}
+        accumulate(out, multiply(ch_in_lambda(l - i), e_i).items())
+    return out
 
 
 @dataclass(frozen=True)
@@ -392,12 +267,14 @@ def hodge_integral(monomial):
     hit = _HODGE_MEMO.get(key)
     if hit is not None:
         return hit
-    poly = SparsePoly.one()
+    poly = {(): _ONE}
     for j, e in monomial.lambda_exp:
-        poly = poly * lambda_to_ch(j, g) ** e
-    poly = poly.drop_symbols(lambda l: l % 2 == 0)
+        odd = {mono: c for mono, c in lambda_to_ch(j, g).items()
+               if all(l % 2 for l in mono)}
+        for _ in range(e):
+            poly = multiply(poly, odd)
     value = _ZERO
-    for mono, coeff in poly.terms.items():
+    for mono, coeff in poly.items():
         value += coeff * _reduce(g, psi, (), mono)
     _HODGE_MEMO[key] = value
     return value

@@ -1,14 +1,19 @@
-"""Small multiset helpers shared by the integral engines.
+"""Small multiset and sparse-polynomial helpers shared by the engines.
 
 Multisets are represented as sorted tuples of integers.  The engines
 repeatedly need to split a multiset between the two sides of a
 degeneration; grouping those splits by value (instead of walking all
 2^n labelled subsets) is what keeps the recursions at desk scale.
+
+A sparse polynomial is a plain dict from a monomial key to a nonzero
+:class:`fractions.Fraction`.  For polynomials in commuting symbols
+``s_1, s_2, ...`` the key is the multiset of symbol indices, e.g.
+``(1, 1, 3)`` for ``s_1^2 s_3``, and ``()`` is the constant monomial.
 """
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, inf
 
 
 def counts(values):
@@ -90,3 +95,46 @@ def partitions(total, max_part=None):
     for first in range(min(total, max_part), 0, -1):
         for rest in partitions(total - first, first):
             yield (first,) + rest
+
+
+def accumulate(poly, items, scale=1):
+    """Add ``scale * c`` to ``poly[key]`` for every ``(key, c)`` in ``items``.
+
+    Keys whose coefficient becomes zero are removed, so ``poly`` stays a
+    sparse polynomial.  Returns ``poly``.
+
+    >>> accumulate({(1,): 2}, [((1,), -1), ((), 3)], scale=2)
+    {(): 6}
+    """
+    if scale != 1:
+        items = ((key, scale * c) for key, c in items)
+    for key, c in items:
+        c = poly.get(key, 0) + c
+        if c:
+            poly[key] = c
+        else:
+            poly.pop(key, None)
+    return poly
+
+
+def multiply(p, q, degree=sum, max_degree=None):
+    """Product of two sparse polynomials keyed by multisets.
+
+    With ``max_degree`` set, monomials whose ``degree(key)`` exceeds it
+    are dropped as they arise; ``degree`` must be additive over the
+    union of multisets, so the truncation commutes with the product.
+
+    >>> multiply({(1,): 1, (2,): 2}, {(1,): 1, (2,): 2})
+    {(1, 1): 1, (1, 2): 4, (2, 2): 4}
+    >>> multiply({(): 1, (1,): 1}, {(): 1, (1,): 1}, max_degree=1)
+    {(): 1, (1,): 2}
+    """
+    q_items = [(b, degree(b), d) for b, d in q.items()]
+    out = {}
+    for a, c in p.items():
+        room = inf if max_degree is None else max_degree - degree(a)
+        for b, db, d in q_items:
+            if db <= room:
+                key = tuple(sorted(a + b))
+                out[key] = out.get(key, 0) + c * d
+    return {key: c for key, c in out.items() if c}

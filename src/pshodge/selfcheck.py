@@ -72,14 +72,11 @@ def random_taut_class(rng, g, n, max_terms=3, max_tails=2):
         i = rng.randint(0, max_tails)
         tails = tuple(sorted((rng.randint(0, 2), rng.randint(0, 1))
                              for _ in range(i)))
-        lam = {}
-        for _ in range(rng.randint(0, 2)):
-            j = rng.randint(1, max(1, g - i))
-            lam[j] = lam.get(j, 0) + 1
+        lam = [rng.randint(1, max(1, g - i))
+               for _ in range(rng.randint(0, 2))]
         psi = tuple(rng.randint(0, 2) for _ in range(n))
         coeff = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-        terms.append(_make_term(g, n, coeff, tails,
-                                tuple(sorted(lam.items())), psi))
+        terms.append(_make_term(g, n, coeff, tails, lam, psi))
     return TautClass.from_terms(g, n, terms)
 
 
@@ -232,8 +229,8 @@ def suite_hat_lambda_square():
     for g, n in [(3, 1), (4, 2)]:
         square = class_multiply(hat_lambda(g, n, 1), hat_lambda(g, n, 1))
         expected = TautClass.from_terms(g, n, [
-            _make_term(g, n, 1, (), ((1, 2),), (0,) * n),
-            _make_term(g, n, 2, ((0, 0),), ((1, 1),), (0,) * n),
+            _make_term(g, n, 1, (), (1, 1), (0,) * n),
+            _make_term(g, n, 2, ((0, 0),), (1,), (0,) * n),
             _make_term(g, n, 1, ((0, 1),), (), (0,) * n),
             _make_term(g, n, -1, ((1, 0),), (), (0,) * n),
             _make_term(g, n, 1, ((0, 0), (0, 0)), (), (0,) * n),

@@ -12,17 +12,25 @@ where G^i glues i one-pointed genus-1 tails onto the core at i extra
 markings and p_0 projects to the core factor.
 
 This module implements the closed algebra spanned by such pushforwards.
-A :class:`StratumTerm` is a rational multiple of
+A :class:`TautClass` is a sparse polynomial in the sense of
+:mod:`pshodge.multiset`: a dict from a decoration
+``(tails, core_lambda, core_psi)`` to the nonzero rational coefficient
+of
 
     G^i_*( lambda/psi monomial on the core
            x psi_star^{a_k} at the attaching markings
-           x psi_bullet^{b_k} on the tails ),
+           x psi_bullet^{b_k} on the tails ).
 
-with ``psi_bullet^2 = 0``, i.e. ``b_k <= 1``.  G^i is the map from the
-product with *labelled* tails (so e.g. ``G^2_*(1)`` covers the two-tail
-locus twice; the 1/i! above accounts for that), and a term stores the
-tail decorations as a multiset, which is faithful because relabelling
-tails is an automorphism over the gluing.
+``tails`` is the sorted multiset of per-tail pairs ``(a_k, b_k)``, with
+``psi_bullet^2 = 0``, i.e. ``b_k <= 1``; ``core_lambda`` is the sorted
+multiset of the core's lambda indices (``(1, 1, 2)`` for
+``lambda_1^2 lambda_2``); ``core_psi`` lists the exponents at the
+original markings; ``i = len(tails) = 0`` is the pure (non-boundary)
+case.  G^i is the map from the product with *labelled* tails (so e.g.
+``G^2_*(1)`` covers the two-tail locus twice; the 1/i! above accounts
+for that), and a term stores the tail decorations as a multiset, which
+is faithful because relabelling tails is an automorphism over the
+gluing.
 
 Products are excess intersections: two terms multiply by matching m
 tails of one with m tails of the other (labelled matchings); every
@@ -36,8 +44,9 @@ every tail contributes ``1/24`` per ``psi_bullet`` (and 0 without one).
 :func:`expr_integral` evaluates a polynomial in four steps:
 
 1. expand the expression once into a sparse polynomial in the lambda
-   and psi classes, dropping monomials above the dimension as they
-   arise and keeping only those of exactly top degree;
+   and psi classes (key: the multiset of symbol indices, ``lambda_j``
+   as j and ``psi_i`` as ``g + i``), dropping monomials above the
+   dimension as they arise and keeping only those of exactly top degree;
 2. for each lambda multiset that occurs, form the product of the
    ``hat_lambda_j`` (memoised, built from its prefix); stably, each
    monomial is a Hodge integral and no strata class is formed;
@@ -52,19 +61,20 @@ truncating.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product as iproduct
 from math import factorial
-from operator import add, mul
+from operator import add
 
 from . import expr as expr_mod
 from .hodge import HodgeMonomial, ch_in_lambda, hodge_integral
+from .multiset import accumulate, counts, multiply
 from .wk import is_stable, psi_exponents
 
 __all__ = [
     "EmptyModuliError",
-    "StratumTerm",
     "TautClass",
     "is_pseudostable",
     "hat_lambda",
@@ -95,43 +105,31 @@ class EmptyModuliError(ValueError):
     def __init__(self, g, n, space):
         excluded = PS_EXCLUDED if space == "ps" else STABLE_EXCLUDED
         names = ", ".join(str(p) for p in excluded)
+        reason = (f"the moduli space is empty (excluded: {names})"
+                  if g >= 0 and n >= 0 else
+                  "the genus and the number of markings must be non-negative")
         super().__init__(
             f"({g}, {n}) is not a {'pseudostable' if space == 'ps' else 'stable'}"
-            f" index; the moduli space is empty (excluded: {names})")
+            f" index; {reason}")
         self.g = g
         self.n = n
         self.space = space
 
 
-@dataclass(frozen=True)
-class StratumTerm:
-    """One decorated pushforward ``coeff * G^i_*(...)`` (see module docstring).
-
-    ``tails`` is the sorted multiset of per-tail decorations ``(a, b)``:
-    the attaching-marking psi exponent and the tail psi exponent.
-    ``core_lambda`` is the sorted tuple of ``(index, exponent)`` pairs of
-    the core lambda monomial, ``core_psi`` the exponents at the original
-    markings.  ``i = len(tails) = 0`` is the pure (non-boundary) case.
-    """
-
-    coeff: Fraction
-    tails: tuple
-    core_lambda: tuple
-    core_psi: tuple
-
-    @property
-    def num_tails(self):
-        return len(self.tails)
-
-    def degree(self):
-        return (self.num_tails
-                + sum(j * e for j, e in self.core_lambda)
-                + sum(self.core_psi)
-                + sum(a + b for a, b in self.tails))
+def _degree(key):
+    """Degree of the strata term with decoration ``key``."""
+    tails, core_lambda, core_psi = key
+    return (len(tails) + sum(core_lambda) + sum(core_psi)
+            + sum(a + b for a, b in tails))
 
 
 def _make_term(g, n, coeff, tails, core_lambda, core_psi):
-    """Validated term on ambient (g, n), or None when it is the zero class."""
+    """``(key, coeff)`` for a term on ambient (g, n), or None when it is
+    the zero class.
+
+    ``tails`` holds ``(a, b)`` pairs and ``core_lambda`` the core lambda
+    indices with multiplicity, each in any order.
+    """
     coeff = Fraction(coeff)
     if not coeff:
         return None
@@ -142,38 +140,33 @@ def _make_term(g, n, coeff, tails, core_lambda, core_psi):
     gc, nc = g - i, n + i
     if gc < 0 or not is_stable(gc, nc):
         return None  # the gluing map does not exist
-    lam = {}
-    for j, e in core_lambda:
-        if e:
-            lam[j] = lam.get(j, 0) + e
-    if any(j > gc for j in lam):
+    lam = tuple(sorted(core_lambda))
+    if lam and lam[-1] > gc:
         return None  # rank bound on the core Hodge bundle
-    return StratumTerm(coeff, tails, tuple(sorted(lam.items())), tuple(core_psi))
+    return (tails, lam, tuple(core_psi)), coeff
 
 
 @dataclass(frozen=True)
 class TautClass:
-    """A formal sum of strata terms on a fixed ambient Mbar_{g,n}."""
+    """A formal sum of strata terms on a fixed ambient Mbar_{g,n}.
+
+    ``terms`` maps each decoration ``(tails, core_lambda, core_psi)`` to
+    its nonzero coefficient (see module docstring).
+    """
 
     g: int
     n: int
-    terms: tuple
+    terms: dict
 
     @staticmethod
     def from_terms(g, n, terms):
-        """Normalise: merge equal decorations, drop zeros, sort."""
-        merged = {}
-        for t in terms:
-            if t is None:
-                continue
-            key = (t.tails, t.core_lambda, t.core_psi)
-            merged[key] = merged.get(key, _ZERO) + t.coeff
-        out = [StratumTerm(c, *key) for key, c in sorted(merged.items()) if c]
-        return TautClass(g, n, tuple(out))
+        """Sum ``(key, coeff)`` pairs; ``None`` entries are zero classes."""
+        return TautClass(g, n, accumulate(
+            {}, (t for t in terms if t is not None)))
 
     @staticmethod
     def zero(g, n):
-        return TautClass(g, n, ())
+        return TautClass(g, n, {})
 
     @staticmethod
     def scalar(g, n, value):
@@ -190,7 +183,7 @@ class TautClass:
         if j == 0:
             return TautClass.one(g, n)
         return TautClass.from_terms(
-            g, n, [_make_term(g, n, 1, (), ((j, 1),), (0,) * n)])
+            g, n, [_make_term(g, n, 1, (), (j,), (0,) * n)])
 
     @staticmethod
     def psi_monomial(g, n, exps):
@@ -204,26 +197,28 @@ class TautClass:
 
     def __add__(self, other):
         self._check_ambient(other)
-        return TautClass.from_terms(self.g, self.n, self.terms + other.terms)
+        return TautClass(self.g, self.n,
+                         accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
-        return self + (-1) * other
+        self._check_ambient(other)
+        return TautClass(self.g, self.n,
+                         accumulate(dict(self.terms), other.terms.items(), -1))
 
     def __mul__(self, other):
         if isinstance(other, TautClass):
             return class_multiply(self, other)
         value = Fraction(other)
-        return TautClass.from_terms(
-            self.g, self.n,
-            [StratumTerm(t.coeff * value, t.tails, t.core_lambda, t.core_psi)
-             for t in self.terms])
+        return TautClass(self.g, self.n, {
+            key: c * value for key, c in self.terms.items()} if value else {})
 
     __rmul__ = __mul__
 
     def prune_above(self, max_degree):
         """Drop terms of degree beyond ``max_degree`` (they integrate to 0)."""
-        return TautClass(self.g, self.n, tuple(
-            t for t in self.terms if t.degree() <= max_degree))
+        return TautClass(self.g, self.n, {
+            key: c for key, c in self.terms.items()
+            if _degree(key) <= max_degree})
 
 
 def restrict_lambda_to_tails(j, new_tails):
@@ -252,34 +247,27 @@ def restrict_lambda_to_tails(j, new_tails):
 def _lambda_restrictions(core_lambda, new_tails):
     """All ways to restrict a core lambda monomial over fresh tails.
 
-    Yields ``(lambda_pairs, bumps)``: the remaining core lambda exponent
-    pairs and the per-slot count of acquired tail psi factors.  Slots
-    collecting two factors are dropped on the spot (tail psi squares
-    vanish).
+    Yields ``(lambdas, bumps)``: the lambda indices the core keeps, in no
+    particular order, and the per-slot count of acquired tail psi
+    factors.  Slots collecting two factors are dropped on the spot (tail
+    psi squares vanish).
     """
-    factors = [j for j, e in core_lambda for _ in range(e)]
     results = []
 
-    def rec(idx, lam_counts, bumps):
-        if idx == len(factors):
-            results.append((tuple(sorted(lam_counts.items())), tuple(bumps)))
+    def rec(idx, kept, bumps):
+        if idx == len(core_lambda):
+            results.append((kept, tuple(bumps)))
             return
-        for jc, slots in restrict_lambda_to_tails(factors[idx], new_tails):
+        for jc, slots in restrict_lambda_to_tails(core_lambda[idx], new_tails):
             if any(bumps[s] for s in slots):
                 continue
             for s in slots:
                 bumps[s] += 1
-            if jc:
-                lam_counts[jc] = lam_counts.get(jc, 0) + 1
-            rec(idx + 1, lam_counts, bumps)
-            if jc:
-                lam_counts[jc] -= 1
-                if not lam_counts[jc]:
-                    del lam_counts[jc]
+            rec(idx + 1, kept + (jc,) if jc else kept, bumps)
             for s in slots:
                 bumps[s] -= 1
 
-    rec(0, {}, [0] * new_tails)
+    rec(0, (), [0] * new_tails)
     return results
 
 
@@ -292,21 +280,22 @@ def _excess_branches(a, b):
     return out
 
 
-def _term_product(g, n, t, u):
-    """All strata terms of the product ``t * u`` on Mbar_{g,n}."""
-    i, ip = len(t.tails), len(u.tails)
-    core_psi = tuple(x + y for x, y in zip(t.core_psi, u.core_psi))
-    base = t.coeff * u.coeff
-    out = []
+def _term_product(g, n, t, u, base):
+    """The ``(key, coeff)`` strata terms of ``base`` times the product of
+    the decorations ``t`` and ``u`` on Mbar_{g,n}."""
+    t_tails, t_lambda, t_psi = t
+    u_tails, u_lambda, u_psi = u
+    i, ip = len(t_tails), len(u_tails)
+    core_psi = tuple(map(add, t_psi, u_psi))
     for m in range(min(i, ip) + 1):
         for tsel in combinations(range(i), m):
             tsel_set = set(tsel)
-            t_rest = [t.tails[x] for x in range(i) if x not in tsel_set]
+            t_rest = [t_tails[x] for x in range(i) if x not in tsel_set]
             for usel in permutations(range(ip), m):
                 usel_set = set(usel)
-                u_rest = [u.tails[y] for y in range(ip) if y not in usel_set]
-                merged = [(t.tails[x][0] + u.tails[y][0],
-                           t.tails[x][1] + u.tails[y][1])
+                u_rest = [u_tails[y] for y in range(ip) if y not in usel_set]
+                merged = [(t_tails[x][0] + u_tails[y][0],
+                           t_tails[x][1] + u_tails[y][1])
                           for x, y in zip(tsel, usel)]
                 if any(b > 1 for _, b in merged):
                     continue
@@ -318,13 +307,13 @@ def _term_product(g, n, t, u):
                         sign *= s
                         matched_tails.append(ab)
                     for lam_t, bumps_t in _lambda_restrictions(
-                            t.core_lambda, len(u_rest)):
+                            t_lambda, len(u_rest)):
                         new_u = [(a, bb + extra) for (a, bb), extra
                                  in zip(u_rest, bumps_t)]
                         if any(bb > 1 for _, bb in new_u):
                             continue
                         for lam_u, bumps_u in _lambda_restrictions(
-                                u.core_lambda, len(t_rest)):
+                                u_lambda, len(t_rest)):
                             new_t = [(a, bb + extra) for (a, bb), extra
                                      in zip(t_rest, bumps_u)]
                             if any(bb > 1 for _, bb in new_t):
@@ -334,8 +323,7 @@ def _term_product(g, n, t, u):
                                 matched_tails + new_t + new_u,
                                 lam_t + lam_u, core_psi)
                             if term is not None:
-                                out.append(term)
-    return out
+                                yield term
 
 
 def class_multiply(first, second):
@@ -347,11 +335,12 @@ def class_multiply(first, second):
     other factor's core (see module docstring).
     """
     first._check_ambient(second)
-    out = []
-    for t in first.terms:
-        for u in second.terms:
-            out.extend(_term_product(first.g, first.n, t, u))
-    return TautClass.from_terms(first.g, first.n, out)
+    g, n = first.g, first.n
+    out = {}
+    for t, tc in first.terms.items():
+        for u, uc in second.terms.items():
+            accumulate(out, _term_product(g, n, t, u, tc * uc))
+    return TautClass(g, n, out)
 
 
 def class_integrate(cls):
@@ -366,18 +355,19 @@ def class_integrate(cls):
         raise EmptyModuliError(g, n, "stable")
     dim = 3 * g - 3 + n
     total = _ZERO
-    for t in cls.terms:
-        if t.degree() != dim:
+    for key, coeff in cls.terms.items():
+        if _degree(key) != dim:
             continue
-        if any(b == 0 for _, b in t.tails):
+        tails, core_lambda, core_psi = key
+        if any(b == 0 for _, b in tails):
             continue
-        i = t.num_tails
+        i = len(tails)
         mono = HodgeMonomial.of(
-            g - i, n + i, t.core_lambda,
-            t.core_psi + tuple(a for a, _ in t.tails))
+            g - i, n + i, counts(core_lambda),
+            core_psi + tuple(a for a, _ in tails))
         value = hodge_integral(mono)
         if value:
-            total += t.coeff * value * _TAIL_PSI ** i
+            total += coeff * value * _TAIL_PSI ** i
     return total
 
 
@@ -394,12 +384,12 @@ def hat_lambda(g, n, j):
         raise EmptyModuliError(g, n, "ps")
     if j < 0:
         raise ValueError("negative lambda index")
-    terms = [_make_term(g, n, 1, (), ((j, 1),) if j else (), (0,) * n)]
+    terms = [_make_term(g, n, 1, (), (j,) if j else (), (0,) * n)]
     for i in range(1, j + 1):
         jc = j - i
         terms.append(_make_term(
             g, n, Fraction(1, factorial(i)), ((0, 0),) * i,
-            ((jc, 1),) if jc else (), (0,) * n))
+            (jc,) if jc else (), (0,) * n))
     return TautClass.from_terms(g, n, terms)
 
 
@@ -413,13 +403,8 @@ def t_pullback_ch(g, n, l):
     """
     if l < 1:
         raise ValueError("ch index must be at least 1")
-    terms = []
-    for mono, coeff in ch_in_lambda(l).terms.items():
-        lam = {}
-        for j in mono:
-            lam[j] = lam.get(j, 0) + 1
-        terms.append(_make_term(g, n, coeff, (), tuple(sorted(lam.items())),
-                                (0,) * n))
+    terms = [_make_term(g, n, coeff, (), lams, (0,) * n)
+             for lams, coeff in ch_in_lambda(l).items()]
     c = Fraction((-1) ** l, factorial(l))
     terms.append(_make_term(g, n, -c, ((l - 1, 0),), (), (0,) * n))
     if l >= 2:
@@ -428,65 +413,53 @@ def t_pullback_ch(g, n, l):
 
 
 def _expand(node, g, n, dim):
-    """Expand an expression tree into a sparse polynomial.
+    """Expand an expression tree into a sparse polynomial of degree ``dim``.
 
-    Returns a dict from exponent vectors to nonzero Fractions; a vector
-    lists the exponents of ``lambda_1 .. lambda_g`` and then of
-    ``psi_1 .. psi_n``.  Monomials of degree above ``dim`` integrate to
-    zero and are dropped as soon as they arise.
+    A key is the sorted multiset of symbol indices, ``lambda_j`` as j and
+    ``psi_i`` as ``g + i``, so its lambda part comes first.  Monomials of
+    degree above ``dim`` integrate to zero and are dropped as soon as
+    they arise.
     """
-    weights = tuple(range(1, g + 1)) + (1,) * n
-    zero = (0,) * len(weights)
 
-    def degree(exps):
-        return sum(map(mul, weights, exps))
-
-    def unit(slot):
-        exps = list(zero)
-        exps[slot] = 1
-        return {tuple(exps): _ONE}
-
-    def combine(p, q, sign):
-        out = dict(p)
-        for exps, c in q.items():
-            out[exps] = out.get(exps, _ZERO) + sign * c
-        return {exps: c for exps, c in out.items() if c}
-
-    def times(p, q):
-        out = {}
-        q_deg = [(b, degree(b), d) for b, d in q.items()]
-        for a, c in p.items():
-            room = dim - degree(a)
-            for b, db, d in q_deg:
-                if db <= room:
-                    exps = tuple(map(add, a, b))
-                    out[exps] = out.get(exps, _ZERO) + c * d
-        return {exps: c for exps, c in out.items() if c}
+    def degree(key):
+        return sum(k if k <= g else 1 for k in key)
 
     def walk(node):
         if isinstance(node, expr_mod.Lit):
-            return {zero: Fraction(node.value)} if node.value else {}
+            return {(): Fraction(node.value)} if node.value else {}
         if isinstance(node, expr_mod.Lam):
-            return unit(node.index - 1)
+            return {(node.index,): _ONE}
         if isinstance(node, expr_mod.Psi):
-            return unit(g + node.index - 1)
+            return {(g + node.index,): _ONE}
         if isinstance(node, expr_mod.Sum):
-            return combine(walk(node.left), walk(node.right), 1)
+            return accumulate(walk(node.left), walk(node.right).items())
         if isinstance(node, expr_mod.Diff):
-            return combine(walk(node.left), walk(node.right), -1)
+            return accumulate(walk(node.left), walk(node.right).items(), -1)
         if isinstance(node, expr_mod.Prod):
-            return times(walk(node.left), walk(node.right))
+            return multiply(walk(node.left), walk(node.right), degree, dim)
         if isinstance(node, expr_mod.Pow):
-            base = walk(node.base)
-            out = {zero: _ONE}
-            for _ in range(node.exponent):
-                if not out:
-                    break
-                out = times(out, base)
+            # square and multiply: truncation commutes with the product
+            base, e, out = walk(node.base), node.exponent, {(): _ONE}
+            while e:
+                if e & 1:
+                    out = multiply(out, base, degree, dim)
+                e >>= 1
+                if e:
+                    base = multiply(base, base, degree, dim)
             return out
         raise TypeError(f"not an expression node: {node!r}")
 
-    return {exps: c for exps, c in walk(node).items() if degree(exps) == dim}
+    return {key: c for key, c in walk(node).items() if degree(key) == dim}
+
+
+def _split(key, g, n):
+    """The lambda multiset and the psi exponent vector of a key of
+    :func:`_expand`."""
+    cut = bisect_right(key, g)
+    psi = [0] * n
+    for k in key[cut:]:
+        psi[k - g - 1] += 1
+    return key[:cut], tuple(psi)
 
 
 _HAT_LAMBDA_PRODUCTS = {}
@@ -521,28 +494,26 @@ def expr_integral(g, n, expression, space="stable"):
     """
     if space not in ("stable", "ps"):
         raise ValueError("space must be 'stable' or 'ps'")
-    if space == "ps":
-        if not is_pseudostable(g, n):
-            raise EmptyModuliError(g, n, "ps")
-    elif not is_stable(g, n):
-        raise EmptyModuliError(g, n, "stable")
+    nonempty = is_pseudostable if space == "ps" else is_stable
+    if g < 0 or n < 0 or not nonempty(g, n):
+        raise EmptyModuliError(g, n, space)
     expr_mod.validate(expression, g, n)
     poly = _expand(expression, g, n, 3 * g - 3 + n)
     if space == "stable":
         total = _ZERO
-        for exps, coeff in poly.items():
-            lam = tuple((j, e) for j, e in enumerate(exps[:g], 1) if e)
+        for key, coeff in poly.items():
+            lams, psi = _split(key, g, n)
             total += coeff * hodge_integral(
-                HodgeMonomial(g, n, lam, exps[g:]))
+                HodgeMonomial(g, n, tuple(counts(lams).items()), psi))
         return total
-    terms = []
-    for exps, coeff in poly.items():
-        lams = tuple(j for j, e in enumerate(exps[:g], 1) for _ in range(e))
-        psi = exps[g:]
-        for t in _hat_lambda_product(g, n, lams).terms:
-            terms.append(StratumTerm(coeff * t.coeff, t.tails, t.core_lambda,
-                                     tuple(map(add, t.core_psi, psi))))
-    return class_integrate(TautClass.from_terms(g, n, terms))
+    terms = {}
+    for key, coeff in poly.items():
+        lams, psi = _split(key, g, n)
+        accumulate(terms, (
+            ((tails, lam, tuple(map(add, core_psi, psi))), c)
+            for (tails, lam, core_psi), c
+            in _hat_lambda_product(g, n, lams).terms.items()), coeff)
+    return class_integrate(TautClass(g, n, terms))
 
 
 def ps_hodge_integral(g, n, expression):

@@ -116,8 +116,8 @@ def test_criterion_6_strata_conformance():
     for g, n in [(3, 1), (4, 2)]:
         square = class_multiply(hat_lambda(g, n, 1), hat_lambda(g, n, 1))
         expected = TautClass.from_terms(g, n, [
-            _make_term(g, n, 1, (), ((1, 2),), (0,) * n),
-            _make_term(g, n, 2, ((0, 0),), ((1, 1),), (0,) * n),
+            _make_term(g, n, 1, (), (1, 1), (0,) * n),
+            _make_term(g, n, 2, ((0, 0),), (1,), (0,) * n),
             _make_term(g, n, 1, ((0, 1),), (), (0,) * n),
             _make_term(g, n, -1, ((1, 0),), (), (0,) * n),
             _make_term(g, n, 1, ((0, 0), (0, 0)), (), (0,) * n),

@@ -1,6 +1,7 @@
 """Command-line front end: output formats, exit codes, batch and cache flags."""
 
 import json
+import time
 
 import pytest
 
@@ -38,6 +39,23 @@ class TestEval:
         assert code == 1
         assert "pseudostable" in err
         assert "(1, 1)" in err and "(2, 0)" in err
+
+    @pytest.mark.parametrize("space", ("stable", "ps"))
+    @pytest.mark.parametrize("g, n", [(-1, 5), (2, -1)])
+    def test_negative_genus_or_markings(self, capsys, g, n, space):
+        code, out, err = run(capsys, "eval", "--g", str(g), "--n", str(n),
+                             "--space", space, "1")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: ({g}, {n}) is not a")
+        assert "must be non-negative" in err
+
+    def test_huge_power_is_fast(self, capsys):
+        # square-and-multiply on the truncated product: about 30 steps
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "eval", "--g", "2", "--n", "1",
+                           "(1+psi1)^1000000000*psi1^4")
+        assert (code, out) == (0, "1/1152\n")
+        assert time.perf_counter() - start < 1.0
 
     def test_json_payload(self, capsys):
         code, out, _ = run(capsys, "eval", "--g", "2", "--n", "1",
@@ -263,6 +281,15 @@ class TestCacheCommand:
                              "--dim-max", "2", "--gmax", "1")
         assert (code, out) == (1, "")
         assert err.startswith("error: cannot store cache file")
+
+    def test_verify_negative_sample(self, capsys, tmp_path):
+        path = tmp_path / "wk.cache"
+        run(capsys, "cache", "store", str(path), "--dim-max", "3",
+            "--gmax", "1")
+        code, out, err = run(capsys, "cache", "verify", str(path),
+                             "--sample", "-1")
+        assert (code, out) == (1, "")
+        assert err == "cache: --sample must be non-negative\n"
 
     def test_verify_non_utf8(self, capsys, tmp_path):
         path = tmp_path / "wk.cache"
