@@ -38,7 +38,6 @@ __all__ = [
     "bernoulli",
     "lambda_to_ch",
     "ch_in_lambda",
-    "ch_monomial_integral",
     "hodge_integral",
     "clear_caches",
 ]
@@ -171,23 +170,10 @@ def clear_caches():
     _HODGE_MEMO.clear()
 
 
-def ch_monomial_integral(g, psi, kappa=(), ch=()):
-    """Integral over Mbar_{g,n} of ``prod ch_l(E) prod kappa_a prod psi_i^{e_i}``.
-
-    ``psi`` lists one exponent per marking.  Any even entry in ``ch``
-    gives 0: the even Chern characters of the Hodge bundle vanish.
-    """
-    psi = tuple(sorted(int(e) for e in psi))
-    kappa = tuple(sorted(int(a) for a in kappa))
-    ch = tuple(sorted(int(l) for l in ch))
-    if any(l < 1 for l in ch):
-        raise ValueError("ch indices must be positive")
-    if any(l % 2 == 0 for l in ch):
-        return _ZERO
-    return _reduce(g, psi, kappa, ch)
-
-
 def _reduce(g, psi, kappa, ch):
+    """Integral over Mbar_{g,n} of ``prod ch_l prod kappa_a prod psi_i^{e_i}``
+    for sorted tuples; an even l gives 0 through its prefactor
+    ``B_{l+1} = 0``."""
     n = len(psi)
     if not is_stable(g, n):
         return _ZERO

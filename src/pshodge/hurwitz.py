@@ -27,7 +27,7 @@ number is computed by the ELSV formula
              int_{Mbar_{g,l}} (1 - lambda_1 + lambda_2 - ...)
                               / prod_i (1 - mu_i psi_i),
 
-which makes the brute-force count an end-to-end independent check of
+which makes the transposition count an end-to-end independent check of
 linear Hodge integrals.
 """
 
@@ -85,10 +85,6 @@ class HurwitzInstance:
         """The genus for which m matches Riemann--Hurwitz, if integral."""
         num = self.m - len(self.mu) - self.d + 2
         return num // 2 if num % 2 == 0 and num >= 0 else None
-
-    def sign_consistent(self):
-        """Whether a product of m transpositions can have cycle type mu."""
-        return (self.m - (self.d - len(self.mu))) % 2 == 0
 
 
 def canonical_permutation(mu):
@@ -178,8 +174,6 @@ def hurwitz_brute(instance):
         raise EnumerationBoundError(
             f"refusing d={instance.d}, m={instance.m}: enumeration bound is "
             f"d <= {ENUMERATION_D_MAX}, m <= {ENUMERATION_M_MAX}")
-    if not instance.sign_consistent():
-        return 0
     return count_factorizations(canonical_permutation(instance.mu), instance.m)
 
 

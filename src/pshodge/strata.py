@@ -83,7 +83,6 @@ __all__ = [
     "class_integrate",
     "t_pullback_ch",
     "expr_integral",
-    "ps_hodge_integral",
 ]
 
 _ZERO = Fraction(0)
@@ -288,6 +287,8 @@ def _term_product(g, n, t, u, base):
     i, ip = len(t_tails), len(u_tails)
     core_psi = tuple(map(add, t_psi, u_psi))
     for m in range(min(i, ip) + 1):
+        t_restrictions = _lambda_restrictions(t_lambda, ip - m)
+        u_restrictions = _lambda_restrictions(u_lambda, i - m)
         for tsel in combinations(range(i), m):
             tsel_set = set(tsel)
             t_rest = [t_tails[x] for x in range(i) if x not in tsel_set]
@@ -306,14 +307,12 @@ def _term_product(g, n, t, u, base):
                     for s, ab in branches:
                         sign *= s
                         matched_tails.append(ab)
-                    for lam_t, bumps_t in _lambda_restrictions(
-                            t_lambda, len(u_rest)):
+                    for lam_t, bumps_t in t_restrictions:
                         new_u = [(a, bb + extra) for (a, bb), extra
                                  in zip(u_rest, bumps_t)]
                         if any(bb > 1 for _, bb in new_u):
                             continue
-                        for lam_u, bumps_u in _lambda_restrictions(
-                                u_lambda, len(t_rest)):
+                        for lam_u, bumps_u in u_restrictions:
                             new_t = [(a, bb + extra) for (a, bb), extra
                                      in zip(t_rest, bumps_u)]
                             if any(bb > 1 for _, bb in new_t):
@@ -491,6 +490,10 @@ def expr_integral(g, n, expression, space="stable"):
     ``space`` is ``"stable"`` or ``"ps"``; empty ambient moduli raise
     :class:`EmptyModuliError`.  Evaluation takes the four steps set out
     in the module docstring.
+
+    >>> e = expr_mod.parse_expression("(2*lambda2 - lambda1^2)*psi1^2", 2, 1)
+    >>> expr_integral(2, 1, e, space="ps")
+    Fraction(-1, 576)
     """
     if space not in ("stable", "ps"):
         raise ValueError("space must be 'stable' or 'ps'")
@@ -514,14 +517,3 @@ def expr_integral(g, n, expression, space="stable"):
             for (tails, lam, core_psi), c
             in _hat_lambda_product(g, n, lams).terms.items()), coeff)
     return class_integrate(TautClass(g, n, terms))
-
-
-def ps_hodge_integral(g, n, expression):
-    """Exact integral of ``F(lambda, psi)`` over the moduli space of
-    pseudostable (g, n)-curves.
-
-    >>> e = expr_mod.parse_expression("(2*lambda2 - lambda1^2)*psi1^2", 2, 1)
-    >>> ps_hodge_integral(2, 1, e)
-    Fraction(-1, 576)
-    """
-    return expr_integral(g, n, expression, space="ps")

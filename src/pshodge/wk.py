@@ -32,7 +32,6 @@ format, see :mod:`pshodge.cache`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .multiset import counts, replace_one, sub_multisets
@@ -40,12 +39,9 @@ from .multiset import counts, replace_one, sub_multisets
 __all__ = [
     "is_stable",
     "psi_exponents",
-    "WKKey",
-    "KappaPsiMonomial",
     "WKTable",
     "default_table",
     "wk_integral",
-    "kappa_psi_integral",
 ]
 
 _ZERO = Fraction(0)
@@ -100,48 +96,6 @@ def odd_double_factorial(m):
         out *= m
         m -= 2
     return out
-
-
-@dataclass(frozen=True)
-class WKKey:
-    """Canonical key for ``<tau_{d_1}...tau_{d_n}>_g``: genus plus sorted exponents."""
-
-    g: int
-    d: tuple
-
-    def __post_init__(self):
-        if self.g < 0:
-            raise ValueError("genus must be non-negative")
-        d = tuple(int(x) for x in self.d)
-        if any(x < 0 for x in d):
-            raise ValueError("psi exponents must be non-negative")
-        object.__setattr__(self, "d", tuple(sorted(d)))
-
-    @property
-    def n(self):
-        return len(self.d)
-
-
-@dataclass(frozen=True)
-class KappaPsiMonomial:
-    """A monomial ``prod kappa_a prod psi_i^{e_i}`` on Mbar_{g,n}."""
-
-    g: int
-    n: int
-    psi_exp: tuple
-    kappa: tuple
-
-    @staticmethod
-    def of(g, n, psi=None, kappa=()):
-        """Build a monomial; ``psi`` is read by :func:`psi_exponents`."""
-        exps = psi_exponents(n, psi)
-        kap = tuple(sorted(int(a) for a in kappa))
-        if any(a < 1 for a in kap):
-            raise ValueError("kappa indices must be positive")
-        return KappaPsiMonomial(g, n, exps, kap)
-
-    def degree(self):
-        return sum(self.psi_exp) + sum(self.kappa)
 
 
 class WKTable:
@@ -244,7 +198,12 @@ class WKTable:
     # -- kappa/psi integrals --------------------------------------------
 
     def kappa_integral(self, g, n, psi, kappa):
-        """Integral of ``prod kappa_a prod psi_i^{e_i}`` over Mbar_{g,n}."""
+        """Integral of ``prod kappa_a prod psi_i^{e_i}`` over Mbar_{g,n};
+        ``psi`` is read by :func:`psi_exponents`.
+
+        >>> WKTable().kappa_integral(1, 1, None, [1])
+        Fraction(1, 24)
+        """
         exps = tuple(sorted(psi_exponents(n, psi)))
         return self._kappa_eval(g, exps, tuple(sorted(int(a) for a in kappa)))
 
@@ -310,28 +269,13 @@ def default_table():
     return _DEFAULT
 
 
-def wk_integral(key_or_g, d=None, table=None):
-    """``<tau_{d_1} ... tau_{d_n}>_g``, accepting a :class:`WKKey` or ``(g, d)``.
-
-    The exponent order is immaterial.
+def wk_integral(g, d=()):
+    """``<tau_{d_1} ... tau_{d_n}>_g`` in the default table; the exponent
+    order is immaterial.
 
     >>> wk_integral(2, [4])
     Fraction(1, 1152)
-    >>> wk_integral(WKKey(1, (0, 0)))
+    >>> wk_integral(1, (0, 0))
     Fraction(0, 1)
     """
-    if isinstance(key_or_g, WKKey):
-        g, dd = key_or_g.g, key_or_g.d
-    else:
-        g, dd = key_or_g, tuple(d if d is not None else ())
-    return (table or _DEFAULT).integral(g, dd)
-
-
-def kappa_psi_integral(monomial, table=None):
-    """Exact integral of a :class:`KappaPsiMonomial` over Mbar_{g,n}.
-
-    >>> kappa_psi_integral(KappaPsiMonomial.of(1, 1, kappa=[1]))
-    Fraction(1, 24)
-    """
-    return (table or _DEFAULT).kappa_integral(
-        monomial.g, monomial.n, monomial.psi_exp, monomial.kappa)
+    return _DEFAULT.integral(g, d)

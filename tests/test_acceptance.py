@@ -80,12 +80,12 @@ def test_criterion_3_linear_hodge_equality():
 def test_criterion_4_mumford_failure_series():
     t0 = time.time()
     from pshodge.expr import parse_expression
-    from pshodge.strata import ps_hodge_integral
+    from pshodge.strata import expr_integral
     for g in range(2, 6):
         for n in range(1, 4):
             power = 3 * g - 5 + n
             e = parse_expression(f"(2*lambda2 - lambda1^2)*psi1^{power}", g, n)
-            value = ps_hodge_integral(g, n, e)
+            value = expr_integral(g, n, e, "ps")
             assert value == Fraction(-1, 24 ** g * factorial(g - 1)), (g, n)
     report(4, "Mumford-failure series g=2..5 n=1..3", t0)
 

@@ -15,7 +15,7 @@ from pshodge.multiset import compositions
 from pshodge.selfcheck import (random_taut_class, suite_hat_lambda_square)
 from pshodge.strata import (EmptyModuliError, TautClass, class_integrate,
                             class_multiply, expr_integral, hat_lambda,
-                            is_pseudostable, ps_hodge_integral,
+                            is_pseudostable,
                             restrict_lambda_to_tails, t_pullback_ch)
 from pshodge.strata import _make_term
 from pshodge.wk import wk_integral
@@ -261,24 +261,24 @@ class TestTPullbackCh:
 class TestPseudostableIntegrals:
     def test_mumford_failure_g2(self):
         e = parse_expression("(2*lambda2 - lambda1^2)*psi1^2", 2, 1)
-        assert ps_hodge_integral(2, 1, e) == Fraction(-1, 576)
+        assert expr_integral(2, 1, e, "ps") == Fraction(-1, 576)
 
     def test_mumford_failure_g3(self):
         e = parse_expression("(2*lambda2 - lambda1^2)*psi1^5", 3, 1)
-        assert ps_hodge_integral(3, 1, e) == Fraction(-1, 27648)
+        assert expr_integral(3, 1, e, "ps") == Fraction(-1, 27648)
 
     def test_pure_psi_equals_stable(self):
         e = parse_expression("psi1^4", 2, 1)
-        assert ps_hodge_integral(2, 1, e) == Fraction(1, 1152)
+        assert expr_integral(2, 1, e, "ps") == Fraction(1, 1152)
 
     def test_linear_hodge_examples(self):
         e = parse_expression("lambda1*psi1^3", 2, 1)
-        assert ps_hodge_integral(2, 1, e) == expr_integral(2, 1, e, "stable")
+        assert expr_integral(2, 1, e, "ps") == expr_integral(2, 1, e, "stable")
 
     def test_empty_moduli(self):
         e = parse_expression("psi1", 1, 1)
         with pytest.raises(EmptyModuliError):
-            ps_hodge_integral(1, 1, e)
+            expr_integral(1, 1, e, "ps")
 
     def test_stable_empty_moduli(self):
         with pytest.raises(EmptyModuliError):
@@ -313,7 +313,7 @@ class TestPseudostableIntegrals:
             parts = [f"psi{i+1}^{e}" for i, e in enumerate(exps) if e]
             text = "*".join(parts) if parts else "1"
             e = parse_expression(text, g, n)
-            assert ps_hodge_integral(g, n, e) == wk_integral(g, exps)
+            assert expr_integral(g, n, e, "ps") == wk_integral(g, exps)
 
 
 class TestBellAssembly:
@@ -382,15 +382,15 @@ class TestNormalFormEvaluation:
     def test_nonlinear_differs_from_stable_g5(self):
         text = "(1-lambda1+lambda2-lambda3+lambda4-lambda5)^3*psi1^6"
         e = parse_expression(text, 5, 1)
-        assert ps_hodge_integral(5, 1, e) == Fraction(619, 137625600)
+        assert expr_integral(5, 1, e, "ps") == Fraction(619, 137625600)
         assert expr_integral(5, 1, e, "stable") == Fraction(-1829, 87091200)
 
     def test_clear_caches_empties_product_memo(self):
         e = parse_expression("lambda1^2*lambda2*psi1^3", 3, 1)
-        first = ps_hodge_integral(3, 1, e)
+        first = expr_integral(3, 1, e, "ps")
         assert strata._HAT_LAMBDA_PRODUCTS
         assert hodge._HODGE_MEMO
         pshodge.clear_caches()
         assert not strata._HAT_LAMBDA_PRODUCTS
         assert not hodge._HODGE_MEMO and not hodge._CH_MEMO
-        assert ps_hodge_integral(3, 1, e) == first
+        assert expr_integral(3, 1, e, "ps") == first

@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 import pshodge
 from pshodge.hodge import HodgeMonomial, bernoulli, hodge_integral
 from pshodge.multiset import compositions
-from pshodge.wk import (KappaPsiMonomial, WKKey, WKTable, is_stable,
-                        kappa_psi_integral, wk_integral)
+from pshodge.wk import WKTable, default_table, is_stable, wk_integral
 
 
 def genus0_string_oracle(d):
@@ -63,17 +62,15 @@ class TestPinnedValues:
 
 
 class TestKeyCanonicalisation:
-    def test_wkkey_sorts(self):
-        assert WKKey(1, (3, 0, 1)).d == (0, 1, 3)
+    def test_memo_key_is_sorted(self):
+        table = WKTable()
+        assert table.integral(1, (2, 0, 1)) == Fraction(1, 12)
+        assert [key for key, _ in table.psi_items()
+                if len(key[1]) == 3] == [(1, (0, 1, 2))]
 
-    def test_wkkey_rejects_negative(self):
+    def test_kappa_integral_rejects_negative_psi(self):
         with pytest.raises(ValueError):
-            WKKey(1, (-1,))
-        with pytest.raises(ValueError):
-            WKKey(-1, ())
-
-    def test_integral_accepts_wkkey(self):
-        assert wk_integral(WKKey(2, (4,))) == Fraction(1, 1152)
+            default_table().kappa_integral(1, 1, [-1], [2])
 
 
 def _dimension_keys(gmax=3, dim_bound=12):
@@ -128,25 +125,26 @@ class TestEquations:
 class TestKappa:
     def test_kappa1_on_m11(self):
         # oracle: kappa_1 -> <tau_2 tau_0>_1, then string from <tau_1>_1
-        m = KappaPsiMonomial.of(1, 1, psi=[0], kappa=[1])
-        assert kappa_psi_integral(m) == Fraction(1, 24)
+        assert default_table().kappa_integral(1, 1, [0], [1]) == Fraction(1, 24)
 
     def test_kappa1_on_m04(self):
         # oracle: <tau_2 tau_0^4>_0 = 1 by repeated string
-        m = KappaPsiMonomial.of(0, 4, kappa=[1])
-        assert kappa_psi_integral(m) == 1
+        assert default_table().kappa_integral(0, 4, None, [1]) == 1
         assert genus0_string_oracle((2, 0, 0, 0, 0)) == 1
 
     def test_empty_kappa_delegates(self):
-        m = KappaPsiMonomial.of(2, 1, psi=[4])
-        assert kappa_psi_integral(m) == wk_integral(2, [4]) == Fraction(1, 1152)
+        assert default_table().kappa_integral(2, 1, [4], ()) == \
+            wk_integral(2, [4]) == Fraction(1, 1152)
 
     def test_degree_mismatch_is_zero(self):
-        assert kappa_psi_integral(KappaPsiMonomial.of(1, 1, kappa=[2])) == 0
+        assert default_table().kappa_integral(1, 1, None, [2]) == 0
 
     def test_of_accepts_marking_map(self):
-        m = KappaPsiMonomial.of(1, 2, psi={2: 1}, kappa=[1])
-        assert m.psi_exp == (0, 1)
+        # kappa_1^2 -> two fresh points tau_2 tau_2, minus one tau_3
+        table = default_table()
+        want = wk_integral(1, [0, 0, 1, 2, 2]) - wk_integral(1, [0, 0, 1, 3])
+        assert table.kappa_integral(1, 3, {2: 1}, [1, 1]) == \
+            table.kappa_integral(1, 3, [0, 1, 0], [1, 1]) == want != 0
 
     def test_order_independence_randomised(self):
         table = WKTable()
