@@ -81,7 +81,8 @@ def random_taut_class(rng, g, n, max_terms=3, max_tails=2):
 
 
 def suite_wk_properties():
-    """String/dilaton/symmetry and the genus-zero closed form."""
+    """String/dilaton/symmetry, the genus-zero closed form and
+    ``<tau_{3g-2}>_g = 1/(24^g g!)`` for g <= 10."""
     result = SuiteResult("wk-properties", True)
     table = default_table()
     # string and dilaton over a small exhaustive grid
@@ -110,6 +111,9 @@ def suite_wk_properties():
             for x in d:
                 closed /= factorial(x)
             result.record(table.integral(0, d) == closed, ("genus0", d))
+    for g in range(1, 11):
+        result.record(table.integral(g, (3 * g - 2,))
+                      == Fraction(1, 24 ** g * factorial(g)), ("one-point", g))
     return result
 
 

@@ -4,25 +4,43 @@ The correlator ``<tau_{d_1} ... tau_{d_n}>_g`` is the integral of
 ``psi_1^{d_1} ... psi_n^{d_n}`` over the moduli space of stable n-pointed
 genus-g curves.  It vanishes unless ``d_1 + ... + d_n = 3g - 3 + n``, and
 the whole collection of values is pinned down by Witten's conjecture
-(Kontsevich's theorem).  This module evaluates correlators in exact
-rational arithmetic with the Dijkgraaf--Verlinde--Verlinde form of the
-Virasoro constraints, using the string and dilaton equations as fast
-paths:
+(Kontsevich's theorem).  Unstable ``(g, n)`` (see :func:`is_stable`) and
+dimension mismatches give 0 rather than an error, so the recursions need
+no case analysis.
 
-* string:  ``<tau_0 X>_g`` is the sum over ways to lower one exponent of X;
-* dilaton: ``<tau_1 X>_g = (2g - 2 + n) <X>_g`` for X with n insertions;
-* DVV:     the largest exponent is reduced against each other insertion,
-  plus boundary terms that lower the genus or split the surface.
+Correlators are computed and memoised as the integers
 
-Base normalisations: ``<tau_0^3>_0 = 1`` and ``<tau_1>_1 = 1/24``.
-Unstable ``(g, n)`` (see :func:`is_stable`) and dimension mismatches give
-0 rather than an error, so the recursions need no case analysis.
+    A(g, d) = 24^g g! prod_i (2 d_i + 1)!! <tau_d>_g,
+
+and divided back only when a value leaves the table.  In these variables
+the string and dilaton equations and the Dijkgraaf--Verlinde--Verlinde
+form of the Virasoro constraints have integer coefficients.  With ``d``
+sorted, ``p`` its largest exponent and ``rest`` the others:
+
+* string:  ``A(g, 0 X) = sum_v c_v (2v + 1) A(g, X with one v lowered)``;
+* dilaton: ``A(g, 1 X) = 3 (2g - 2 + n) A(g, X)`` for X with n insertions;
+* DVV:     ``A(g, d)`` is the sum of the merge terms
+  ``c_v (2v + 1) A(g, rest with v raised to p + v - 1)``, the genus
+  reduction ``12 g sum_{a+b=p-2} A(g-1, rest a b)``, and half of the
+  separating terms ``C(g, g1) mult A(g1, S a) A(g - g1, S^c b)`` over
+  ``a + b = p - 2`` and sub-multisets S of ``rest`` with multiplicity
+  ``mult``.
+
+Base values: ``A(0, (0, 0, 0)) = 1`` and ``A(1, (1,)) = 3``, that is
+``<tau_0^3>_0 = 1`` and ``<tau_1>_1 = 1/24``.
+
+The halving is exact, so every A is an integer by induction.  Count the
+separating terms over labelled subsets S of the positions of ``rest``.
+If ``rest`` is nonempty, ``(a, S) <-> (p - 2 - a, S^c)`` pairs them with
+equal values (``C(g, g1) = C(g, g - g1)``) and has no fixed point, so
+their sum is even.  If ``rest`` is empty, the only unpaired term has
+``a = b`` and ``g1 = g/2``; it carries ``C(g, g/2)``, which is even.
 
 kappa classes use the pointed convention ``kappa_a = pi_*(psi^{a+1})``
 for one extra marked point.  A kappa factor is eliminated against such an
 extra point, absorbing any subset of the remaining kappa factors with
 alternating signs; iterating reduces every mixed kappa/psi integral to
-pure psi correlators.
+pure psi correlators.  This layer works in ``Fraction``.
 
 All values are memoised in plain dicts.  Every evaluation is a pure
 function of its key, so threads that race on a key store equal values and
@@ -33,6 +51,8 @@ format, see :mod:`pshodge.cache`.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from math import comb, factorial
 
 from .multiset import counts, replace_one, sub_multisets
 
@@ -45,8 +65,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
-_TAU1_GENUS1 = Fraction(1, 24)
 
 
 def is_stable(g, n):
@@ -77,14 +95,15 @@ def psi_exponents(n, psi=None):
                 raise ValueError(f"psi marking {i} out of range 1..{n}")
             exps[i - 1] = int(e)
     else:
-        exps = [int(e) for e in psi]
+        exps = list(map(int, psi))
         if len(exps) != n:
             raise ValueError("psi exponent list must have length n")
-    if any(e < 0 for e in exps):
+    if exps and min(exps) < 0:
         raise ValueError("psi exponents must be non-negative")
     return tuple(exps)
 
 
+@cache
 def odd_double_factorial(m):
     """``m!!`` for odd ``m >= -1``, with the convention ``(-1)!! = 1``.
 
@@ -98,11 +117,26 @@ def odd_double_factorial(m):
     return out
 
 
+def _scale(g, d):
+    """``24^g g! prod (2 d_i + 1)!!``, the factor from a correlator to A.
+
+    >>> _scale(1, (1,)), _scale(0, (0, 2, 3))
+    (72, 1575)
+    """
+    out = 24 ** g * factorial(g)
+    for x in d:
+        out *= odd_double_factorial(2 * x + 1)
+    return out
+
+
 class WKTable:
     """Memo table of correlators.
 
-    All evaluation entry points are pure, so concurrent queries for equal
-    keys store and return equal values; each store is one dict assignment.
+    The psi memo maps a sorted key ``(g, d)`` to the integer ``A(g, d)``
+    (see the module docstring); every public method converts it back to
+    the rational correlator.  All evaluation entry points are pure, so
+    concurrent queries for equal keys store and return equal values; each
+    store is one dict assignment.
     """
 
     def __init__(self):
@@ -114,46 +148,67 @@ class WKTable:
 
     def psi_items(self):
         """Stored pure-psi values as ``((g, d), value)`` pairs, sorted."""
-        return sorted(self._psi.items())
+        return sorted((key, Fraction(a, _scale(*key)))
+                      for key, a in self._psi.items())
 
     def lookup(self, g, d):
-        return self._psi.get((g, tuple(sorted(d))))
+        key = (g, tuple(sorted(d)))
+        a = self._psi.get(key)
+        return None if a is None else Fraction(a, _scale(*key))
 
     def preload(self, entries):
-        """Bulk-insert ``((g, d), value)`` pairs (used by the cache loader)."""
+        """Bulk-insert ``((g, d), value)`` pairs (used by the cache loader).
+
+        A value whose scaled form is not an integer cannot be a correlator;
+        it is kept as a ``Fraction`` so that :func:`~pshodge.cache.cache_verify`
+        still reports it.
+        """
         for (g, d), value in entries:
-            self._psi[(int(g), tuple(sorted(d)))] = Fraction(value)
+            key = (int(g), tuple(sorted(d)))
+            a = Fraction(value) * _scale(*key)
+            self._psi[key] = a.numerator if a.denominator == 1 else a
 
     # -- pure psi correlators -------------------------------------------
 
     def integral(self, g, d=()):
         """``<tau_{d_1} ... tau_{d_n}>_g`` for any iterable of exponents.
 
+        A negative genus or exponent raises ``ValueError``.
+
         >>> WKTable().integral(0, [0, 0, 0])
         Fraction(1, 1)
         >>> WKTable().integral(1, [1])
         Fraction(1, 24)
         """
-        return self._psi_eval(int(g), tuple(sorted(int(x) for x in d)))
+        g = int(g)
+        if g < 0:
+            raise ValueError("genus must be non-negative")
+        d = sorted(map(int, d))
+        return self._psi_eval(g, psi_exponents(len(d), d))
 
     def _psi_eval(self, g, d):
+        a = self._scaled(g, d)
+        return Fraction(a, _scale(g, d)) if a else _ZERO
+
+    def _scaled(self, g, d):
+        """``A(g, d)`` for a sorted tuple ``d``; 0 off the stable range."""
         n = len(d)
         if not is_stable(g, n):
-            return _ZERO
+            return 0
         if sum(d) != 3 * g - 3 + n:
-            return _ZERO
+            return 0
         key = (g, d)
         hit = self._psi.get(key)
         if hit is not None:
             return hit
         if g == 0 and n == 3:
-            value = _ONE
+            value = 1
         elif g == 1 and n == 1:
-            value = _TAU1_GENUS1
+            value = 3
         elif d[0] == 0:
             value = self._string(g, d)
         elif d[0] == 1 and is_stable(g, n - 1):
-            value = (2 * g - 3 + n) * self._psi_eval(g, d[1:])
+            value = 3 * (2 * g - 3 + n) * self._scaled(g, d[1:])
         else:
             value = self._dvv(g, d)
         self._psi[key] = value
@@ -161,39 +216,39 @@ class WKTable:
 
     def _string(self, g, d):
         rest = d[1:]
-        total = _ZERO
+        total = 0
         for v, c in counts(rest).items():
-            if v == 0:
-                continue
-            total += c * self._psi_eval(g, replace_one(rest, v, v - 1))
+            if v:
+                total += c * (2 * v + 1) * self._scaled(
+                    g, replace_one(rest, v, v - 1))
         return total
 
     def _dvv(self, g, d):
+        scaled = self._scaled
         p = d[-1]
         rest = d[:-1]
-        total = _ZERO
+        total = 0
         for v, c in counts(rest).items():
-            w = Fraction(odd_double_factorial(2 * p + 2 * v - 1),
-                         odd_double_factorial(2 * v - 1))
-            total += c * w * self._psi_eval(g, replace_one(rest, v, p + v - 1))
-        for a in range(p - 1):
-            b = p - 2 - a
-            w = odd_double_factorial(2 * a + 1) * odd_double_factorial(2 * b + 1)
-            if g >= 1:
-                total += Fraction(w, 2) * self._psi_eval(
-                    g - 1, tuple(sorted(rest + (a, b))))
-            for part1, part2, mult in sub_multisets(rest):
-                # the genus of the side containing tau_a is forced by dimension
-                s1 = sum(part1) + a + 2 - len(part1)
-                if s1 % 3 or not 0 <= s1 // 3 <= g:
-                    continue
-                g1 = s1 // 3
-                left = self._psi_eval(g1, tuple(sorted(part1 + (a,))))
-                if not left:
-                    continue
-                right = self._psi_eval(g - g1, tuple(sorted(part2 + (b,))))
-                total += Fraction(w * mult, 2) * left * right
-        return total / odd_double_factorial(2 * p + 1)
+            total += c * (2 * v + 1) * scaled(g, replace_one(rest, v, p + v - 1))
+        if g >= 1:
+            total += 12 * g * sum(
+                scaled(g - 1, tuple(sorted(rest + (a, p - 2 - a))))
+                for a in range(p - 1))
+        split = 0
+        for part1, part2, mult in sub_multisets(rest):
+            # the side holding tau_a has genus g1 with 3 g1 = w + a: start at
+            # the least a = -w (mod 3) with g1 >= 0; g1 grows by one per step
+            w = sum(part1) - len(part1) + 2
+            for a in range(max(-w % 3, -w), p - 1, 3):
+                g1 = (w + a) // 3
+                if g1 > g:
+                    break
+                left = scaled(g1, tuple(sorted(part1 + (a,))))
+                if left:
+                    right = scaled(g - g1, tuple(sorted(part2 + (p - 2 - a,))))
+                    split += comb(g, g1) * mult * left * right
+        # split is even, see the module docstring, so the halving is exact
+        return total + split // 2
 
     # -- kappa/psi integrals --------------------------------------------
 

@@ -74,6 +74,43 @@ class TestFormat:
         assert err.value.line == 2
 
 
+V1_FILE = (
+    "PSHODGE-WKCACHE v1\n"
+    "0\t3\t0,0,0\t1\t1\n"
+    "1\t3\t0,1,2\t1\t12\n"
+    "1\t2\t0,2\t1\t24\n"
+    "1\t1\t1\t1\t24\n"
+    "1\t2\t1,1\t1\t24\n"
+    "2\t2\t2,3\t29\t5760\n"
+    "2\t1\t4\t1\t1152\n"
+)
+
+
+class TestCompatibility:
+    """A v1 file written before the memo held scaled integers."""
+
+    def test_v1_file_loads_to_same_values(self, tmp_path):
+        path = tmp_path / "v1.cache"
+        path.write_text(V1_FILE)
+        loaded = cache_load(path)
+        assert len(loaded) == 7
+        assert loaded.lookup(0, (0, 0, 0)) == 1
+        assert loaded.lookup(1, (1,)) == Fraction(1, 24)
+        assert loaded.lookup(1, (2, 1, 0)) == Fraction(1, 12)
+        assert loaded.lookup(2, (3, 2)) == Fraction(29, 5760)
+        assert loaded.lookup(2, (4,)) == Fraction(1, 1152)
+        fresh = WKTable()
+        for (g, d), value in loaded.psi_items():
+            assert fresh.integral(g, d) == value, (g, d)
+
+    def test_v1_file_stores_back_byte_identical(self, tmp_path):
+        path = tmp_path / "v1.cache"
+        path.write_text(V1_FILE)
+        again = tmp_path / "again.cache"
+        assert cache_store(again, cache_load(path)) == 7
+        assert again.read_bytes() == path.read_bytes()
+
+
 class TestVerify:
     def test_clean_cache_verifies(self, tmp_path):
         path = tmp_path / "wk.cache"

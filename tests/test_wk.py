@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 import pshodge
 from pshodge.hodge import HodgeMonomial, bernoulli, hodge_integral
-from pshodge.multiset import compositions
-from pshodge.wk import WKTable, default_table, is_stable, wk_integral
+from pshodge.multiset import compositions, counts, replace_one, sub_multisets
+from pshodge.wk import (WKTable, default_table, is_stable,
+                        odd_double_factorial, wk_integral)
 
 
 def genus0_string_oracle(d):
@@ -32,6 +33,123 @@ def genus0_string_oracle(d):
     rest = d[1:]
     return sum((genus0_string_oracle(rest[:k] + (rest[k] - 1,) + rest[k + 1:])
                 for k in range(n - 1) if rest[k] >= 1), Fraction(0))
+
+
+class FractionDVV:
+    """The DVV recursion in plain ``Fraction`` arithmetic, with the split
+    loop run once per ``a``: the evaluator that :class:`WKTable`'s
+    scaled-integer memo replaced, kept as a differential oracle."""
+
+    def __init__(self):
+        self.memo = {}
+
+    def value(self, g, d):
+        d = tuple(sorted(d))
+        n = len(d)
+        if not is_stable(g, n) or sum(d) != 3 * g - 3 + n:
+            return Fraction(0)
+        key = (g, d)
+        if key in self.memo:
+            return self.memo[key]
+        if g == 0 and n == 3:
+            value = Fraction(1)
+        elif g == 1 and n == 1:
+            value = Fraction(1, 24)
+        elif d[0] == 0:
+            value = self._string(g, d)
+        elif d[0] == 1 and is_stable(g, n - 1):
+            value = (2 * g - 3 + n) * self.value(g, d[1:])
+        else:
+            value = self._dvv(g, d)
+        self.memo[key] = value
+        return value
+
+    def _string(self, g, d):
+        rest = d[1:]
+        return sum((c * self.value(g, replace_one(rest, v, v - 1))
+                    for v, c in counts(rest).items() if v), Fraction(0))
+
+    def _dvv(self, g, d):
+        p = d[-1]
+        rest = d[:-1]
+        total = Fraction(0)
+        for v, c in counts(rest).items():
+            w = Fraction(odd_double_factorial(2 * p + 2 * v - 1),
+                         odd_double_factorial(2 * v - 1))
+            total += c * w * self.value(g, replace_one(rest, v, p + v - 1))
+        for a in range(p - 1):
+            b = p - 2 - a
+            w = odd_double_factorial(2 * a + 1) * odd_double_factorial(2 * b + 1)
+            if g >= 1:
+                total += Fraction(w, 2) * self.value(g - 1, rest + (a, b))
+            for part1, part2, mult in sub_multisets(rest):
+                s1 = sum(part1) + a + 2 - len(part1)
+                if s1 % 3 or not 0 <= s1 // 3 <= g:
+                    continue
+                g1 = s1 // 3
+                left = self.value(g1, part1 + (a,))
+                if left:
+                    total += (Fraction(w * mult, 2) * left
+                              * self.value(g - g1, part2 + (b,)))
+        return total / odd_double_factorial(2 * p + 1)
+
+
+def psi_wk_style_keys(gmax, per_group=6, seed=7):
+    """Seeded correlators shaped like the benchmark's: one-pointed ones,
+    genus-zero ones with n = 5..8, and compositions at g = 8..gmax with
+    n = 2..4."""
+    rng = random.Random(seed)
+    keys = [(g, (3 * g - 2,)) for g in range(1, gmax + 1)]
+    keys += [(0, d) for n in range(5, 9)
+             for d in list(compositions(n - 3, n))[::7]]
+    for g in range(8, gmax + 1):
+        for n in (2, 3, 4):
+            for _ in range(per_group):
+                cuts = sorted(rng.randint(0, 3 * g - 3 + n)
+                              for _ in range(n - 1))
+                bounds = [0] + cuts + [3 * g - 3 + n]
+                keys.append((g, tuple(bounds[i + 1] - bounds[i]
+                                      for i in range(n))))
+    return keys
+
+
+class TestScaledIntegers:
+    def test_memo_matches_fraction_oracle_to_genus_9(self):
+        table = WKTable()
+        for g in range(1, 10):
+            table.integral(g, (3 * g - 2,))
+        items = table.psi_items()
+        assert len(items) == 451
+        oracle = FractionDVV()
+        for (g, d), value in items:
+            assert oracle.value(g, d) == value, (g, d)
+
+    def test_psi_wk_style_keys_match_fraction_oracle(self):
+        table = WKTable()
+        oracle = FractionDVV()
+        for g, d in psi_wk_style_keys(10):
+            assert table.integral(g, d) == oracle.value(g, d), (g, d)
+
+    def test_memo_holds_integers_to_genus_10(self):
+        table = WKTable()
+        for g, d in psi_wk_style_keys(10):
+            table.integral(g, d)
+        assert len(table) > 1000
+        assert all(type(a) is int for a in table._psi.values())
+
+
+class TestRefusals:
+    def test_negative_exponent_refused(self):
+        with pytest.raises(ValueError):
+            wk_integral(1, (-1, 3))
+        with pytest.raises(ValueError):
+            WKTable().integral(0, [0, 0, -1, 2])
+
+    def test_negative_genus_refused(self):
+        with pytest.raises(ValueError):
+            wk_integral(-1, (1,))
+        with pytest.raises(ValueError):
+            WKTable().integral(-2, ())
 
 
 class TestPinnedValues:
