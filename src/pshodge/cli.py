@@ -28,7 +28,6 @@ from math import factorial
 from .cache import CacheFormatError, cache_load, cache_store, cache_verify
 from .expr import ParseError, SymbolRangeError, parse_expression
 from .multiset import partitions
-from .selfcheck import run_all
 from .strata import EmptyModuliError, expr_integral
 from .wk import default_table, is_stable
 
@@ -157,6 +156,9 @@ def _cmd_series(args):
 
 
 def _cmd_selfcheck(args):
+    # imported here: eval and series never need the suites' code
+    from .selfcheck import run_all
+
     if not _cache_ok(args, cache_load):
         return 1
     failed = False

@@ -77,11 +77,24 @@ class ParseError(ValueError):
 
 
 class SymbolRangeError(ValueError):
-    """A lambda/psi index outside the ambient (g, n)."""
+    """A lambda/psi index outside ``1..bound``, the range the ambient
+    (g, n) allows; ``label`` names the bound (``"g"`` or ``"n"``)."""
 
-    def __init__(self, symbol, bound):
-        super().__init__(f"symbol {symbol} exceeds the ambient bound {bound}")
-        self.symbol = symbol
+    def __init__(self, name, index, bound, label):
+        self.symbol = f"{name}{index}"
+        if index > bound:
+            why = f"exceeds the ambient bound {label}={bound}"
+        elif bound < 1:
+            why = f"is out of range: {label}={bound} allows no {name} symbol"
+        else:
+            allowed = f"{name}1" + (f"..{name}{bound}" if bound > 1 else "")
+            why = f"is out of range: {label}={bound} allows {allowed}"
+        super().__init__(f"symbol {self.symbol} {why}")
+
+
+def _check_index(name, index, bound, label):
+    if not 1 <= index <= bound:
+        raise SymbolRangeError(name, index, bound, label)
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>lambda|psi)|(?P<op>[-+*/^()]))")
@@ -191,11 +204,9 @@ class _Parser:
             self.next()
             index, iat = self.expect_int(f"an index after '{value}'")
             if value == "lambda":
-                if not 1 <= index <= self.g:
-                    raise SymbolRangeError(f"lambda{index}", f"g={self.g}")
+                _check_index("lambda", index, self.g, "g")
                 return Lam(index)
-            if not 1 <= index <= self.n:
-                raise SymbolRangeError(f"psi{index}", f"n={self.n}")
+            _check_index("psi", index, self.n, "n")
             return Psi(index)
         if kind == "op" and value == "(":
             self.next()
@@ -217,6 +228,10 @@ def parse_expression(text, g, n):
     Traceback (most recent call last):
         ...
     pshodge.expr.SymbolRangeError: symbol psi3 exceeds the ambient bound n=2
+    >>> parse_expression("lambda0*psi1^4", 2, 1)
+    Traceback (most recent call last):
+        ...
+    pshodge.expr.SymbolRangeError: symbol lambda0 is out of range: g=2 allows lambda1..lambda2
     """
     return _Parser(text, g, n).parse()
 
@@ -226,12 +241,10 @@ def validate(node, g, n):
     if isinstance(node, Lit):
         return
     if isinstance(node, Lam):
-        if not 1 <= node.index <= g:
-            raise SymbolRangeError(f"lambda{node.index}", f"g={g}")
+        _check_index("lambda", node.index, g, "g")
         return
     if isinstance(node, Psi):
-        if not 1 <= node.index <= n:
-            raise SymbolRangeError(f"psi{node.index}", f"n={n}")
+        _check_index("psi", node.index, n, "n")
         return
     if isinstance(node, Pow):
         if node.exponent < 0:

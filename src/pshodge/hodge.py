@@ -16,7 +16,13 @@ steps:
    Grothendieck--Riemann--Roch evaluation of ch(E): the replacement is a
    kappa class, psi corrections at the markings, and pushforwards from
    the one-edge boundary gluings, which lower the genus or split the
-   surface (with a Bernoulli-number prefactor);
+   surface (with a Bernoulli-number prefactor).  A split surface puts
+   each psi, kappa and ch factor on one side and ``psi^a``, ``psi^b`` at
+   the two branches of the node; the degree of one side forces its
+   genus, so only the ``a`` that give an integral genus are visited;
+   sides known to vanish (unstable, or genus 0 with a ch factor) are
+   skipped without recursing, and a term and its mirror image (sides
+   swapped, ``a`` and ``b`` exchanged) are visited once;
 3. what remains are kappa/psi integrals, finished by :mod:`pshodge.wk`.
 
 Every operation is pure, exact, and memoised.
@@ -172,8 +178,20 @@ def clear_caches():
 
 def _reduce(g, psi, kappa, ch):
     """Integral over Mbar_{g,n} of ``prod ch_l prod kappa_a prod psi_i^{e_i}``
-    for sorted tuples; an even l gives 0 through its prefactor
-    ``B_{l+1} = 0``."""
+    for sorted tuples.  Factors are eliminated from the largest ``ch_l``
+    down; an even l gives 0 at once, since its prefactor ``B_{l+1}``
+    vanishes.
+
+    The separating terms of ``ch_l`` run over splits ``(psi1, kap1, ch1)``
+    of the factors, each built once per call, and node branches
+    ``a + b = l - 1``.  The side holding ``psi1`` and ``psi^a`` has
+    ``n1 = len(psi1) + 1`` points and degree ``w + a`` with
+    ``w = sum(psi1) + sum(kap1) + sum(ch1) + 3 - n1``, which forces its
+    genus to ``h = (w + a) / 3``: only ``a = -w (mod 3)`` with
+    ``0 <= h <= g`` is visited.  A side that is unstable, or of genus 0
+    with a ch factor (the Hodge bundle has rank 0 there), is skipped.
+    Swapping the two sides maps the split at ``a`` to a split at ``b``
+    with the same term, so only ``a <= b`` is visited, counted twice."""
     n = len(psi)
     if not is_stable(g, n):
         return _ZERO
@@ -189,6 +207,8 @@ def _reduce(g, psi, kappa, ch):
         return hit
 
     l = ch[-1]
+    if not l % 2:
+        return _ZERO
     rest = ch[:-1]
     # l = 2L - 1; prefactor Bern_{2L} / (2L)!
     pref = bernoulli(l + 1) / factorial(l + 1)
@@ -197,31 +217,50 @@ def _reduce(g, psi, kappa, ch):
     for v, c in counts(psi).items():
         acc -= c * _reduce(g, replace_one(psi, v, v + l), kappa, rest)
 
+    # the terms with node branches (a, b) and (b, a) are equal, the sides
+    # of a separating term swapped: a + b = l - 1 is even, so their signs
+    # agree.  Each pair is visited once, at a <= b, and counted twice; at
+    # a = b the lesser of two mirror splits stands for both.
+    half = (l - 1) // 2
     boundary = _ZERO
-    for a in range(l):
-        b = l - 1 - a
-        sign = -1 if a % 2 else 1
-        if g >= 1:
-            boundary += sign * _reduce(g - 1, tuple(sorted(psi + (a, b))),
-                                       kappa, rest)
-        for psi1, psi2, mpsi in sub_multisets(psi):
-            n1 = len(psi1) + 1
-            for kap1, kap2, mkap in sub_multisets(kappa):
-                for ch1, ch2, mch in sub_multisets(rest):
-                    # the genus of the separating side is forced by its degree
-                    s1 = sum(psi1) + a + sum(kap1) + sum(ch1) + 3 - n1
-                    if s1 % 3 or not 0 <= s1 // 3 <= g:
+    if g >= 1:
+        for a in range(half + 1):
+            twice = 1 if a == half else 2
+            sign = -twice if a % 2 else twice
+            boundary += sign * _reduce(
+                g - 1, tuple(sorted(psi + (a, l - 1 - a))), kappa, rest)
+    kap_splits = [(k1, k2, m, sum(k1)) for k1, k2, m in sub_multisets(kappa)]
+    ch_splits = [(c1, c2, m, sum(c1)) for c1, c2, m in sub_multisets(rest)]
+    for psi1, psi2, mpsi in sub_multisets(psi):
+        n1 = len(psi1) + 1
+        n2 = len(psi2) + 1
+        w_psi = sum(psi1) + 3 - n1
+        for kap1, kap2, mkap, w_kap in kap_splits:
+            for ch1, ch2, mch, w_ch in ch_splits:
+                # the side holding psi^a has genus h with 3h = w + a: start at
+                # the least a = -w (mod 3) with h >= 0; h grows by one per step
+                w = w_psi + w_kap + w_ch
+                for a in range(max(-w % 3, -w), half + 1, 3):
+                    h = (w + a) // 3
+                    if h > g:
+                        break
+                    if not (is_stable(h, n1) and is_stable(g - h, n2)):
                         continue
-                    h = s1 // 3
-                    if not (is_stable(h, n1)
-                            and is_stable(g - h, len(psi2) + 1)):
-                        continue
+                    if (h == 0 and ch1) or (h == g and ch2):
+                        continue  # a genus-0 side with ch: rank-zero bundle
+                    twice = 2
+                    if a == half:
+                        side, mirror = (psi1, kap1, ch1), (psi2, kap2, ch2)
+                        if side > mirror:
+                            continue
+                        if side == mirror:
+                            twice = 1
                     left = _reduce(h, tuple(sorted(psi1 + (a,))), kap1, ch1)
-                    if not left:
-                        continue
-                    right = _reduce(g - h, tuple(sorted(psi2 + (b,))),
+                    right = _reduce(g - h, tuple(sorted(psi2 + (l - 1 - a,))),
                                     kap2, ch2)
-                    boundary += sign * mpsi * mkap * mch * left * right
+                    if left and right:
+                        sign = -twice if a % 2 else twice
+                        boundary += sign * mpsi * mkap * mch * left * right
     acc += boundary / 2
 
     value = pref * acc

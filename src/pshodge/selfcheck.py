@@ -3,7 +3,9 @@ r"""Desk-scale consistency suites behind the ``selfcheck`` command.
 Each suite re-derives a family of identities that pin the engine's
 conventions: the string/dilaton structure of psi correlators, the
 vanishing forced by the multiplicative inverse relation between the
-Chern classes of the Hodge bundle and its dual, equality of pseudostable
+Chern classes of the Hodge bundle and its dual, closed forms from the
+literature for lambda_g, lambda_g lambda_{g-1} and lambda_g lambda_{g-1}
+lambda_{g-2} integrals, equality of pseudostable
 and stable integrals in the lambda-linear range, agreement of the
 transposition-factorization counts with their Hodge-integral evaluation,
 and the ring axioms of the strata algebra.  All checks are exact; the
@@ -16,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .hodge import HodgeMonomial, bell_polynomial, hodge_integral
 from .hurwitz import HurwitzInstance, elsv_value, hurwitz_brute, riemann_hurwitz_m
@@ -174,6 +176,58 @@ def suite_mumford(gmax=3, nmax=1):
     return result
 
 
+def _bernoulli_numbers(count):
+    """``B_0 .. B_{count-1}`` by the Akiyama--Tanigawa algorithm (so
+    ``B_1 = +1/2``), a route that shares no code with
+    :func:`pshodge.hodge.bernoulli`."""
+    row, out = [], []
+    for m in range(count):
+        row.append(Fraction(1, m + 1))
+        for j in range(m, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+        out.append(row[0])
+    return out
+
+
+def suite_hodge_closed_forms(gmax=4):
+    """Closed forms for lambda_g psi (Faber--Pandharipande and the lambda_g
+    formula, n <= 3), lambda_g lambda_{g-1} psi (n <= 2, g >= 2) and
+    Faber's lambda_g lambda_{g-1} lambda_{g-2}, for g <= gmax."""
+    result = SuiteResult("hodge-closed-forms", True)
+    bern = [abs(b) for b in _bernoulli_numbers(2 * gmax + 1)]
+    for g in range(1, gmax + 1):
+        # Faber--Pandharipande: b_g = int_{Mbar_{g,1}} psi^{2g-2} lambda_g
+        b_g = (Fraction(2 ** (2 * g - 1) - 1, 2 ** (2 * g - 1))
+               * bern[2 * g] / factorial(2 * g))
+        # lambda_g formula: int psi^d lambda_g = binom(2g-3+n; d) b_g; at
+        # n = 1 it is b_g itself
+        for n in range(1, 4):
+            for d in compositions(2 * g - 3 + n, n):
+                closed = (factorial(2 * g - 3 + n) * b_g
+                          / prod(factorial(x) for x in d))
+                result.record(hodge_integral(HodgeMonomial.of(g, n, {g: 1}, d))
+                              == closed, ("lambda_g", g, d))
+        if g < 2:
+            continue
+        # int psi^d lambda_g lambda_{g-1}
+        #   = (2g-3+n)! |B_2g| / (2^{2g-1} (2g)! prod (2d_i - 1)!!)
+        for n in range(1, 3):
+            for d in compositions(g - 2 + n, n):
+                closed = Fraction(factorial(2 * g - 3 + n)) * bern[2 * g] / (
+                    2 ** (2 * g - 1) * factorial(2 * g)
+                    * prod(prod(range(1, 2 * x, 2)) for x in d))
+                mono = HodgeMonomial.of(g, n, {g: 1, g - 1: 1}, d)
+                result.record(hodge_integral(mono) == closed,
+                              ("lambda_g lambda_g-1", g, d))
+        # Faber: int_{Mbar_g} lambda_g lambda_{g-1} lambda_{g-2}
+        closed = (bern[2 * g - 2] * bern[2 * g]
+                  / (2 * factorial(2 * g - 2) * (2 * g - 2) * (2 * g)))
+        lam = {j: 1 for j in (g, g - 1, g - 2) if j}
+        result.record(hodge_integral(HodgeMonomial.of(g, 0, lam)) == closed,
+                      ("faber", g))
+    return result
+
+
 def suite_linear_hodge(gmax=3, nmax=2):
     """Pseudostable equals stable for lambda-linear integrands."""
     result = SuiteResult("linear-hodge-equality", True)
@@ -310,6 +364,7 @@ def run_all(seed=DEFAULT_SEED):
         suite_wk_properties(),
         suite_kappa_order(seed),
         suite_mumford(),
+        suite_hodge_closed_forms(),
         suite_linear_hodge(),
         suite_elsv(),
         suite_algebra(seed),

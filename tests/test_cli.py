@@ -80,6 +80,16 @@ class TestEval:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("expr, message", [
+        ("lambda0*psi1^4", "symbol lambda0 is out of range: "
+                           "g=2 allows lambda1..lambda2"),
+        ("psi0*psi1^3", "symbol psi0 is out of range: n=1 allows psi1"),
+        ("lambda3*psi1", "symbol lambda3 exceeds the ambient bound g=2"),
+    ])
+    def test_symbol_range_error_names_the_range(self, capsys, expr, message):
+        code, out, err = run(capsys, "eval", "--g", "2", "--n", "1", expr)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_leading_minus_expression(self, capsys):
         code, out, _ = run(capsys, "eval", "--g", "2", "--n", "1",
                            "-3*psi1^4")

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pshodge.expr import (Diff, Lam, Lit, ParseError, Pow, Prod, Psi, Sum,
-                          SymbolRangeError, parse_expression, to_text)
+                          SymbolRangeError, parse_expression, to_text,
+                          validate)
 
 
 class TestGrammar:
@@ -46,6 +47,20 @@ class TestErrors:
     def test_lambda_out_of_range(self):
         with pytest.raises(SymbolRangeError):
             parse_expression("lambda3", 2, 1)
+
+    def test_index_zero_is_below_the_range(self):
+        with pytest.raises(SymbolRangeError) as err:
+            parse_expression("lambda0*psi1^4", 2, 1)
+        assert str(err.value) == ("symbol lambda0 is out of range: "
+                                  "g=2 allows lambda1..lambda2")
+        with pytest.raises(SymbolRangeError) as err:
+            parse_expression("psi0", 1, 3)
+        assert str(err.value) == ("symbol psi0 is out of range: "
+                                  "n=3 allows psi1..psi3")
+        with pytest.raises(SymbolRangeError) as err:
+            validate(Lam(0), 0, 3)
+        assert str(err.value) == ("symbol lambda0 is out of range: "
+                                  "g=0 allows no lambda symbol")
 
     def test_syntax_error_has_position(self):
         with pytest.raises(ParseError) as err:

@@ -6,11 +6,14 @@ from math import comb, factorial
 
 import pytest
 
+from pshodge import hodge
 from pshodge.hodge import (HodgeMonomial, _reduce, bell_polynomial, bernoulli,
-                           ch_in_lambda, hodge_integral, lambda_to_ch)
-from pshodge.multiset import accumulate, compositions, multiply
+                           ch_in_lambda, clear_caches, hodge_integral,
+                           lambda_to_ch)
+from pshodge.multiset import (accumulate, compositions, counts, multiply,
+                              replace_one, sub_multisets)
 from pshodge.selfcheck import mumford_relation_terms
-from pshodge.wk import is_stable, wk_integral
+from pshodge.wk import default_table, is_stable, wk_integral
 
 
 def bell_series_oracle(k, xs):
@@ -268,3 +271,132 @@ class TestClosedForms:
             mono = HodgeMonomial.of(g, n, {g: 1}, d)
             assert hodge_integral(mono) == \
                 multinomial * faber_pandharipande(g), (g, d)
+
+    @pytest.mark.parametrize("g", range(2, 6))
+    def test_faber_top_lambdas(self, g):
+        """int_{Mbar_g} lambda_g lambda_{g-1} lambda_{g-2}
+        = |B_{2g-2}| |B_{2g}| / (2 (2g-2)! (2g-2) (2g)) (Faber)."""
+        mono = HodgeMonomial.of(g, 0, {j: 1 for j in (g, g - 1, g - 2) if j})
+        assert hodge_integral(mono) == (
+            abs(bernoulli(2 * g - 2)) * abs(bernoulli(2 * g))
+            / (2 * factorial(2 * g - 2) * (2 * g - 2) * (2 * g)))
+
+
+def reference_reduce(g, psi, kappa, ch, memo):
+    """The GRR reduction as a triple loop over every (psi, kappa, ch)
+    sub-multiset split for each node branch ``a``, discarding the splits
+    whose degree forces no genus; ``memo`` plays the role of ``_CH_MEMO``.
+
+    Differential oracle for ``hodge._reduce``, which lets the degree of a
+    split pick ``a`` instead and visits a term and its mirror image once;
+    the kappa/psi leaves are the same WK table.
+    """
+    n = len(psi)
+    if not is_stable(g, n):
+        return Fraction(0)
+    if g == 0 and ch:
+        return Fraction(0)
+    if sum(psi) + sum(kappa) + sum(ch) != 3 * g - 3 + n:
+        return Fraction(0)
+    if not ch:
+        return default_table()._kappa_eval(g, psi, kappa)
+    key = (g, psi, kappa, ch)
+    if key in memo:
+        return memo[key]
+
+    def rec(g, psi, kappa, ch):
+        return reference_reduce(g, psi, kappa, ch, memo)
+
+    l = ch[-1]
+    rest = ch[:-1]
+    acc = rec(g, psi, tuple(sorted(kappa + (l,))), rest)
+    for v, c in counts(psi).items():
+        acc -= c * rec(g, replace_one(psi, v, v + l), kappa, rest)
+    boundary = Fraction(0)
+    for a in range(l):
+        b = l - 1 - a
+        sign = -1 if a % 2 else 1
+        if g >= 1:
+            boundary += sign * rec(g - 1, tuple(sorted(psi + (a, b))),
+                                   kappa, rest)
+        for psi1, psi2, mpsi in sub_multisets(psi):
+            n1 = len(psi1) + 1
+            for kap1, kap2, mkap in sub_multisets(kappa):
+                for ch1, ch2, mch in sub_multisets(rest):
+                    s1 = sum(psi1) + a + sum(kap1) + sum(ch1) + 3 - n1
+                    if s1 % 3 or not 0 <= s1 // 3 <= g:
+                        continue
+                    h = s1 // 3
+                    if not (is_stable(h, n1)
+                            and is_stable(g - h, len(psi2) + 1)):
+                        continue
+                    left = rec(h, tuple(sorted(psi1 + (a,))), kap1, ch1)
+                    if not left:
+                        continue
+                    right = rec(g - h, tuple(sorted(psi2 + (b,))), kap2, ch2)
+                    boundary += sign * mpsi * mkap * mch * left * right
+    acc += boundary / 2
+    value = bernoulli(l + 1) / factorial(l + 1) * acc
+    memo[key] = value
+    return value
+
+
+def reference_hodge_integral(mono, memo):
+    """``hodge_integral`` with :func:`reference_reduce` in place of
+    ``_reduce`` (the same lambda -> ch expansion)."""
+    poly = {(): Fraction(1)}
+    for j, e in mono.lambda_exp:
+        odd = {key: c for key, c in lambda_to_ch(j, mono.g).items()
+               if all(l % 2 for l in key)}
+        for _ in range(e):
+            poly = multiply(poly, odd)
+    psi = tuple(sorted(mono.psi_exp))
+    return sum((c * reference_reduce(mono.g, psi, (), key, memo)
+                for key, c in poly.items()), Fraction(0))
+
+
+def grr_monomials(seed=8):
+    """Monomials like the benchmark's GRR pool, at g <= 4 and n <= 3:
+    lambda_g and lambda_g lambda_{g-1} against psi, Faber's top product,
+    and seeded random lambda triples against psi."""
+    rng = random.Random(seed)
+
+    def random_psi(total, n):
+        exps = [0] * n
+        for _ in range(total):
+            exps[rng.randrange(n)] += 1
+        return exps
+
+    out = []
+    for g in range(1, 5):
+        if g >= 3:
+            out.append(HodgeMonomial.of(g, 0, {g: 1, g - 1: 1, g - 2: 1}))
+        for n in range(1, 4):
+            dim = 3 * g - 3 + n
+            out.append(HodgeMonomial.of(g, n, {g: 1}, random_psi(dim - g, n)))
+            if g >= 2:
+                out.append(HodgeMonomial.of(g, n, {g: 1, g - 1: 1},
+                                            random_psi(dim - 2 * g + 1, n)))
+            for _ in range(2):
+                lam = [rng.randint(1, g) for _ in range(3)]
+                if sum(lam) > dim:
+                    continue
+                out.append(HodgeMonomial.of(g, n, counts(lam),
+                                            random_psi(dim - sum(lam), n)))
+    return out
+
+
+class TestReductionOracle:
+    def test_memo_matches_triple_loop(self):
+        """After a cold run, ``_CH_MEMO`` holds exactly the keys the triple
+        loop memoises, with equal values, and the integrals agree."""
+        monomials = grr_monomials()
+        clear_caches()
+        values = [hodge_integral(mono) for mono in monomials]
+        memo = {}
+        want = [reference_hodge_integral(mono, memo) for mono in monomials]
+        assert values == want
+        assert len(memo) > 100
+        assert hodge._CH_MEMO.keys() == memo.keys()
+        for key, value in memo.items():
+            assert hodge._CH_MEMO[key] == value, key
