@@ -82,9 +82,7 @@ class SymbolRangeError(ValueError):
 
     def __init__(self, name, index, bound, label):
         self.symbol = f"{name}{index}"
-        if index > bound:
-            why = f"exceeds the ambient bound {label}={bound}"
-        elif bound < 1:
+        if bound < 1:
             why = f"is out of range: {label}={bound} allows no {name} symbol"
         else:
             allowed = f"{name}1" + (f"..{name}{bound}" if bound > 1 else "")
@@ -227,7 +225,7 @@ def parse_expression(text, g, n):
     >>> parse_expression("psi3", 2, 2)
     Traceback (most recent call last):
         ...
-    pshodge.expr.SymbolRangeError: symbol psi3 exceeds the ambient bound n=2
+    pshodge.expr.SymbolRangeError: symbol psi3 is out of range: n=2 allows psi1..psi2
     >>> parse_expression("lambda0*psi1^4", 2, 1)
     Traceback (most recent call last):
         ...

@@ -19,10 +19,13 @@ steps:
    surface (with a Bernoulli-number prefactor).  A split surface puts
    each psi, kappa and ch factor on one side and ``psi^a``, ``psi^b`` at
    the two branches of the node; the degree of one side forces its
-   genus, so only the ``a`` that give an integral genus are visited;
+   genus, so the (kappa, ch) splits are bucketed by the degree they add
+   to a side and each psi split, genus and ``a`` reads only its bucket;
    sides known to vanish (unstable, or genus 0 with a ch factor) are
    skipped without recursing, and a term and its mirror image (sides
-   swapped, ``a`` and ``b`` exchanged) are visited once;
+   swapped, ``a`` and ``b`` exchanged) are visited once.  Each memo
+   entry is summed as an integer numerator over the running common
+   denominator of its terms and stored as one ``Fraction``;
 3. what remains are kappa/psi integrals, finished by :mod:`pshodge.wk`.
 
 Every operation is pure, exact, and memoised.
@@ -35,7 +38,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .multiset import accumulate, counts, multiply, replace_one, sub_multisets
+from .multiset import (accumulate, add_term, counts, multiply, replace_one,
+                       sub_multisets)
 from .wk import default_table, is_stable, psi_exponents
 
 __all__ = [
@@ -180,90 +184,103 @@ def _reduce(g, psi, kappa, ch):
     """Integral over Mbar_{g,n} of ``prod ch_l prod kappa_a prod psi_i^{e_i}``
     for sorted tuples.  Factors are eliminated from the largest ``ch_l``
     down; an even l gives 0 at once, since its prefactor ``B_{l+1}``
-    vanishes.
+    vanishes.  The memo is read before any check.
 
     The separating terms of ``ch_l`` run over splits ``(psi1, kap1, ch1)``
-    of the factors, each built once per call, and node branches
-    ``a + b = l - 1``.  The side holding ``psi1`` and ``psi^a`` has
-    ``n1 = len(psi1) + 1`` points and degree ``w + a`` with
-    ``w = sum(psi1) + sum(kap1) + sum(ch1) + 3 - n1``, which forces its
-    genus to ``h = (w + a) / 3``: only ``a = -w (mod 3)`` with
-    ``0 <= h <= g`` is visited.  A side that is unstable, or of genus 0
-    with a ch factor (the Hodge bundle has rank 0 there), is skipped.
-    Swapping the two sides maps the split at ``a`` to a split at ``b``
-    with the same term, so only ``a <= b`` is visited, counted twice."""
-    n = len(psi)
-    if not is_stable(g, n):
-        return _ZERO
-    if g == 0 and ch:
-        return _ZERO  # rank-zero Hodge bundle
-    if sum(psi) + sum(kappa) + sum(ch) != 3 * g - 3 + n:
-        return _ZERO
+    of the factors and node branches ``a + b = l - 1``.  The side holding
+    ``psi1`` and ``psi^a`` has ``n1 = len(psi1) + 1`` points and degree
+    ``w + a`` with ``w = w_psi + w_kc``, ``w_psi = sum(psi1) + 3 - n1``
+    and ``w_kc = sum(kap1) + sum(ch1)``, which forces its genus to
+    ``h = (w + a) / 3``.  The (kappa, ch) split pairs are bucketed once
+    per call by ``w_kc``; each psi split and each stable pair of genera
+    ``(h, g - h)`` then reads only the bucket ``w_kc = 3h - a - w_psi``
+    for each ``a``.  A side that is unstable, or of genus 0 with a ch
+    factor (the Hodge bundle has rank 0 there), is skipped.  Swapping
+    the two sides maps the split at ``a`` to a split at ``b`` with the
+    same term, so only ``a <= b`` is visited, counted twice.
+
+    The sum is kept as an integer numerator over the running least common
+    multiple of the terms' denominators (:func:`~pshodge.multiset.add_term`),
+    and one ``Fraction`` is built for the memo entry."""
     if not ch:
         return default_table()._kappa_eval(g, psi, kappa)
     key = (g, psi, kappa, ch)
     hit = _CH_MEMO.get(key)
     if hit is not None:
         return hit
-
+    n = len(psi)
+    if not is_stable(g, n) or g == 0:  # g = 0: rank-zero Hodge bundle
+        return _ZERO
+    if sum(psi) + sum(kappa) + sum(ch) != 3 * g - 3 + n:
+        return _ZERO
     l = ch[-1]
     if not l % 2:
         return _ZERO
     rest = ch[:-1]
-    # l = 2L - 1; prefactor Bern_{2L} / (2L)!
-    pref = bernoulli(l + 1) / factorial(l + 1)
 
-    acc = _reduce(g, psi, tuple(sorted(kappa + (l,))), rest)
+    # num / den is twice the bracket that multiplies the prefactor
+    # Bern_{l+1} / (l+1)!: the separating terms enter at weight 1 instead
+    # of 1/2, every other term at weight 2
+    x = _reduce(g, psi, tuple(sorted(kappa + (l,))), rest)
+    num, den = 2 * x.numerator, x.denominator
     for v, c in counts(psi).items():
-        acc -= c * _reduce(g, replace_one(psi, v, v + l), kappa, rest)
+        x = _reduce(g, replace_one(psi, v, v + l), kappa, rest)
+        num, den = add_term(num, den, -2 * c * x.numerator, x.denominator)
 
     # the terms with node branches (a, b) and (b, a) are equal, the sides
     # of a separating term swapped: a + b = l - 1 is even, so their signs
     # agree.  Each pair is visited once, at a <= b, and counted twice; at
     # a = b the lesser of two mirror splits stands for both.
     half = (l - 1) // 2
-    boundary = _ZERO
-    if g >= 1:
-        for a in range(half + 1):
-            twice = 1 if a == half else 2
-            sign = -twice if a % 2 else twice
-            boundary += sign * _reduce(
-                g - 1, tuple(sorted(psi + (a, l - 1 - a))), kappa, rest)
-    kap_splits = [(k1, k2, m, sum(k1)) for k1, k2, m in sub_multisets(kappa)]
-    ch_splits = [(c1, c2, m, sum(c1)) for c1, c2, m in sub_multisets(rest)]
+    for a in range(half + 1):
+        twice = 1 if a == half else 2
+        x = _reduce(g - 1, tuple(sorted(psi + (a, l - 1 - a))), kappa, rest)
+        num, den = add_term(num, den, (-twice if a % 2 else twice)
+                            * x.numerator, x.denominator)
+    ch_splits = sub_multisets(rest)
+    buckets = {}
+    for kap1, kap2, mkap in sub_multisets(kappa):
+        w_kap = sum(kap1)
+        for ch1, ch2, mch in ch_splits:
+            buckets.setdefault(w_kap + sum(ch1), []).append(
+                (kap1, kap2, ch1, ch2, mkap * mch))
     for psi1, psi2, mpsi in sub_multisets(psi):
         n1 = len(psi1) + 1
         n2 = len(psi2) + 1
         w_psi = sum(psi1) + 3 - n1
-        for kap1, kap2, mkap, w_kap in kap_splits:
-            for ch1, ch2, mch, w_ch in ch_splits:
-                # the side holding psi^a has genus h with 3h = w + a: start at
-                # the least a = -w (mod 3) with h >= 0; h grows by one per step
-                w = w_psi + w_kap + w_ch
-                for a in range(max(-w % 3, -w), half + 1, 3):
-                    h = (w + a) // 3
-                    if h > g:
-                        break
-                    if not (is_stable(h, n1) and is_stable(g - h, n2)):
-                        continue
+        # at a = half the mirror split puts psi2 beside psi^a: skip the
+        # greater psi side, and compare kappa and ch only on a tie
+        tie = psi1 == psi2
+        last = half if psi1 <= psi2 else half - 1
+        branches = [(a, tuple(sorted(psi1 + (a,))),
+                     tuple(sorted(psi2 + (l - 1 - a,))),
+                     -2 * mpsi if a % 2 else 2 * mpsi)
+                    for a in range(last + 1)]
+        # both sides stable: 2h - 2 + n1 > 0 and 2(g - h) - 2 + n2 > 0
+        for h in range(0 if n1 > 2 else 1, g + 1 if n2 > 2 else g):
+            for a, side1, side2, m_a in branches:
+                pairs = buckets.get(3 * h - a - w_psi)
+                if pairs is None:
+                    continue
+                for kap1, kap2, ch1, ch2, m in pairs:
                     if (h == 0 and ch1) or (h == g and ch2):
                         continue  # a genus-0 side with ch: rank-zero bundle
-                    twice = 2
-                    if a == half:
-                        side, mirror = (psi1, kap1, ch1), (psi2, kap2, ch2)
+                    m *= m_a
+                    if tie and a == half:
+                        side, mirror = (kap1, ch1), (kap2, ch2)
                         if side > mirror:
                             continue
                         if side == mirror:
-                            twice = 1
-                    left = _reduce(h, tuple(sorted(psi1 + (a,))), kap1, ch1)
-                    right = _reduce(g - h, tuple(sorted(psi2 + (l - 1 - a,))),
-                                    kap2, ch2)
+                            m //= 2
+                    left = _reduce(h, side1, kap1, ch1)
+                    right = _reduce(g - h, side2, kap2, ch2)
                     if left and right:
-                        sign = -twice if a % 2 else twice
-                        boundary += sign * mpsi * mkap * mch * left * right
-    acc += boundary / 2
+                        num, den = add_term(
+                            num, den, m * left.numerator * right.numerator,
+                            left.denominator * right.denominator)
 
-    value = pref * acc
+    pref = bernoulli(l + 1) / factorial(l + 1)
+    value = Fraction(pref.numerator * num, 2 * pref.denominator * den)
     _CH_MEMO[key] = value
     return value
 

@@ -12,13 +12,15 @@ Enumeration is exhaustive but merges identical states.  After k factors
 the count of completions depends only on the permutation the remaining
 factors must multiply to, the partition of the d points into blocks
 joined by the factors chosen so far, and m - k; each such state is
-counted once per call, in a memo local to that call.  Two safe prunes
+counted once per call, in a memo local to that call.  Three safe prunes
 discard states that cannot complete: a permutation with c cycles needs
-at least d - c transpositions, and the leftover parity must be even.
-There are at most ``d! * Bell(d)`` states per remaining count, and far
-fewer survive the prunes: 519 for mu=(3,3), m=6 against ``15^6`` leaf
-tuples.  Every sign-consistent instance the guard ``d <= 6, m <= 8``
-admits finishes within a second; inputs beyond it are refused outright.
+at least d - c transpositions, the leftover parity must be even, and
+joining b blocks into one orbit needs at least c + 2b - d - 2 factors
+(a Riemann--Hurwitz count, see :func:`count_factorizations`).  There are
+at most ``d! * Bell(d)`` states per remaining count, and far fewer
+survive the prunes: 495 for mu=(3,3), m=6 against ``15^6`` leaf tuples.
+Every sign-consistent instance the guard ``d <= 6, m <= 8`` admits
+finishes within a second; inputs beyond it are refused outright.
 
 For stable ``(g, len(mu))`` and ``m = 2g - 2 + len(mu) + |mu|`` the same
 number is computed by the ELSV formula
@@ -124,9 +126,23 @@ def count_factorizations(target, m):
     partition of the points into blocks joined by the factors chosen so far
     (each point mapped to the smallest point of its block), and the number
     of factors left.  The number of completions depends only on the state,
-    so each state is counted once per call.  The minimum-transposition and
-    parity prunes discard only states that cannot complete, before they
-    reach the memo.
+    so each state is counted once per call.  Three prunes discard only
+    states that cannot complete, before they reach the memo: the
+    minimum-transposition count ``d - c`` for a residual with c cycles,
+    its parity, and a connectivity bound.
+
+    The connectivity bound: let the remaining r factors generate a group
+    with k orbits, the j-th of size ``d_j`` holding ``c_j`` cycles of the
+    residual and ``r_j`` of the factors.  On each orbit they form a
+    transitive factorization, so Riemann--Hurwitz gives
+    ``r_j = d_j + c_j - 2 + 2 g_j >= d_j + c_j - 2`` and ``r >= d + c - 2k``.
+    The whole tuple is transitive only if the b blocks and the k orbits
+    link all d points, which needs ``d >= b + k - 1``.  Hence
+    ``r >= c + 2b - d - 2``.  For the identity on 3 points (c = b = 3)
+    that is 4 factors; 2 factors pass the first two prunes but not this:
+
+    >>> count_factorizations((0, 1, 2), 2), count_factorizations((0, 1, 2), 4)
+    (0, 24)
     """
     d = len(target)
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
@@ -134,9 +150,12 @@ def count_factorizations(target, m):
     memo = {}
 
     def completions(residual, blocks, remaining):
-        need = d - _cycle_count(residual)
+        cycles = _cycle_count(residual)
+        need = d - cycles
         if need > remaining or (remaining - need) % 2:
             return 0
+        if remaining < cycles + 2 * len(set(blocks)) - d - 2:
+            return 0  # the connectivity bound, see the docstring
         key = (residual, blocks, remaining)
         if key in memo:
             return memo[key]

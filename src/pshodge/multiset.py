@@ -5,6 +5,10 @@ repeatedly need to split a multiset between the two sides of a
 degeneration; grouping those splits by value (instead of walking all
 2^n labelled subsets) is what keeps the recursions at desk scale.
 
+Exact sums whose terms are products of rationals are kept as an integer
+numerator over a running common denominator (:func:`add_term`) and
+turned into one :class:`fractions.Fraction` at the end.
+
 A sparse polynomial is a plain dict from a monomial key to a nonzero
 :class:`fractions.Fraction`.  For polynomials in commuting symbols
 ``s_1, s_2, ...`` the key is the multiset of symbol indices, e.g.
@@ -13,7 +17,7 @@ A sparse polynomial is a plain dict from a monomial key to a nonzero
 
 from __future__ import annotations
 
-from math import comb, inf
+from math import comb, gcd, inf
 
 
 def counts(values):
@@ -37,27 +41,40 @@ def replace_one(values, old, new):
 
 
 def sub_multisets(values):
-    """Yield ``(chosen, rest, multiplicity)`` over sub-multisets of a tuple.
+    """List ``(chosen, rest, multiplicity)`` over sub-multisets of a tuple.
 
     ``multiplicity`` is the number of subsets of labelled positions that
     realise the chosen multiset, i.e. the product of binomials over the
-    distinct values.
+    distinct values.  ``chosen`` and ``rest`` are sorted tuples.  The
+    list is built one distinct value at a time, smallest first, so the
+    number of copies of the smallest value taken varies slowest.
 
-    >>> sorted(sub_multisets((1, 1)))
-    [((), (1, 1), 1), ((1,), (1,), 2), ((1, 1), (), 1)]
+    >>> sub_multisets((1, 1, 2))
+    [((), (1, 1, 2), 1), ((2,), (1, 1), 1), ((1,), (1, 2), 2), ((1, 2), (1,), 2), ((1, 1), (2,), 1), ((1, 1, 2), (), 1)]
     """
-    items = sorted(counts(values).items())
+    out = [((), (), 1)]
+    for v, c in sorted(counts(values).items()):
+        options = [((v,) * k, (v,) * (c - k), comb(c, k)) for k in range(c + 1)]
+        out = [(chosen + take, rest + leave, mult * m)
+               for chosen, rest, mult in out for take, leave, m in options]
+    return out
 
-    def rec(idx, chosen, rest, mult):
-        if idx == len(items):
-            yield tuple(chosen), tuple(rest), mult
-            return
-        v, c = items[idx]
-        for k in range(c + 1):
-            yield from rec(idx + 1, chosen + [v] * k, rest + [v] * (c - k),
-                           mult * comb(c, k))
 
-    yield from rec(0, [], [], 1)
+def add_term(num, den, t_num, t_den):
+    """``num/den + t_num/t_den`` as ``(numerator, denominator)`` over the
+    least common multiple of the two (positive) denominators; nothing is
+    reduced.
+
+    >>> add_term(1, 6, 1, 4)
+    (5, 12)
+    >>> add_term(5, 12, -1, 3)
+    (1, 12)
+    """
+    if den % t_den:
+        scale = t_den // gcd(den, t_den)
+        num *= scale
+        den *= scale
+    return num + t_num * (den // t_den), den
 
 
 def compositions(total, parts):

@@ -40,7 +40,8 @@ kappa classes use the pointed convention ``kappa_a = pi_*(psi^{a+1})``
 for one extra marked point.  A kappa factor is eliminated against such an
 extra point, absorbing any subset of the remaining kappa factors with
 alternating signs; iterating reduces every mixed kappa/psi integral to
-pure psi correlators.  This layer works in ``Fraction``.
+pure psi correlators.  This layer stores ``Fraction`` values, each summed
+as an integer numerator over the running common denominator of its terms.
 
 All values are memoised in plain dicts.  Every evaluation is a pure
 function of its key, so threads that race on a key store equal values and
@@ -54,7 +55,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial
 
-from .multiset import counts, replace_one, sub_multisets
+from .multiset import add_term, counts, replace_one, sub_multisets
 
 __all__ = [
     "is_stable",
@@ -263,20 +264,28 @@ class WKTable:
         return self._kappa_eval(g, exps, tuple(sorted(int(a) for a in kappa)))
 
     def _kappa_eval(self, g, psi, kappa):
+        """Memoised kappa/psi integral for sorted tuples.  The memo is read
+        before any check, and the sum over one elimination step is kept as
+        an integer numerator over the running common denominator of its
+        terms, with one ``Fraction`` built per memo entry."""
         if not kappa:
             return self._psi_eval(g, psi)
+        key = (g, psi, kappa)
+        hit = self._kappa.get(key)
+        if hit is not None:
+            return hit
         n = len(psi)
         if not is_stable(g, n):
             return _ZERO
         if sum(psi) + sum(kappa) != 3 * g - 3 + n:
             return _ZERO
-        key = (g, psi, kappa)
-        hit = self._kappa.get(key)
-        if hit is not None:
-            return hit
-        value = _ZERO
+        num, den = 0, 1
         for coeff, new_psi, new_kappa in self._kappa_step(g, psi, kappa, 0):
-            value += coeff * self._kappa_eval(g, new_psi, new_kappa)
+            x = self._kappa_eval(g, new_psi, new_kappa)
+            if x:
+                num, den = add_term(num, den, coeff * x.numerator,
+                                    x.denominator)
+        value = Fraction(num, den)
         self._kappa[key] = value
         return value
 

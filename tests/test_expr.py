@@ -45,8 +45,13 @@ class TestErrors:
         assert "psi3" in str(err.value)
 
     def test_lambda_out_of_range(self):
-        with pytest.raises(SymbolRangeError):
+        with pytest.raises(SymbolRangeError) as err:
             parse_expression("lambda3", 2, 1)
+        assert str(err.value) == ("symbol lambda3 is out of range: "
+                                  "g=2 allows lambda1..lambda2")
+        with pytest.raises(SymbolRangeError) as err:
+            parse_expression("psi2", 2, 1)
+        assert str(err.value) == "symbol psi2 is out of range: n=1 allows psi1"
 
     def test_index_zero_is_below_the_range(self):
         with pytest.raises(SymbolRangeError) as err:

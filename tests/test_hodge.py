@@ -272,7 +272,7 @@ class TestClosedForms:
             assert hodge_integral(mono) == \
                 multinomial * faber_pandharipande(g), (g, d)
 
-    @pytest.mark.parametrize("g", range(2, 6))
+    @pytest.mark.parametrize("g", range(2, 7))
     def test_faber_top_lambdas(self, g):
         """int_{Mbar_g} lambda_g lambda_{g-1} lambda_{g-2}
         = |B_{2g-2}| |B_{2g}| / (2 (2g-2)! (2g-2) (2g)) (Faber)."""
