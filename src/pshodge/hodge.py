@@ -184,7 +184,8 @@ def _reduce(g, psi, kappa, ch):
     """Integral over Mbar_{g,n} of ``prod ch_l prod kappa_a prod psi_i^{e_i}``
     for sorted tuples.  Factors are eliminated from the largest ``ch_l``
     down; an even l gives 0 at once, since its prefactor ``B_{l+1}``
-    vanishes.  The memo is read before any check.
+    vanishes.  A ch-free integral goes to the kappa layer; otherwise the
+    memo is read before any stability or degree check.
 
     The separating terms of ``ch_l`` run over splits ``(psi1, kap1, ch1)``
     of the factors and node branches ``a + b = l - 1``.  The side holding
