@@ -84,8 +84,8 @@ class TestEval:
         ("lambda0*psi1^4", "symbol lambda0 is out of range: "
                            "g=2 allows lambda1..lambda2"),
         ("psi0*psi1^3", "symbol psi0 is out of range: n=1 allows psi1"),
-        ("lambda3*psi1", "symbol lambda3 is out of range: "
-                         "g=2 allows lambda1..lambda2"),
+        pytest.param("lambda3*psi1", "symbol lambda3 is out of range: "
+                     "g=2 allows lambda1..lambda2", id="lambda3*psi1-above"),
     ])
     def test_symbol_range_error_names_the_range(self, capsys, expr, message):
         code, out, err = run(capsys, "eval", "--g", "2", "--n", "1", expr)
