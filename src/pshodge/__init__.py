@@ -9,9 +9,9 @@ Layers, bottom up:
   boundary recursion);
 * :mod:`pshodge.strata` -- the elliptic-tail strata algebra and the
   translation of pseudostable Hodge integrals to stable ones;
-* :mod:`pshodge.hurwitz` -- Hurwitz numbers by a memoised count of
-  transposition factorizations, against their linear-Hodge evaluation
-  (ELSV), an independent end-to-end check;
+* :mod:`pshodge.hurwitz` -- Hurwitz numbers counted from the characters
+  of S_d, against their linear-Hodge evaluation (ELSV), an independent
+  end-to-end check;
 * :mod:`pshodge.expr`, :mod:`pshodge.cache`, :mod:`pshodge.cli` -- the
   expression parser, cache persistence, and command-line front end.
 

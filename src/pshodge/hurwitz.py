@@ -1,62 +1,52 @@
-r"""Hurwitz numbers by exhaustive transposition counting, and their
-evaluation through linear Hodge integrals (the ELSV formula).
+r"""Hurwitz numbers from the characters of S_d, and their evaluation
+through linear Hodge integrals (the ELSV formula).
 
 The single Hurwitz number ``h^m_mu`` counts tuples of m transpositions
-in the symmetric group S_d (d = |mu|) whose ordered product is a fixed
-permutation of cycle type mu and whose generated subgroup acts
-transitively on the d points.  The count is invariant under conjugation
-of the target and under reversing the composition convention, so the
-canonical target with cycles ``(1..mu_1)(mu_1+1..mu_1+mu_2)...`` is used.
+in S_d (d = |mu|) whose ordered product is a fixed permutation of cycle
+type mu and which generate a transitive subgroup.  Without
+transitivity, Frobenius's formula gives the count exactly:
 
-Enumeration is exhaustive but merges identical states.  After k factors
-the count of completions depends only on the permutation the remaining
-factors must multiply to, the partition of the d points into blocks
-joined by the factors chosen so far, and m - k; each such state is
-counted once per call, in a memo local to that call.  Three safe prunes
-discard states that cannot complete: a permutation with c cycles needs
-at least d - c transpositions, the leftover parity must be even, and
-joining b blocks into one orbit needs at least c + 2b - d - 2 factors
-(a Riemann--Hurwitz count, see :func:`count_factorizations`).  There are
-at most ``d! * Bell(d)`` states per remaining count, and far fewer
-survive the prunes: 495 for mu=(3,3), m=6 against ``15^6`` leaf tuples.
-Every sign-consistent instance the guard ``d <= 6, m <= 8`` admits
-finishes within a second; inputs beyond it are refused outright.
+    N(mu, m) = (1/d!) sum_{lambda |- d} dim(lambda) chi_lambda(mu) cont(lambda)^m,
+
+with ``dim`` from the hook-length formula, ``chi`` from the
+Murnaghan--Nakayama rule on beta-sets and ``cont`` the content sum of
+lambda.  The factors act on the orbits of the group they generate.  If
+S is the set of cycles in the orbit that holds cycle 0 and k factors act
+on it, those k form a transitive factorization and the rest any one:
+
+    N(mu, m) = sum_{S holding 0} sum_k C(m, k) N*(mu_S, k) N(mu_{S^c}, m - k),
+
+whose term ``S = all, k = m`` is the transitive count ``N*(mu, m)``.
+The guard ``d <= 20, m <= 40`` refuses larger inputs up front; the
+slowest instance it admits takes about a second.
 
 For stable ``(g, len(mu))`` and ``m = 2g - 2 + len(mu) + |mu|`` the same
-number is computed by the ELSV formula
+number is given by the ELSV formula
 
     h^m_mu = m! prod_i (mu_i^{mu_i + 1} / mu_i!)
              int_{Mbar_{g,l}} (1 - lambda_1 + lambda_2 - ...)
                               / prod_i (1 - mu_i psi_i),
 
-which makes the transposition count an end-to-end independent check of
-linear Hodge integrals.
+which makes the count an end-to-end independent check of linear Hodge
+integrals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, prod
 
 from .hodge import HodgeMonomial, hodge_integral
-from .multiset import compositions
+from .multiset import compositions, partitions, sub_multisets
 from .wk import is_stable
 
-__all__ = [
-    "ENUMERATION_D_MAX",
-    "ENUMERATION_M_MAX",
-    "EnumerationBoundError",
-    "HurwitzInstance",
-    "canonical_permutation",
-    "count_factorizations",
-    "hurwitz_brute",
-    "riemann_hurwitz_m",
-    "elsv_value",
-]
+__all__ = ["ENUMERATION_D_MAX", "ENUMERATION_M_MAX", "EnumerationBoundError",
+           "HurwitzInstance", "canonical_permutation", "count_factorizations",
+           "hurwitz_brute", "riemann_hurwitz_m", "elsv_value"]
 
-ENUMERATION_D_MAX = 6
-ENUMERATION_M_MAX = 8
+ENUMERATION_D_MAX = 20
+ENUMERATION_M_MAX = 40
 
 
 class EnumerationBoundError(ValueError):
@@ -95,94 +85,108 @@ def canonical_permutation(mu):
     >>> canonical_permutation((2, 1))
     (1, 0, 2)
     """
-    d = sum(mu)
-    perm = list(range(d))
-    start = 0
+    perm, start = [], 0
     for part in mu:
-        for k in range(part):
-            perm[start + k] = start + (k + 1) % part
+        perm += [*range(start + 1, start + part), start]
         start += part
     return tuple(perm)
 
 
-def _cycle_count(p):
-    seen = [False] * len(p)
-    c = 0
-    for x in range(len(p)):
-        if not seen[x]:
-            c += 1
-            while not seen[x]:
-                seen[x] = True
-                x = p[x]
-    return c
+def _cycle_type(perm):
+    lengths, seen = [], set()
+    for x in range(len(perm)):
+        length = 0
+        while x not in seen:
+            seen.add(x)
+            x, length = perm[x], length + 1
+        lengths += [length] if length else []
+    return tuple(sorted(lengths))
+
+
+def _dimension(lam):
+    """Dimension of the irreducible representation ``lam`` of S_d, by the
+    hook-length formula.
+
+    >>> _dimension((2, 1, 1))
+    3
+    """
+    cols = [sum(p > j for p in lam) for j in range(lam[0] if lam else 0)]
+    return factorial(sum(lam)) // prod(
+        p - j + cols[j] - i - 1 for i, p in enumerate(lam) for j in range(p))
+
+
+def _character(lam, mu, memo):
+    """``chi_lam(mu)`` in S_d by the Murnaghan--Nakayama rule, memoised in
+    the dict ``memo``.  The last part r of ``mu`` is removed as a rim hook:
+    a bead of the beta-set ``{lam_i + n - i}`` (n parts) moves down r
+    places to a free one, with sign ``(-1)^(beads jumped)``.  In S_4:
+
+    >>> _character((3, 1), (4,), {})
+    -1
+    """
+    if not mu:
+        return 1
+    if (lam, mu) not in memo:
+        r, n = mu[-1], len(lam)
+        beta = [p + n - 1 - i for i, p in enumerate(lam)]
+        total = 0
+        for i, b in enumerate(beta):
+            if b >= r and b - r not in beta:
+                moved = sorted(beta[:i] + beta[i + 1:] + [b - r], reverse=True)
+                rest = tuple(c - n + 1 + j for j, c in enumerate(moved))
+                sign = -1 if sum(b - r < c < b for c in beta) % 2 else 1
+                total += sign * _character(tuple(p for p in rest if p),
+                                           mu[:-1], memo)
+        memo[lam, mu] = total
+    return memo[lam, mu]
 
 
 def count_factorizations(target, m):
     """Number of m-tuples of transpositions of {0..d-1} whose left-to-right
     product equals ``target`` and which generate a transitive subgroup.
 
-    Exhaustive search over states ``(residual, blocks, remaining)``: the
-    permutation the factors still to be chosen must multiply to, the
-    partition of the points into blocks joined by the factors chosen so far
-    (each point mapped to the smallest point of its block), and the number
-    of factors left.  The number of completions depends only on the state,
-    so each state is counted once per call.  Three prunes discard only
-    states that cannot complete, before they reach the memo: the
-    minimum-transposition count ``d - c`` for a residual with c cycles,
-    its parity, and a connectivity bound.
-
-    The connectivity bound: let the remaining r factors generate a group
-    with k orbits, the j-th of size ``d_j`` holding ``c_j`` cycles of the
-    residual and ``r_j`` of the factors.  On each orbit they form a
-    transitive factorization, so Riemann--Hurwitz gives
-    ``r_j = d_j + c_j - 2 + 2 g_j >= d_j + c_j - 2`` and ``r >= d + c - 2k``.
-    The whole tuple is transitive only if the b blocks and the k orbits
-    link all d points, which needs ``d >= b + k - 1``.  Hence
-    ``r >= c + 2b - d - 2``.  For the identity on 3 points (c = b = 3)
-    that is 4 factors; 2 factors pass the first two prunes but not this:
+    Only the cycle type of ``target`` matters; the count comes from the
+    characters of S_d (module docstring), with every memo local to the
+    call.  Parts are kept sorted, and the last one is cycle 0.
 
     >>> count_factorizations((0, 1, 2), 2), count_factorizations((0, 1, 2), 4)
     (0, 24)
     """
-    d = len(target)
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    connected = (0,) * d
-    memo = {}
+    chars, terms, counts, connected = {}, {}, {}, {}
 
-    def completions(residual, blocks, remaining):
-        cycles = _cycle_count(residual)
-        need = d - cycles
-        if need > remaining or (remaining - need) % 2:
-            return 0
-        if remaining < cycles + 2 * len(set(blocks)) - d - 2:
-            return 0  # the connectivity bound, see the docstring
-        key = (residual, blocks, remaining)
-        if key in memo:
-            return memo[key]
-        if remaining == 0:
-            # need == 0: the residual is the identity
-            count = 1 if blocks == connected else 0
-        else:
-            count = 0
-            for i, j in pairs:
-                # choosing (i j) next leaves (i j) * residual to the rest
-                rest = list(residual)
-                rest[i], rest[j] = residual[j], residual[i]
-                bi, bj = blocks[i], blocks[j]
-                if bi == bj:
-                    joined = blocks
-                else:
-                    low, high = min(bi, bj), max(bi, bj)
-                    joined = tuple(low if b == high else b for b in blocks)
-                count += completions(tuple(rest), joined, remaining - 1)
-        memo[key] = count
-        return count
+    def free(nu, k):  # N(nu, k)
+        if nu not in terms:  # (dim * chi, content sum) per lambda |- |nu|
+            terms[nu] = [(_dimension(lam) * _character(lam, nu, chars),
+                          sum(p * (p - 1) // 2 - i * p
+                              for i, p in enumerate(lam)))
+                         for lam in partitions(sum(nu))]
+        if (nu, k) not in counts:
+            counts[nu, k] = sum(w * c ** k for w, c in terms[nu]) \
+                // factorial(sum(nu))
+        return counts[nu, k]
 
-    return completions(tuple(target), tuple(range(d)), m)
+    def transitive(nu, k):  # N*(nu, k)
+        d, ell = sum(nu), len(nu)
+        if k < d + ell - 2 or (k - d - ell) % 2:
+            return 0  # Riemann--Hurwitz: the genus would be negative or half
+        if (nu, k) not in connected:
+            total = free(nu, k)
+            # the last split takes every cycle: that term is N*(nu, k)
+            for chosen, rest, mult in sub_multisets(nu[:-1])[:-1]:
+                orbit = chosen + nu[-1:]
+                for j in range(sum(orbit) + len(orbit) - 2,
+                               k - sum(rest) + len(rest) + 1, 2):
+                    total -= (mult * comb(k, j) * transitive(orbit, j)
+                              * free(rest, k - j))
+            connected[nu, k] = total
+        return connected[nu, k]
+
+    return transitive(_cycle_type(target), m)
 
 
 def hurwitz_brute(instance):
-    """Exact single Hurwitz number ``h^m_mu`` by exhaustive enumeration.
+    """Exact single Hurwitz number ``h^m_mu``, counted from the characters
+    of S_d by :func:`count_factorizations` within the resource guard.
 
     >>> hurwitz_brute(HurwitzInstance.of((2,), 1))
     1
@@ -191,8 +195,8 @@ def hurwitz_brute(instance):
     """
     if instance.d > ENUMERATION_D_MAX or instance.m > ENUMERATION_M_MAX:
         raise EnumerationBoundError(
-            f"refusing d={instance.d}, m={instance.m}: enumeration bound is "
-            f"d <= {ENUMERATION_D_MAX}, m <= {ENUMERATION_M_MAX}")
+            f"refusing d={instance.d}, m={instance.m}: the Hurwitz count "
+            f"bound is d <= {ENUMERATION_D_MAX}, m <= {ENUMERATION_M_MAX}")
     return count_factorizations(canonical_permutation(instance.mu), instance.m)
 
 
@@ -225,18 +229,12 @@ def elsv_value(g, mu):
         raise ValueError(f"({g}, {ell}) is unstable: the formula is out of range")
     dim = 3 * g - 3 + ell
     total = Fraction(0)
-    for j in range(0, g + 1):
-        if j > dim:
-            break
-        sign = -1 if j % 2 else 1
+    for j in range(min(g, dim) + 1):
         for exps in compositions(dim - j, ell):
-            weight = 1
-            for mu_i, e_i in zip(mu, exps):
-                weight *= mu_i ** e_i
             value = hodge_integral(
                 HodgeMonomial.of(g, ell, {j: 1} if j else None, exps))
             if value:
-                total += sign * weight * value
+                total += (-1) ** j * prod(map(pow, mu, exps)) * value
     pref = Fraction(factorial(riemann_hurwitz_m(g, mu)))
     for mu_i in mu:
         pref *= Fraction(mu_i ** (mu_i + 1), factorial(mu_i))

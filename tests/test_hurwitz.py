@@ -1,19 +1,21 @@
-"""Hurwitz enumeration against a naive oracle and the former pruned DFS,
-and the ELSV evaluation."""
+"""Hurwitz counts from the characters of S_d against a naive oracle, the
+former pruned DFS and the former state search; sanity checks of the
+characters that use no Hurwitz count; and the ELSV evaluation."""
 
 import random
 from fractions import Fraction
 from itertools import product as iproduct
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
 from pshodge.expr import parse_expression
 from pshodge.hurwitz import (ENUMERATION_D_MAX, ENUMERATION_M_MAX,
                              EnumerationBoundError, HurwitzInstance,
-                             canonical_permutation, count_factorizations,
-                             elsv_value, hurwitz_brute, riemann_hurwitz_m)
-from pshodge.multiset import compositions, partitions
+                             _character, _dimension, canonical_permutation,
+                             count_factorizations, elsv_value, hurwitz_brute,
+                             riemann_hurwitz_m)
+from pshodge.multiset import compositions, counts, partitions
 from pshodge.strata import expr_integral, is_pseudostable
 
 
@@ -51,9 +53,9 @@ def naive_count(target, m):
 
 
 def reference_count(target, m):
-    """The former ``count_factorizations``: a depth-first search over every
+    """An earlier ``count_factorizations``: a depth-first search over every
     transposition tuple with the minimum-transposition and parity prunes,
-    kept as a differential oracle for the state search."""
+    kept as a differential oracle."""
     d = len(target)
     if d == 1:
         return 1 if m == 0 and target == (0,) else 0
@@ -120,6 +122,67 @@ def reference_count(target, m):
     return count
 
 
+def state_search_count(target, m):
+    """The former ``count_factorizations``: a search over states
+    ``(residual, blocks, remaining)`` (the permutation the factors still to
+    be chosen must multiply to, the points joined into blocks so far, each
+    mapped to the smallest point of its block, and the factors left), each
+    counted once per call.  Kept as a differential oracle for the
+    character count.
+
+    Three prunes discard only states that cannot complete: the
+    minimum-transposition count ``d - c`` for a residual with c cycles, its
+    parity, and ``remaining >= c + 2b - d - 2`` for b blocks.  The last is
+    Riemann--Hurwitz: if the remaining factors generate a group with k
+    orbits, they need at least ``d + c - 2k`` factors, and the blocks and
+    orbits link all d points only if ``d >= b + k - 1``."""
+    d = len(target)
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    connected = (0,) * d
+    memo = {}
+
+    def cycle_count(p):
+        seen = [False] * len(p)
+        c = 0
+        for x in range(len(p)):
+            if not seen[x]:
+                c += 1
+                while not seen[x]:
+                    seen[x] = True
+                    x = p[x]
+        return c
+
+    def completions(residual, blocks, remaining):
+        cycles = cycle_count(residual)
+        need = d - cycles
+        if need > remaining or (remaining - need) % 2:
+            return 0
+        if remaining < cycles + 2 * len(set(blocks)) - d - 2:
+            return 0
+        key = (residual, blocks, remaining)
+        if key in memo:
+            return memo[key]
+        if remaining == 0:
+            count = 1 if blocks == connected else 0
+        else:
+            count = 0
+            for i, j in pairs:
+                # choosing (i j) next leaves (i j) * residual to the rest
+                rest = list(residual)
+                rest[i], rest[j] = residual[j], residual[i]
+                bi, bj = blocks[i], blocks[j]
+                if bi == bj:
+                    joined = blocks
+                else:
+                    low, high = min(bi, bj), max(bi, bj)
+                    joined = tuple(low if b == high else b for b in blocks)
+                count += completions(tuple(rest), joined, remaining - 1)
+        memo[key] = count
+        return count
+
+    return completions(tuple(target), tuple(range(d)), m)
+
+
 class TestBruteForce:
     def test_single_transposition(self):
         assert hurwitz_brute(HurwitzInstance.of((2,), 1)) == 1
@@ -164,10 +227,21 @@ class TestBruteForce:
                     inv[y] = x
                 conj = tuple(sigma[target[inv[x]]] for x in range(d))
             assert count_factorizations(conj, m) == \
-                reference_count(conj, m), (mu, m, conj)
+                reference_count(conj, m) == \
+                state_search_count(conj, m), (mu, m, conj)
+
+    def test_matches_state_search(self):
+        # every (mu, m) the former guard d <= 6, m <= 8 admitted, zeros too
+        cases = [(mu, m) for d in range(1, 7) for mu in partitions(d)
+                 for m in range(9)]
+        assert len(cases) == 261
+        for mu, m in cases:
+            target = canonical_permutation(mu)
+            assert count_factorizations(target, m) == \
+                state_search_count(target, m), (mu, m)
 
     def test_genus_one_at_the_guard(self):
-        # the largest genus-one inputs the guard admits
+        # the largest genus-one inputs the former guard d <= 6, m <= 8 admitted
         assert hurwitz_brute(HurwitzInstance.of((3, 3), 8)) == 6429780
         assert elsv_value(1, (3, 3)) == 6429780
         assert hurwitz_brute(HurwitzInstance.of((4, 2), 8)) == 6307840
@@ -190,7 +264,8 @@ class TestBruteForce:
                 inv[y] = x
             conj = tuple(sigma[target[inv[x]]] for x in range(d))
             assert count_factorizations(conj, m) == \
-                count_factorizations(target, m)
+                count_factorizations(target, m) == \
+                state_search_count(conj, m)
 
     def test_opposite_composition_convention(self):
         # reversing the tuple inverts the product; counting factorizations
@@ -202,16 +277,42 @@ class TestBruteForce:
             for x, y in enumerate(target):
                 inverse[y] = x
             assert count_factorizations(target, m) == \
-                count_factorizations(tuple(inverse), m)
+                count_factorizations(tuple(inverse), m) == \
+                state_search_count(tuple(inverse), m)
 
     def test_resource_guard(self):
-        with pytest.raises(EnumerationBoundError):
-            hurwitz_brute(HurwitzInstance.of((7,), 1))
-        with pytest.raises(EnumerationBoundError):
+        bound = "bound is d <= 20, m <= 40"
+        with pytest.raises(EnumerationBoundError, match=bound):
+            hurwitz_brute(HurwitzInstance.of((21,), 1))
+        with pytest.raises(EnumerationBoundError, match=bound):
             hurwitz_brute(HurwitzInstance.of((2,), ENUMERATION_M_MAX + 1))
-        # boundary values are accepted (parity prunes this one instantly)
-        assert hurwitz_brute(HurwitzInstance.of((6,), 8)) == 0
-        assert ENUMERATION_D_MAX == 6
+        # boundary values are accepted; parity zeroes the first at once,
+        # the d-cycle has d^(d-2) minimal factorizations (Denes), and an
+        # odd number of (1 2) multiplies to (1 2)
+        assert hurwitz_brute(HurwitzInstance.of((20,), 40)) == 0
+        assert hurwitz_brute(HurwitzInstance.of((20,), 19)) == 20 ** 18
+        assert hurwitz_brute(HurwitzInstance.of((2,), 39)) == 1
+        assert (ENUMERATION_D_MAX, ENUMERATION_M_MAX) == (20, 40)
+
+
+class TestCharacters:
+    """Character identities of S_d, d <= 8, that use no Hurwitz count."""
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_orthogonality(self, d):
+        memo = {}
+        lams = list(partitions(d))
+        dims = [_dimension(lam) for lam in lams]
+        assert sum(x * x for x in dims) == factorial(d)
+        # the hook-length formula agrees with chi at the identity
+        assert [_character(lam, (1,) * d, memo) for lam in lams] == dims
+        for mu in partitions(d):
+            mu = mu[::-1]
+            chi = [_character(lam, mu, memo) for lam in lams]
+            z_mu = prod(p ** c * factorial(c) for p, c in counts(mu).items())
+            assert sum(x * x for x in chi) == z_mu, mu
+            regular = sum(x * y for x, y in zip(dims, chi))
+            assert regular == (factorial(d) if mu == (1,) * d else 0), mu
 
 
 class TestRiemannHurwitz:
@@ -245,6 +346,18 @@ class TestELSV:
     def test_agreement_small(self, g, mu):
         m = riemann_hurwitz_m(g, mu)
         assert m <= 6
+        assert elsv_value(g, mu) == hurwitz_brute(HurwitzInstance.of(mu, m))
+
+    @pytest.mark.parametrize("g,mu", [
+        (1, (3, 2, 2, 1, 1, 1)), (1, (6, 5, 4, 1, 1, 1)),
+        (2, (2, 2, 1, 1, 1, 1)), (2, (5, 3, 3, 2, 1)),
+        (3, (1, 1, 1, 1, 1, 1)), (3, (7, 4, 2, 1, 1)), (3, (4, 2, 1, 1)),
+        (4, (3, 3, 2, 1, 1)), (4, (5, 3, 2, 1)), (4, (9, 7)), (4, (3,)),
+    ])
+    def test_agreement_beyond_the_former_guard(self, g, mu):
+        # linear Hodge integrals with up to 6 points and genus up to 4
+        m = riemann_hurwitz_m(g, mu)
+        assert m > 8
         assert elsv_value(g, mu) == hurwitz_brute(HurwitzInstance.of(mu, m))
 
 
