@@ -18,7 +18,7 @@ on it, those k form a transitive factorization and the rest any one:
 
 whose term ``S = all, k = m`` is the transitive count ``N*(mu, m)``.
 The guard ``d <= 20, m <= 40`` refuses larger inputs up front; the
-slowest instance it admits takes about a second.
+slowest instance it admits takes well under a second.
 
 For stable ``(g, len(mu))`` and ``m = 2g - 2 + len(mu) + |mu|`` the same
 number is given by the ELSV formula
@@ -99,7 +99,8 @@ def _cycle_type(perm):
         while x not in seen:
             seen.add(x)
             x, length = perm[x], length + 1
-        lengths += [length] if length else []
+        if length:
+            lengths.append(length)
     return tuple(sorted(lengths))
 
 
@@ -145,9 +146,9 @@ def count_factorizations(target, m):
     """Number of m-tuples of transpositions of {0..d-1} whose left-to-right
     product equals ``target`` and which generate a transitive subgroup.
 
-    Only the cycle type of ``target`` matters; the count comes from the
-    characters of S_d (module docstring), with every memo local to the
-    call.  Parts are kept sorted, and the last one is cycle 0.
+    Only the cycle type of ``target`` matters, sorted so that the last
+    part is cycle 0; the count comes from the characters of S_d (module
+    docstring), with every memo local to the call.
 
     >>> count_factorizations((0, 1, 2), 2), count_factorizations((0, 1, 2), 4)
     (0, 24)
