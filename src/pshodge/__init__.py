@@ -32,6 +32,9 @@ __all__ = ["clear_caches", "__version__"]
 
 def clear_caches():
     """Drop the Hodge-integral and GRR memos and the memoised
-    ``hat_lambda`` products (the WK table is managed separately)."""
+    ``hat_lambda`` products, both the complete prefix products and the
+    last products that keep only integrable terms (the WK table is
+    managed separately)."""
     hodge.clear_caches()
     strata._HAT_LAMBDA_PRODUCTS.clear()
+    strata._INTEGRABLE_PRODUCTS.clear()

@@ -23,6 +23,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 from .cache import CacheFormatError, cache_load, cache_store, cache_verify
@@ -68,10 +69,21 @@ def _eval_one(text, g, n, space):
     return expr_integral(g, n, expression, space=space)
 
 
+def _value_text(value):
+    """``str(value)``; a ValueError with a plain message when a numerator
+    or denominator has more digits than Python converts to text."""
+    try:
+        return str(value)
+    except ValueError:
+        raise ValueError(
+            f"the result is too large to print: its numerator or denominator "
+            f"has more than {sys.get_int_max_str_digits()} digits") from None
+
+
 def _format_json(g, n, space, text, value=None, error=None):
     payload = {"g": g, "n": n, "space": space, "expr": text}
     if error is None:
-        payload["value"] = str(value)
+        payload["value"] = value
     else:
         payload["error"] = error
     return json.dumps(payload)
@@ -87,7 +99,8 @@ def _cmd_eval(args):
     status = 0
     if args.expr is not None:
         try:
-            value = _eval_one(args.expr, args.g, args.n, args.space)
+            value = _value_text(
+                _eval_one(args.expr, args.g, args.n, args.space))
         except (ParseError, SymbolRangeError, EmptyModuliError, ValueError) as exc:
             if args.json:
                 print(_format_json(args.g, args.n, args.space, args.expr,
@@ -109,7 +122,8 @@ def _cmd_eval(args):
             if not line:
                 continue
             try:
-                value = _eval_one(line, args.g, args.n, args.space)
+                value = _value_text(
+                    _eval_one(line, args.g, args.n, args.space))
             except (ParseError, SymbolRangeError, EmptyModuliError,
                     ValueError) as exc:
                 status = 1
@@ -222,7 +236,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@cache
 def _build_parser():
+    """The argument parser, built on the first call and reused: parsing
+    keeps no state in it, and in-process callers of :func:`main` skip
+    rebuilding the tree on every call."""
     parser = _Parser(
         prog="pshodge",
         description="Exact Hodge integrals on moduli of stable and "

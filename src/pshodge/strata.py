@@ -325,20 +325,85 @@ def _term_product(g, n, t, u, base):
                                 yield term
 
 
-def class_multiply(first, second):
+def _restrictions_by_bumps(core_lambda, new_tails):
+    """:func:`_lambda_restrictions` grouped by bump vector: a dict from
+    the per-slot bumps to the list of kept lambda tuples."""
+    out = {}
+    for kept, bumps in _lambda_restrictions(core_lambda, new_tails):
+        out.setdefault(bumps, []).append(kept)
+    return out
+
+
+def _bullet_branch(a, b):
+    """The one branch of :func:`_excess_branches` whose tail carries
+    ``psi_bullet``."""
+    return next(branch for branch in _excess_branches(a, b)
+                if branch[1][1] == 1)
+
+
+def _integrable_term_product(g, n, t, u, base):
+    """The terms of ``_term_product(g, n, t, u, base)`` in which every
+    tail carries ``psi_bullet``: the others integrate to zero.
+
+    A matched pair takes only the ``psi_bullet`` branch of the excess
+    weight, and each core's lambda restriction only the bump vector that
+    gives every bare unmatched tail of the other factor its
+    ``psi_bullet``.
+    """
+    t_tails, t_lambda, t_psi = t
+    u_tails, u_lambda, u_psi = u
+    i, ip = len(t_tails), len(u_tails)
+    core_psi = tuple(map(add, t_psi, u_psi))
+    for m in range(min(i, ip) + 1):
+        t_restrictions = _restrictions_by_bumps(t_lambda, ip - m)
+        u_restrictions = _restrictions_by_bumps(u_lambda, i - m)
+        for tsel in combinations(range(i), m):
+            t_rest = [t_tails[x] for x in range(i) if x not in tsel]
+            u_lams = u_restrictions.get(tuple(1 - b for _, b in t_rest))
+            if u_lams is None:
+                continue
+            new_t = [(a, 1) for a, _ in t_rest]
+            for usel in permutations(range(ip), m):
+                u_rest = [u_tails[y] for y in range(ip) if y not in usel]
+                t_lams = t_restrictions.get(tuple(1 - b for _, b in u_rest))
+                if t_lams is None:
+                    continue
+                sign = 1
+                tails = [(a, 1) for a, _ in u_rest] + new_t
+                for x, y in zip(tsel, usel):
+                    b = t_tails[x][1] + u_tails[y][1]
+                    if b > 1:
+                        break
+                    s, ab = _bullet_branch(t_tails[x][0] + u_tails[y][0], b)
+                    sign *= s
+                    tails.append(ab)
+                else:
+                    for lam_t in t_lams:
+                        for lam_u in u_lams:
+                            term = _make_term(g, n, base * sign, tails,
+                                              lam_t + lam_u, core_psi)
+                            if term is not None:
+                                yield term
+
+
+def class_multiply(first, second, integrable=False):
     """Product of two strata classes on the same ambient Mbar_{g,n}.
 
     Bilinear; on terms it sums over matchings of m tails of one factor
     with m tails of the other, weighting every matched pair by the excess
     class and treating unmatched tails as fresh degenerations of the
-    other factor's core (see module docstring).
+    other factor's core (see module docstring).  With ``integrable``,
+    only the terms whose tails all carry ``psi_bullet`` are built; the
+    product then integrates against any psi monomial as the full one
+    does, but cannot be multiplied further.
     """
     first._check_ambient(second)
     g, n = first.g, first.n
+    product = _integrable_term_product if integrable else _term_product
     out = {}
     for t, tc in first.terms.items():
         for u, uc in second.terms.items():
-            accumulate(out, _term_product(g, n, t, u, tc * uc))
+            accumulate(out, product(g, n, t, u, tc * uc))
     return TautClass(g, n, out)
 
 
@@ -462,6 +527,7 @@ def _split(key, g, n):
 
 
 _HAT_LAMBDA_PRODUCTS = {}
+_INTEGRABLE_PRODUCTS = {}
 
 
 def _hat_lambda_product(g, n, lams):
@@ -481,6 +547,25 @@ def _hat_lambda_product(g, n, lams):
         if len(lams) > 1:
             cls = class_multiply(_hat_lambda_product(g, n, lams[:-1]), cls)
         _HAT_LAMBDA_PRODUCTS[key] = cls
+    return cls
+
+
+def _integrable_product(g, n, lams):
+    """The terms of ``_hat_lambda_product(g, n, lams)`` whose tails all
+    carry ``psi_bullet``, memoised by ``(g, n, lams)``.
+
+    The prefix product stays complete, since a later factor can give its
+    bare tails their ``psi_bullet``; only the last factor is multiplied
+    in with ``integrable=True``.
+    """
+    if not lams:
+        return TautClass.one(g, n)
+    key = (g, n, lams)
+    cls = _INTEGRABLE_PRODUCTS.get(key)
+    if cls is None:
+        cls = class_multiply(_hat_lambda_product(g, n, lams[:-1]),
+                             hat_lambda(g, n, lams[-1]), integrable=True)
+        _INTEGRABLE_PRODUCTS[key] = cls
     return cls
 
 
@@ -515,5 +600,5 @@ def expr_integral(g, n, expression, space="stable"):
         accumulate(terms, (
             ((tails, lam, tuple(map(add, core_psi, psi))), c)
             for (tails, lam, core_psi), c
-            in _hat_lambda_product(g, n, lams).terms.items()), coeff)
+            in _integrable_product(g, n, lams).terms.items()), coeff)
     return class_integrate(TautClass(g, n, terms))

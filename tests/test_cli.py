@@ -1,7 +1,11 @@
 """Command-line front end: output formats, exit codes, batch and cache flags."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,10 +16,33 @@ from pshodge.multiset import compositions
 from pshodge.wk import WKTable, is_stable
 
 
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(*argv):
+    """``pshodge`` in a new interpreter: exit code, stdout, stderr."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "pshodge.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's default limit on int-to-text conversion, for the test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python converts integers of any length to text")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield sys.int_info.default_max_str_digits
+    sys.set_int_max_str_digits(before)
 
 
 class TestEval:
@@ -206,7 +233,71 @@ class TestEval:
         assert failure["error"].startswith("cannot store cache file")
 
 
-class TestSeries:
+class TestTooLargeToPrint:
+    """A value with more digits than Python prints is a per-line error."""
+
+    EXPR = "2^20000*psi1^4"
+
+    def message(self, limit):
+        return ("the result is too large to print: its numerator or "
+                f"denominator has more than {limit} digits")
+
+    def test_plain(self, capsys, digit_limit):
+        code, out, err = run(capsys, "eval", "--g", "2", "--n", "1",
+                             self.EXPR)
+        assert (code, out, err) == (1, "",
+                                    f"error: {self.message(digit_limit)}\n")
+
+    def test_json(self, capsys, digit_limit):
+        code, out, err = run(capsys, "eval", "--g", "2", "--n", "1",
+                             "--json", self.EXPR)
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"g": 2, "n": 1, "space": "stable",
+                                   "expr": self.EXPR,
+                                   "error": self.message(digit_limit)}
+
+    def test_batch_continues(self, capsys, tmp_path, digit_limit):
+        batch = tmp_path / "exprs.txt"
+        batch.write_text(f"psi1^4\n{self.EXPR}\nlambda1*psi1^3\n")
+        code, out, err = run(capsys, "eval", "--g", "2", "--n", "1",
+                             "--batch", str(batch))
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [
+            "1/1152", f"line 2: error: {self.message(digit_limit)}", "1/480"]
+
+
+class TestInProcessCalls:
+    def test_parser_built_once_and_not_at_import(self):
+        code = ("import pshodge.cli as c; "
+                "print(c._build_parser.cache_info().currsize)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=SRC))
+        assert proc.stdout == "0\n", proc.stderr
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_no_option_leaks_between_calls(self, capsys, tmp_path):
+        """Several calls in one process, each with other options, give
+        what a fresh process gives."""
+        path = tmp_path / "wk.cache"
+        mumford = "(2*lambda2 - lambda1^2)*psi1^2"
+        calls = [
+            ("eval", "--g", "2", "--n", "1", "--space", "ps", "--json",
+             "--cache", str(path), mumford),
+            ("eval", "--g", "2", "--n", "1", mumford),
+            ("series", "--gmax", "2"),
+        ]
+        in_process = []
+        for index, argv in enumerate(calls):
+            in_process.append(run(capsys, *argv))
+            # only the first call names the cache file
+            assert path.exists() == (index == 0)
+            if index == 0:
+                path.unlink()
+        assert json.loads(in_process[0][1])["value"] == "-1/576"
+        assert in_process[1] == (0, "0\n", "")
+        assert [run_fresh(*argv) for argv in calls] == in_process
+
     def test_rows_pass(self, capsys):
         code, out, _ = run(capsys, "series", "--n", "1", "--gmax", "3")
         assert code == 0

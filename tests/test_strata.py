@@ -11,7 +11,7 @@ from pshodge import expr as E
 from pshodge import hodge, strata
 from pshodge.expr import parse_expression
 from pshodge.hodge import HodgeMonomial, bell_polynomial, hodge_integral
-from pshodge.multiset import compositions
+from pshodge.multiset import accumulate, compositions, partitions
 from pshodge.selfcheck import (random_taut_class, suite_hat_lambda_square)
 from pshodge.strata import (EmptyModuliError, TautClass, class_integrate,
                             class_multiply, expr_integral, hat_lambda,
@@ -57,6 +57,46 @@ def reference_integral(g, n, node, space):
         raise TypeError(node)
 
     return class_integrate(walk(node))
+
+
+def product_route_integral(g, n, expression):
+    """The pseudostable integral by the complete ``hat_lambda`` product of
+    each lambda multiset, with the psi part attached, then integrated:
+    the route that builds every term, bare tails included."""
+    terms = {}
+    for key, coeff in strata._expand(expression, g, n,
+                                     3 * g - 3 + n).items():
+        lams, psi = strata._split(key, g, n)
+        product = strata._hat_lambda_product(g, n, lams)
+        accumulate(terms, (
+            ((tails, lam, tuple(a + b for a, b in zip(core_psi, psi))), c)
+            for (tails, lam, core_psi), c in product.terms.items()), coeff)
+    return class_integrate(TautClass(g, n, terms))
+
+
+def top_degree_monomials(g, n, max_lambdas):
+    """Every top-degree lambda/psi monomial on (g, n) with at most
+    ``max_lambdas`` lambda factors and non-increasing psi exponents (the
+    integrals are symmetric in the markings), as text."""
+    dim = 3 * g - 3 + n
+    for w in range(dim + 1):
+        for lams in partitions(w, g):
+            if len(lams) > max_lambdas:
+                continue
+            for exps in partitions(dim - w):
+                if len(exps) > n:
+                    continue
+                factors = [f"lambda{j}" for j in lams]
+                factors += [f"psi{i}^{e}" for i, e in enumerate(exps, 1)]
+                yield "*".join(factors) or "1"
+
+
+def flipped_excess_branches(a, b):
+    """The excess weight with the wrong sign, ``+psi_star + psi_bullet``."""
+    out = [(1, (a + 1, b))]
+    if b + 1 <= 1:
+        out.append((1, (a, b + 1)))
+    return out
 
 
 def random_expression(rng, g, n, depth):
@@ -206,15 +246,24 @@ class TestProducts:
     def test_excess_sign_mutation_detected(self, monkeypatch):
         """Flipping the excess weight to +psi_star +psi_bullet must break
         the pinned square expansion."""
-        def flipped(a, b):
-            out = [(1, (a + 1, b))]
-            if b + 1 <= 1:
-                out.append((1, (a, b + 1)))
-            return out
-
-        monkeypatch.setattr(strata, "_excess_branches", flipped)
+        monkeypatch.setattr(strata, "_excess_branches",
+                            flipped_excess_branches)
         result = suite_hat_lambda_square()
         assert not result.passed
+
+    def test_excess_sign_mutation_detected_in_integrable_product(
+            self, monkeypatch):
+        """The same flip must break the pseudostable Mumford value, whose
+        last factor is multiplied in with ``integrable=True``."""
+        e = parse_expression("(2*lambda2 - lambda1^2)*psi1^2", 2, 1)
+        monkeypatch.setattr(strata, "_excess_branches",
+                            flipped_excess_branches)
+        pshodge.clear_caches()
+        try:
+            value = expr_integral(2, 1, e, "ps")
+        finally:
+            pshodge.clear_caches()  # drop the products built while flipped
+        assert value != Fraction(-1, 576)
 
 
 class TestIntegration:
@@ -389,8 +438,41 @@ class TestNormalFormEvaluation:
         e = parse_expression("lambda1^2*lambda2*psi1^3", 3, 1)
         first = expr_integral(3, 1, e, "ps")
         assert strata._HAT_LAMBDA_PRODUCTS
+        assert (3, 1, (1, 1, 2)) in strata._INTEGRABLE_PRODUCTS
+        assert (3, 1, (1, 1, 2)) not in strata._HAT_LAMBDA_PRODUCTS
         assert hodge._HODGE_MEMO
         pshodge.clear_caches()
         assert not strata._HAT_LAMBDA_PRODUCTS
+        assert not strata._INTEGRABLE_PRODUCTS
         assert not hodge._HODGE_MEMO and not hodge._CH_MEMO
         assert expr_integral(3, 1, e, "ps") == first
+
+
+class TestIntegrableProducts:
+    # every monomial up to genus 3; at genus 4 the complete products of
+    # three or more factors take seconds, so the cube below stands in
+    @pytest.mark.parametrize("g, n, max_lambdas", [
+        (2, 1, 9), (2, 2, 9), (3, 1, 9), (3, 2, 9), (4, 1, 2)])
+    def test_monomials_match_complete_products(self, g, n, max_lambdas):
+        """Differential oracle: every top-degree monomial through the
+        products that build only integrable terms, against the complete
+        products."""
+        for text in top_degree_monomials(g, n, max_lambdas):
+            e = parse_expression(text, g, n)
+            assert expr_integral(g, n, e, "ps") == \
+                product_route_integral(g, n, e), text
+
+    @pytest.mark.parametrize("g, text", [
+        (4, "(1-lambda1+lambda2-lambda3+lambda4)^3*psi1^4"),
+        (5, "(1-lambda1+lambda2-lambda3+lambda4-lambda5)^3*psi1^6")])
+    def test_cubes_match_complete_products(self, g, text):
+        e = parse_expression(text, g, 1)
+        assert expr_integral(g, 1, e, "ps") == product_route_integral(g, 1, e)
+
+    def test_every_tail_carries_psi_bullet(self):
+        full = strata._hat_lambda_product(4, 1, (1, 1, 2))
+        kept = strata._integrable_product(4, 1, (1, 1, 2))
+        assert kept.terms == {
+            key: c for key, c in full.terms.items()
+            if all(b == 1 for _, b in key[0])}
+        assert len(kept.terms) < len(full.terms)
