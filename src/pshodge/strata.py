@@ -48,11 +48,15 @@ every tail contributes ``1/24`` per ``psi_bullet`` (and 0 without one).
    as j and ``psi_i`` as ``g + i``), dropping monomials above the
    dimension as they arise and keeping only those of exactly top degree;
 2. for each lambda multiset that occurs, form the product of the
-   ``hat_lambda_j`` (memoised, built from its prefix); stably, each
-   monomial is a Hodge integral and no strata class is formed;
-3. attach the monomial's psi part to every term of that product by
-   adding exponents to ``core_psi``, since psi classes pull back
-   unchanged;
+   ``hat_lambda_j``: the product of all factors but the last is
+   complete (memoised, built from its prefix), since a later factor can
+   give a bare tail its ``psi_bullet``; the last factor is multiplied in
+   building only the integrable terms, those whose tails all carry
+   ``psi_bullet`` (memoised separately); stably, each monomial is a
+   Hodge integral and no strata class is formed;
+3. attach the monomial's psi part to every integrable term of that
+   product by adding exponents to ``core_psi``, since psi classes pull
+   back unchanged and leave the tails as they are;
 4. integrate the resulting class.
 
 Each ``hat_lambda_j`` is homogeneous of degree j, so no product needs
@@ -334,13 +338,6 @@ def _restrictions_by_bumps(core_lambda, new_tails):
     return out
 
 
-def _bullet_branch(a, b):
-    """The one branch of :func:`_excess_branches` whose tail carries
-    ``psi_bullet``."""
-    return next(branch for branch in _excess_branches(a, b)
-                if branch[1][1] == 1)
-
-
 def _integrable_term_product(g, n, t, u, base):
     """The terms of ``_term_product(g, n, t, u, base)`` in which every
     tail carries ``psi_bullet``: the others integrate to zero.
@@ -374,7 +371,11 @@ def _integrable_term_product(g, n, t, u, base):
                     b = t_tails[x][1] + u_tails[y][1]
                     if b > 1:
                         break
-                    s, ab = _bullet_branch(t_tails[x][0] + u_tails[y][0], b)
+                    # the one branch whose tail carries psi_bullet
+                    s, ab = next(
+                        branch for branch in _excess_branches(
+                            t_tails[x][0] + u_tails[y][0], b)
+                        if branch[1][1] == 1)
                     sign *= s
                     tails.append(ab)
                 else:
