@@ -298,6 +298,8 @@ class TestInProcessCalls:
         assert in_process[1] == (0, "0\n", "")
         assert [run_fresh(*argv) for argv in calls] == in_process
 
+
+class TestSeries:
     def test_rows_pass(self, capsys):
         code, out, _ = run(capsys, "series", "--n", "1", "--gmax", "3")
         assert code == 0
