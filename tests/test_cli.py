@@ -25,11 +25,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_fresh(*argv):
-    """``pshodge`` in a new interpreter: exit code, stdout, stderr."""
-    env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-m", "pshodge.cli", *argv],
-                          capture_output=True, text=True, env=env,
+def run_fresh(*args):
+    """A new interpreter with ``args``: exit code, stdout, stderr."""
+    proc = subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=SRC),
                           timeout=60)
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -268,12 +267,9 @@ class TestTooLargeToPrint:
 
 class TestInProcessCalls:
     def test_parser_built_once_and_not_at_import(self):
-        code = ("import pshodge.cli as c; "
-                "print(c._build_parser.cache_info().currsize)")
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True, timeout=60,
-                              env=dict(os.environ, PYTHONPATH=SRC))
-        assert proc.stdout == "0\n", proc.stderr
+        assert run_fresh("-c", "import pshodge.cli as c; "
+                         "print(c._build_parser.cache_info().currsize)") \
+            == (0, "0\n", "")
         assert cli._build_parser() is cli._build_parser()
 
     def test_no_option_leaks_between_calls(self, capsys, tmp_path):
@@ -296,7 +292,8 @@ class TestInProcessCalls:
                 path.unlink()
         assert json.loads(in_process[0][1])["value"] == "-1/576"
         assert in_process[1] == (0, "0\n", "")
-        assert [run_fresh(*argv) for argv in calls] == in_process
+        assert [run_fresh("-m", "pshodge.cli", *argv)
+                for argv in calls] == in_process
 
 
 class TestSeries:
