@@ -19,6 +19,7 @@ Prod(left=Lam(index=1), right=Pow(base=Psi(index=1), exponent=3))
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -110,7 +111,13 @@ def _tokenize(text):
             raise ParseError(f"unexpected character {stripped[0]!r}",
                              len(text) - len(stripped))
         if m.group("num"):
-            tokens.append(("num", int(m.group("num")), m.start("num")))
+            try:
+                value = int(m.group("num"))
+            except ValueError:  # longer than Python converts from text
+                raise ParseError("integer literal has more than "
+                                 f"{sys.get_int_max_str_digits()} digits",
+                                 m.start("num")) from None
+            tokens.append(("num", value, m.start("num")))
         elif m.group("name"):
             tokens.append(("name", m.group("name"), m.start("name")))
         else:

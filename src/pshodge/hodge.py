@@ -12,20 +12,24 @@ steps:
    tuple of symbol indices (see :mod:`pshodge.multiset`).  Even Chern
    characters of the Hodge bundle vanish, so only the odd-ch part of
    each lambda factor is multiplied out;
-2. one Chern character factor at a time is eliminated with Mumford's
-   Grothendieck--Riemann--Roch evaluation of ch(E): the replacement is a
-   kappa class, psi corrections at the markings, and pushforwards from
-   the one-edge boundary gluings, which lower the genus or split the
-   surface (with a Bernoulli-number prefactor).  A split surface puts
-   each psi, kappa and ch factor on one side and ``psi^a``, ``psi^b`` at
-   the two branches of the node; the degree of one side forces its
-   genus, so the (kappa, ch) splits are bucketed by the degree they add
-   to a side and each psi split, genus and ``a`` reads only its bucket;
-   sides known to vanish (unstable, or genus 0 with a ch factor) are
-   skipped without recursing, and a term and its mirror image (sides
-   swapped, ``a`` and ``b`` exchanged) are visited once.  Each memo
-   entry is summed as an integer numerator over the running common
-   denominator of its terms and stored as one ``Fraction``;
+2. a marking with ``psi^0`` or ``psi^1`` is forgotten first, by the
+   string and dilaton equations: ch(E) is pulled back under the map that
+   forgets a point, and kappa classes take the Arbarello--Cornalba
+   correction.  Then one Chern character factor at a time is eliminated
+   with Mumford's Grothendieck--Riemann--Roch evaluation of ch(E): the
+   replacement is a kappa class, psi corrections at the markings, and
+   pushforwards from the one-edge boundary gluings, which lower the
+   genus or split the surface (with a Bernoulli-number prefactor).  A
+   split surface puts each psi, kappa and ch factor on one side and
+   ``psi^a``, ``psi^b`` at the two branches of the node; the degree of
+   one side forces its genus, so the (kappa, ch) splits are bucketed by
+   the degree they add to a side and each psi split, genus and ``a``
+   reads only its bucket; sides known to vanish (unstable, or genus 0
+   with a ch factor) are skipped without recursing, and a term and its
+   mirror image (sides swapped, ``a`` and ``b`` exchanged) are visited
+   once.  Each memo entry is summed as an integer numerator over the
+   running common denominator of its terms and stored as one
+   ``Fraction``;
 3. what remains are kappa/psi integrals, finished by :mod:`pshodge.wk`.
 
 Every operation is pure, exact, and memoised.
@@ -185,7 +189,9 @@ def _reduce(g, psi, kappa, ch):
     for sorted tuples.  Factors are eliminated from the largest ``ch_l``
     down; an even l gives 0 at once, since its prefactor ``B_{l+1}``
     vanishes.  A ch-free integral goes to the kappa layer; otherwise the
-    memo is read before any stability or degree check.
+    memo is read before any stability or degree check.  A ``psi^0`` or
+    ``psi^1`` marking whose removal leaves a stable space is forgotten
+    (:func:`_forget_marking`) instead of expanding ``ch_l``.
 
     The separating terms of ``ch_l`` run over splits ``(psi1, kap1, ch1)``
     of the factors and node branches ``a + b = l - 1``.  The side holding
@@ -217,6 +223,10 @@ def _reduce(g, psi, kappa, ch):
     l = ch[-1]
     if not l % 2:
         return _ZERO
+    if psi and psi[0] <= 1 and is_stable(g, n - 1):
+        value = _forget_marking(g, psi, kappa, ch)
+        _CH_MEMO[key] = value
+        return value
     rest = ch[:-1]
 
     # num / den is twice the bracket that multiplies the prefactor
@@ -284,6 +294,41 @@ def _reduce(g, psi, kappa, ch):
     value = Fraction(pref.numerator * num, 2 * pref.denominator * den)
     _CH_MEMO[key] = value
     return value
+
+
+def _forget_marking(g, psi, kappa, ch):
+    """:func:`_reduce` with ``psi[0] <= 1`` by forgetting that marking.
+
+    ch(E) is pulled back under the map that forgets a point, and
+    ``kappa_a = pi^* kappa_a + psi^a`` there (Arbarello--Cornalba), so with
+    ``d = psi[1:]`` on ``m = len(d)`` points the string (``psi^0``) and
+    dilaton (``psi^1``) equations hold with a kappa correction: every
+    nonempty sub-multiset S of the kappa factors merges into one
+    ``kappa_{sum(S) + e - 1}``, ``e`` the forgotten exponent.  Besides,
+    ``psi^0`` lowers one positive exponent of ``d`` and ``psi^1`` gives
+    ``kappa_0``.  ``kappa_0 = 2g - 2 + m`` is a scalar, never a factor."""
+    e, d = psi[0], psi[1:]
+    kappa0 = 2 * g - 2 + len(d)
+    num, den = 0, 1
+    if e:
+        x = _reduce(g, d, kappa, ch)
+        num, den = kappa0 * x.numerator, x.denominator
+    else:
+        for v, c in counts(d).items():
+            if v:
+                x = _reduce(g, replace_one(d, v, v - 1), kappa, ch)
+                num, den = add_term(num, den, c * x.numerator, x.denominator)
+    for chosen, remaining, mult in sub_multisets(kappa):
+        if not chosen:
+            continue
+        a = sum(chosen) + e - 1
+        if a:
+            x = _reduce(g, d, tuple(sorted(remaining + (a,))), ch)
+        else:
+            x = _reduce(g, d, remaining, ch)
+            mult *= kappa0
+        num, den = add_term(num, den, mult * x.numerator, x.denominator)
+    return Fraction(num, den)
 
 
 def hodge_integral(monomial):

@@ -189,7 +189,7 @@ def _bernoulli_numbers(count):
     return out
 
 
-def suite_hodge_closed_forms(gmax=4):
+def suite_hodge_closed_forms(gmax=5):
     """Closed forms for lambda_g psi (Faber--Pandharipande and the lambda_g
     formula, n <= 3), lambda_g lambda_{g-1} psi (n <= 2, g >= 2) and
     Faber's lambda_g lambda_{g-1} lambda_{g-2}, for g <= gmax."""

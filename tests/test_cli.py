@@ -265,6 +265,32 @@ class TestTooLargeToPrint:
             "1/1152", f"line 2: error: {self.message(digit_limit)}", "1/480"]
 
 
+class TestLongLiteral:
+    """An integer literal with more digits than Python reads from text is
+    a parse error at the literal's position."""
+
+    def expr(self, limit):
+        return "2*" + "1" * (limit + 1) + "*psi1^4"
+
+    def message(self, limit):
+        return f"integer literal has more than {limit} digits (at position 2)"
+
+    def test_plain(self, capsys, digit_limit):
+        code, out, err = run(capsys, "eval", "--g", "2", "--n", "1",
+                             self.expr(digit_limit))
+        assert (code, out, err) == (1, "",
+                                    f"error: {self.message(digit_limit)}\n")
+
+    def test_json(self, capsys, digit_limit):
+        expr = self.expr(digit_limit)
+        code, out, err = run(capsys, "eval", "--g", "2", "--n", "1",
+                             "--json", expr)
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"g": 2, "n": 1, "space": "stable",
+                                   "expr": expr,
+                                   "error": self.message(digit_limit)}
+
+
 class TestInProcessCalls:
     def test_parser_built_once_and_not_at_import(self):
         assert run_fresh("-c", "import pshodge.cli as c; "
