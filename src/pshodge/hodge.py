@@ -304,9 +304,10 @@ def _forget_marking(g, psi, kappa, ch):
     ``d = psi[1:]`` on ``m = len(d)`` points the string (``psi^0``) and
     dilaton (``psi^1``) equations hold with a kappa correction: every
     nonempty sub-multiset S of the kappa factors merges into one
-    ``kappa_{sum(S) + e - 1}``, ``e`` the forgotten exponent.  Besides,
-    ``psi^0`` lowers one positive exponent of ``d`` and ``psi^1`` gives
-    ``kappa_0``.  ``kappa_0 = 2g - 2 + m`` is a scalar, never a factor."""
+    ``kappa_{sum(S) + e - 1}``, ``e`` the forgotten exponent.  For S
+    empty, ``psi^0`` lowers one positive exponent of ``d``, and ``psi^1``
+    multiplies the integral over ``d`` by ``kappa_0``.  ``kappa_0`` is
+    the scalar ``2g - 2 + m``, never a stored factor."""
     e, d = psi[0], psi[1:]
     kappa0 = 2 * g - 2 + len(d)
     num, den = 0, 1

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 
 import pytest
@@ -411,21 +412,16 @@ class TestReductionOracle:
         clear_caches()
         memo = {}
         checked = set()
-        for g in range(1, 5):
-            for n in range(1, 5):
-                dim = 3 * g - 3 + n
-                for kappa in ((), (1,), (2,), (1, 1), (1, 2), (1, 3)):
-                    for ch in ((1,), (3,), (5,), (1, 1), (1, 3), (3, 3)):
-                        deg = dim - sum(kappa) - sum(ch)
-                        if deg < 0:
-                            continue
-                        for rest in compositions(deg, n - 1):
-                            for first in (0, 1):
-                                psi = tuple(sorted((first,) + rest))
-                                key = (g, psi, kappa, ch)
-                                if psi[0] > 1 or key in checked:
-                                    continue
-                                want = reference_reduce(*key, memo)
-                                assert _reduce(*key) == want, key
-                                checked.add(key)
+        for g, n, kappa, ch, first in product(
+                range(1, 5), range(1, 5),
+                ((), (1,), (2,), (1, 1), (1, 2), (1, 3)),
+                ((1,), (3,), (5,), (1, 1), (1, 3), (3, 3)), (0, 1)):
+            deg = 3 * g - 3 + n - sum(kappa) - sum(ch) - first
+            if deg < 0:
+                continue
+            for rest in compositions(deg, n - 1):
+                key = (g, tuple(sorted((first,) + rest)), kappa, ch)
+                if key not in checked:
+                    assert _reduce(*key) == reference_reduce(*key, memo), key
+                    checked.add(key)
         assert len(checked) > 1000
