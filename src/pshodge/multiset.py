@@ -47,7 +47,11 @@ def sub_multisets(values):
     realise the chosen multiset, i.e. the product of binomials over the
     distinct values.  ``chosen`` and ``rest`` are sorted tuples.  The
     list is built one distinct value at a time, smallest first, so the
-    number of copies of the smallest value taken varies slowest.
+    number of copies of the smallest value taken varies slowest.  Hence
+    ``out[i]`` and ``out[-1 - i]`` are complements of each other, with
+    equal multiplicity, and the list has odd length exactly when every
+    multiplicity in ``values`` is even; its middle entry is then its own
+    complement.
 
     >>> sub_multisets((1, 1, 2))
     [((), (1, 1, 2), 1), ((2,), (1, 1), 1), ((1,), (1, 2), 2), ((1, 2), (1,), 2), ((1, 1), (2,), 1), ((1, 1, 2), (), 1)]

@@ -24,17 +24,22 @@ sorted, ``p`` its largest exponent and ``rest`` the others:
   reduction ``12 g sum_{a+b=p-2} A(g-1, rest a b)``, and half of the
   separating terms ``C(g, g1) mult A(g1, S a) A(g - g1, S^c b)`` over
   ``a + b = p - 2`` and sub-multisets S of ``rest`` with multiplicity
-  ``mult``.
+  ``mult``.  The genus reduction visits ``a < b`` twice and ``a = b``
+  once; the separating sum visits one of each pair ``S, S^c`` of
+  distinct sub-multisets, whose terms ``(a, S)`` and ``(b, S^c)`` agree.
 
 Base values: ``A(0, (0, 0, 0)) = 1`` and ``A(1, (1,)) = 3``, that is
 ``<tau_0^3>_0 = 1`` and ``<tau_1>_1 = 1/24``.
 
-The halving is exact, so every A is an integer by induction.  Count the
-separating terms over labelled subsets S of the positions of ``rest``.
-If ``rest`` is nonempty, ``(a, S) <-> (p - 2 - a, S^c)`` pairs them with
-equal values (``C(g, g1) = C(g, g - g1)``) and has no fixed point, so
-their sum is even.  If ``rest`` is empty, the only unpaired term has
-``a = b`` and ``g1 = g/2``; it carries ``C(g, g/2)``, which is even.
+Only a self-complementary sub-multiset ``S = S^c`` is left to halve.
+There is one exactly when every multiplicity in ``rest`` is even (the
+empty ``rest`` included), and its halving is exact, so every A is an
+integer by induction.  Count its terms over the labelled subsets of the
+positions of ``rest`` that realise S.  If ``rest`` is nonempty,
+``(a, S) <-> (p - 2 - a, S^c)`` pairs them with equal values
+(``C(g, g1) = C(g, g - g1)``) and has no fixed point, so their sum is
+even.  If ``rest`` is empty, the only unpaired term has ``a = b`` and
+``g1 = g/2``; it carries ``C(g, g/2)``, which is even.
 
 kappa classes use the pointed convention ``kappa_a = pi_*(psi^{a+1})``
 for one extra marked point.  A kappa factor is eliminated against such an
@@ -225,6 +230,9 @@ class WKTable:
         return total
 
     def _dvv(self, g, d):
+        # each pair of equal terms is visited once (see the module docstring);
+        # every key has the right dimension, so the memo is read first
+        psi = self._psi
         scaled = self._scaled
         p = d[-1]
         rest = d[:-1]
@@ -232,11 +240,21 @@ class WKTable:
         for v, c in counts(rest).items():
             total += c * (2 * v + 1) * scaled(g, replace_one(rest, v, p + v - 1))
         if g >= 1:
-            total += 12 * g * sum(
-                scaled(g - 1, tuple(sorted(rest + (a, p - 2 - a))))
-                for a in range(p - 1))
-        split = 0
-        for part1, part2, mult in sub_multisets(rest):
+            genus = 0
+            for a in range((p - 1) // 2):
+                key = (g - 1, tuple(sorted(rest + (a, p - 2 - a))))
+                x = psi.get(key)
+                genus += 2 * (scaled(*key) if x is None else x)
+            if p % 2 == 0:
+                genus += scaled(g - 1, tuple(sorted(rest + (p // 2 - 1,) * 2)))
+            total += 12 * g * genus
+        # splits[-1 - i] is the complement of splits[i]; a middle entry, if
+        # any, is its own complement and its sum is halved
+        splits = sub_multisets(rest)
+        half, odd = divmod(len(splits), 2)
+        for i in range(half + odd):
+            part1, part2, mult = splits[i]
+            split = 0
             # the side holding tau_a has genus g1 with 3 g1 = w + a: start at
             # the least a = -w (mod 3) with g1 >= 0; g1 grows by one per step
             w = sum(part1) - len(part1) + 2
@@ -244,12 +262,16 @@ class WKTable:
                 g1 = (w + a) // 3
                 if g1 > g:
                     break
-                left = scaled(g1, tuple(sorted(part1 + (a,))))
+                key = (g1, tuple(sorted(part1 + (a,))))
+                x = psi.get(key)
+                left = scaled(*key) if x is None else x
                 if left:
-                    right = scaled(g - g1, tuple(sorted(part2 + (p - 2 - a,))))
-                    split += comb(g, g1) * mult * left * right
-        # split is even, see the module docstring, so the halving is exact
-        return total + split // 2
+                    key = (g - g1, tuple(sorted(part2 + (p - 2 - a,))))
+                    x = psi.get(key)
+                    right = scaled(*key) if x is None else x
+                    split += comb(g, g1) * left * right
+            total += mult * split if i < half else mult * split // 2
+        return total
 
     # -- kappa/psi integrals --------------------------------------------
 

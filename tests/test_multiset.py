@@ -53,6 +53,18 @@ class TestSubMultisets:
                 assert tuple(sorted(chosen + rest)) == values
 
 
+    def test_mirrored_entries_are_complements(self):
+        for values in random_multisets():
+            splits = sub_multisets(values)
+            for (chosen, rest, mult), mirror in zip(splits, splits[::-1]):
+                assert mirror == (rest, chosen, mult), values
+
+    def test_odd_length_iff_every_multiplicity_even(self):
+        for values in random_multisets():
+            all_even = all(c % 2 == 0 for c in counts(values).values())
+            assert (len(sub_multisets(values)) % 2 == 1) == all_even, values
+
+
 class TestAddTerm:
     def test_matches_fraction_sum(self):
         rng = random.Random(11)

@@ -4,7 +4,7 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -136,6 +136,66 @@ class TestScaledIntegers:
             table.integral(g, d)
         assert len(table) > 1000
         assert all(type(a) is int for a in table._psi.values())
+
+
+def self_complementary_keys():
+    """Keys whose ``rest`` (all but the largest exponent) has only even
+    multiplicities, so its sub-multisets have a self-complementary middle
+    entry: ``(2, 2, p)`` and ``(4, 4, p)`` at g = 5..9 and
+    ``(3, 3, 5, 5, p)`` at g = 7..9, with ``p`` set by the dimension."""
+    keys = [(g, rest + (3 * g - 3 + len(rest) + 1 - sum(rest),))
+            for rest in ((2, 2), (4, 4)) for g in range(5, 10)]
+    keys += [(g, (3, 3, 5, 5, 3 * g - 14)) for g in range(7, 10)]
+    return keys
+
+
+class TestMirrorWalk:
+    def test_self_complementary_rest_matches_fraction_oracle(self):
+        keys = self_complementary_keys()
+        assert {d[-1] % 2 for _, d in keys} == {0, 1}
+        for g, d in keys:
+            assert d == tuple(sorted(d)) and d[0] >= 2
+            assert len(sub_multisets(d[:-1])) % 2 == 1, d
+        table = WKTable()
+        oracle = FractionDVV()
+        for g, d in keys:
+            assert table.integral(g, d) == oracle.value(g, d), (g, d)
+
+
+def two_point_coefficients(g):
+    """Coefficients of the degree-3g part of Dijkgraaf's two-point series
+    ``exp((x^3 + y^3)/24) sum_n n!/(2n+1)! (xy(x+y)/2)^n``, as a map
+    ``a -> coefficient of x^a y^(3g - a)``.  The k-th exponential term and
+    the n-th sum term meet in degree 3g exactly when k + n = g."""
+    out = {}
+    for k in range(g + 1):
+        n = g - k
+        c = Fraction(factorial(n), 24 ** k * factorial(k)
+                     * factorial(2 * n + 1) * 2 ** n)
+        # (x^3 + y^3)^k (x^2 y + x y^2)^n expanded binomially
+        for i in range(k + 1):
+            for j in range(n + 1):
+                a = 3 * i + 2 * j + (n - j)
+                out[a] = out.get(a, 0) + c * comb(k, i) * comb(n, j)
+    return out
+
+
+class TestTwoPointOracle:
+    def test_dijkgraaf_two_point_function_to_genus_10(self):
+        """``(x + y) D(x, y)``, with ``D`` the generating function of
+        ``<tau_i tau_j>_g``, has ``<tau_{a-1} tau_b>_g + <tau_a tau_{b-1}>_g``
+        as its coefficient of ``x^a y^b`` for ``a + b = 3g``."""
+        table = WKTable()
+        checked = 0
+        for g in range(1, 11):
+            coeffs = two_point_coefficients(g)
+            for a in range(3 * g + 1):
+                b = 3 * g - a
+                want = ((table.integral(g, (a - 1, b)) if a else 0)
+                        + (table.integral(g, (a, b - 1)) if b else 0))
+                assert coeffs.get(a, 0) == want, (g, a)
+                checked += 1
+        assert checked == sum(3 * g + 1 for g in range(1, 11))
 
 
 class TestRefusals:
