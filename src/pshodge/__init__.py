@@ -31,10 +31,11 @@ __all__ = ["clear_caches", "__version__"]
 
 
 def clear_caches():
-    """Drop the Hodge-integral and GRR memos and the memoised
-    ``hat_lambda`` products, both the complete prefix products and the
-    last products that keep only integrable terms (the WK table is
-    managed separately)."""
+    """Drop the Hodge-integral and GRR memos, the memoised ``hat_lambda``
+    products (both the complete prefix products and the last products
+    that keep only integrable terms) and the table of lambda
+    restrictions over fresh tails (the WK table is managed separately)."""
     hodge.clear_caches()
     strata._HAT_LAMBDA_PRODUCTS.clear()
     strata._INTEGRABLE_PRODUCTS.clear()
+    strata._RESTRICTIONS.clear()

@@ -9,9 +9,10 @@ Subcommands::
     cache      store / load / verify the psi-correlator memo table
 
 Batch lines are evaluated in order, one at a time.  ``--cache PATH``
-loads the psi memo table before the work and stores it after; a cache
-file that cannot be read, parsed or written is an error, reported like
-an unreadable ``--batch`` file.
+loads the psi memo table before the work and stores it after (a missing
+file starts an empty table); a cache file that cannot be read, parsed
+or written is an error, reported like an unreadable ``--batch`` file.
+``cache load`` and ``cache verify`` refuse a missing file.
 
 Exit status: 0 on success, 1 on an evaluation or user error (usage errors
 and unusable batch or cache files included), 2 on a selfcheck failure.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import cache
@@ -210,13 +212,18 @@ def _cache_action(args):
         count = cache_store(args.path, table)
         print(f"stored {count} entries to {args.path}")
         return 0
+    if args.action == "verify" and args.sample < 0:
+        print("cache: --sample must be non-negative", file=sys.stderr)
+        return 1
+    # cache_load reads a missing file as empty, which would pass unnoticed
+    if not os.path.exists(args.path):
+        print(f"error: cannot {args.action} cache file: {args.path} does "
+              f"not exist", file=sys.stderr)
+        return 1
     if args.action == "load":
         table = cache_load(args.path)
         print(f"loaded {len(table)} entries from {args.path}")
         return 0
-    if args.sample < 0:
-        print("cache: --sample must be non-negative", file=sys.stderr)
-        return 1
     checked, mismatches = cache_verify(args.path, sample=args.sample)
     if mismatches:
         for g, d, stored, again in mismatches:

@@ -10,7 +10,8 @@ numerator over a running common denominator (:func:`add_term`) and
 turned into one :class:`fractions.Fraction` at the end.
 
 A sparse polynomial is a plain dict from a monomial key to a nonzero
-:class:`fractions.Fraction`.  For polynomials in commuting symbols
+:class:`fractions.Fraction`, or a plain ``int`` where a caller keeps
+its coefficients integral by a known scale.  For polynomials in commuting symbols
 ``s_1, s_2, ...`` the key is the multiset of symbol indices, e.g.
 ``(1, 1, 3)`` for ``s_1^2 s_3``, and ``()`` is the constant monomial.
 """

@@ -48,12 +48,17 @@ every tail contributes ``1/24`` per ``psi_bullet`` (and 0 without one).
    as j and ``psi_i`` as ``g + i``), dropping monomials above the
    dimension as they arise and keeping only those of exactly top degree;
 2. for each lambda multiset that occurs, form the product of the
-   ``hat_lambda_j``: the product of all factors but the last is
-   complete (memoised, built from its prefix), since a later factor can
-   give a bare tail its ``psi_bullet``; the last factor is multiplied in
-   building only the integrable terms, those whose tails all carry
-   ``psi_bullet`` (memoised separately); stably, each monomial is a
-   Hodge integral and no strata class is formed;
+   ``j! * hat_lambda_j``, whose coefficients ``j!/i!`` are integers, so
+   the products keep plain ``int`` coefficients and the monomial's
+   coefficient is divided by ``prod j!`` once.  The product of all
+   factors but the last is complete (memoised, built from its prefix),
+   since a later factor can give a bare tail its ``psi_bullet``; the
+   last factor is multiplied in building only the integrable terms,
+   those whose tails all carry ``psi_bullet`` (memoised separately).
+   The restrictions of a core lambda monomial over fresh tails, grouped
+   by the tails they bump, depend only on the monomial and the tail
+   count and are built once per pair (``_RESTRICTIONS``).  Stably, each
+   monomial is a Hodge integral and no strata class is formed;
 3. attach the monomial's psi part to every integrable term of that
    product by adding exponents to ``core_psi``, since psi classes pull
    back unchanged and leave the tails as they are;
@@ -69,7 +74,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product as iproduct
-from math import factorial
+from math import factorial, prod
 from operator import add
 
 from . import expr as expr_mod
@@ -131,9 +136,9 @@ def _make_term(g, n, coeff, tails, core_lambda, core_psi):
     the zero class.
 
     ``tails`` holds ``(a, b)`` pairs and ``core_lambda`` the core lambda
-    indices with multiplicity, each in any order.
+    indices with multiplicity, each in any order.  ``coeff`` is kept as
+    given, so an ``int`` stays an ``int``.
     """
-    coeff = Fraction(coeff)
     if not coeff:
         return None
     tails = tuple(sorted(tails))
@@ -247,21 +252,31 @@ def restrict_lambda_to_tails(j, new_tails):
     return out
 
 
-def _lambda_restrictions(core_lambda, new_tails):
-    """All ways to restrict a core lambda monomial over fresh tails.
+_RESTRICTIONS = {}
 
-    Yields ``(lambdas, bumps)``: the lambda indices the core keeps, in no
-    particular order, and the per-slot count of acquired tail psi
-    factors.  Slots collecting two factors are dropped on the spot (tail
-    psi squares vanish).
+
+def _restrictions_by_bumps(core_lambda, new_tails):
+    """All ways to restrict a core lambda monomial over ``new_tails``
+    fresh tails, grouped by bump vector.
+
+    Returns a dict from the per-slot count of acquired tail psi factors
+    to the list of lambda tuples the core keeps (each in no particular
+    order).  Slots collecting two factors are dropped on the spot (tail
+    psi squares vanish).  The table depends only on the two arguments
+    and is memoised in ``_RESTRICTIONS``; callers must not mutate it.
     """
-    results = []
+    key = (core_lambda, new_tails)
+    table = _RESTRICTIONS.get(key)
+    if table is not None:
+        return table
+    table = {}
+    options = [restrict_lambda_to_tails(j, new_tails) for j in core_lambda]
 
     def rec(idx, kept, bumps):
         if idx == len(core_lambda):
-            results.append((kept, tuple(bumps)))
+            table.setdefault(tuple(bumps), []).append(kept)
             return
-        for jc, slots in restrict_lambda_to_tails(core_lambda[idx], new_tails):
+        for jc, slots in options[idx]:
             if any(bumps[s] for s in slots):
                 continue
             for s in slots:
@@ -271,7 +286,8 @@ def _lambda_restrictions(core_lambda, new_tails):
                 bumps[s] -= 1
 
     rec(0, (), [0] * new_tails)
-    return results
+    _RESTRICTIONS[key] = table
+    return table
 
 
 def _excess_branches(a, b):
@@ -283,6 +299,18 @@ def _excess_branches(a, b):
     return out
 
 
+def _bumped(rest, restrictions):
+    """``(lams, tails)`` for every bump vector of ``restrictions`` that
+    leaves each of the unmatched tails ``rest`` with at most one
+    ``psi_bullet``: the kept lambda tuples and the bumped tails."""
+    out = []
+    for bumps, lams in restrictions.items():
+        tails = [(a, b + e) for (a, b), e in zip(rest, bumps)]
+        if all(b <= 1 for _, b in tails):
+            out.append((lams, tails))
+    return out
+
+
 def _term_product(g, n, t, u, base):
     """The ``(key, coeff)`` strata terms of ``base`` times the product of
     the decorations ``t`` and ``u`` on Mbar_{g,n}."""
@@ -291,18 +319,24 @@ def _term_product(g, n, t, u, base):
     i, ip = len(t_tails), len(u_tails)
     core_psi = tuple(map(add, t_psi, u_psi))
     for m in range(min(i, ip) + 1):
-        t_restrictions = _lambda_restrictions(t_lambda, ip - m)
-        u_restrictions = _lambda_restrictions(u_lambda, i - m)
+        t_restrictions = _restrictions_by_bumps(t_lambda, ip - m)
+        u_restrictions = _restrictions_by_bumps(u_lambda, i - m)
         for tsel in combinations(range(i), m):
-            tsel_set = set(tsel)
-            t_rest = [t_tails[x] for x in range(i) if x not in tsel_set]
+            # u's core restrictions bump t's unmatched tails
+            new_ts = _bumped([t_tails[x] for x in range(i) if x not in tsel],
+                             u_restrictions)
+            if not new_ts:
+                continue
             for usel in permutations(range(ip), m):
-                usel_set = set(usel)
-                u_rest = [u_tails[y] for y in range(ip) if y not in usel_set]
                 merged = [(t_tails[x][0] + u_tails[y][0],
                            t_tails[x][1] + u_tails[y][1])
                           for x, y in zip(tsel, usel)]
                 if any(b > 1 for _, b in merged):
+                    continue
+                new_us = _bumped(
+                    [u_tails[y] for y in range(ip) if y not in usel],
+                    t_restrictions)
+                if not new_us:
                     continue
                 for branches in iproduct(*[_excess_branches(a, b)
                                            for a, b in merged]):
@@ -311,31 +345,16 @@ def _term_product(g, n, t, u, base):
                     for s, ab in branches:
                         sign *= s
                         matched_tails.append(ab)
-                    for lam_t, bumps_t in t_restrictions:
-                        new_u = [(a, bb + extra) for (a, bb), extra
-                                 in zip(u_rest, bumps_t)]
-                        if any(bb > 1 for _, bb in new_u):
-                            continue
-                        for lam_u, bumps_u in u_restrictions:
-                            new_t = [(a, bb + extra) for (a, bb), extra
-                                     in zip(t_rest, bumps_u)]
-                            if any(bb > 1 for _, bb in new_t):
-                                continue
-                            term = _make_term(
-                                g, n, base * sign,
-                                matched_tails + new_t + new_u,
-                                lam_t + lam_u, core_psi)
-                            if term is not None:
-                                yield term
-
-
-def _restrictions_by_bumps(core_lambda, new_tails):
-    """:func:`_lambda_restrictions` grouped by bump vector: a dict from
-    the per-slot bumps to the list of kept lambda tuples."""
-    out = {}
-    for kept, bumps in _lambda_restrictions(core_lambda, new_tails):
-        out.setdefault(bumps, []).append(kept)
-    return out
+                    coeff = base * sign
+                    for t_lams, new_u in new_us:
+                        for u_lams, new_t in new_ts:
+                            tails = matched_tails + new_t + new_u
+                            for lam_t in t_lams:
+                                for lam_u in u_lams:
+                                    term = _make_term(g, n, coeff, tails,
+                                                      lam_t + lam_u, core_psi)
+                                    if term is not None:
+                                        yield term
 
 
 def _integrable_term_product(g, n, t, u, base):
@@ -379,9 +398,10 @@ def _integrable_term_product(g, n, t, u, base):
                     sign *= s
                     tails.append(ab)
                 else:
+                    coeff = base * sign
                     for lam_t in t_lams:
                         for lam_u in u_lams:
-                            term = _make_term(g, n, base * sign, tails,
+                            term = _make_term(g, n, coeff, tails,
                                               lam_t + lam_u, core_psi)
                             if term is not None:
                                 yield term
@@ -449,7 +469,7 @@ def hat_lambda(g, n, j):
         raise EmptyModuliError(g, n, "ps")
     if j < 0:
         raise ValueError("negative lambda index")
-    terms = [_make_term(g, n, 1, (), (j,) if j else (), (0,) * n)]
+    terms = [_make_term(g, n, _ONE, (), (j,) if j else (), (0,) * n)]
     for i in range(1, j + 1):
         jc = j - i
         terms.append(_make_term(
@@ -531,8 +551,18 @@ _HAT_LAMBDA_PRODUCTS = {}
 _INTEGRABLE_PRODUCTS = {}
 
 
+def _scaled_hat_lambda(g, n, j):
+    """``j! * hat_lambda_j`` on Mbar_{g,n}: its coefficients ``j!/i!``
+    are plain integers."""
+    scale = factorial(j)
+    return TautClass(g, n, {
+        key: scale * c.numerator // c.denominator
+        for key, c in hat_lambda(g, n, j).terms.items()})
+
+
 def _hat_lambda_product(g, n, lams):
-    """``prod_{j in lams} hat_lambda_j`` on Mbar_{g,n} for a sorted multiset.
+    """``prod_{j in lams} j! * hat_lambda_j`` on Mbar_{g,n} for a sorted
+    multiset, with ``int`` coefficients.
 
     Memoised by ``(g, n, lams)``; each product is its prefix's product
     times one more factor, so products sharing a prefix share the work.
@@ -544,7 +574,7 @@ def _hat_lambda_product(g, n, lams):
     key = (g, n, lams)
     cls = _HAT_LAMBDA_PRODUCTS.get(key)
     if cls is None:
-        cls = hat_lambda(g, n, lams[-1])
+        cls = _scaled_hat_lambda(g, n, lams[-1])
         if len(lams) > 1:
             cls = class_multiply(_hat_lambda_product(g, n, lams[:-1]), cls)
         _HAT_LAMBDA_PRODUCTS[key] = cls
@@ -553,7 +583,8 @@ def _hat_lambda_product(g, n, lams):
 
 def _integrable_product(g, n, lams):
     """The terms of ``_hat_lambda_product(g, n, lams)`` whose tails all
-    carry ``psi_bullet``, memoised by ``(g, n, lams)``.
+    carry ``psi_bullet``, with the same scale ``prod_{j in lams} j!``,
+    memoised by ``(g, n, lams)``.
 
     The prefix product stays complete, since a later factor can give its
     bare tails their ``psi_bullet``; only the last factor is multiplied
@@ -565,7 +596,8 @@ def _integrable_product(g, n, lams):
     cls = _INTEGRABLE_PRODUCTS.get(key)
     if cls is None:
         cls = class_multiply(_hat_lambda_product(g, n, lams[:-1]),
-                             hat_lambda(g, n, lams[-1]), integrable=True)
+                             _scaled_hat_lambda(g, n, lams[-1]),
+                             integrable=True)
         _INTEGRABLE_PRODUCTS[key] = cls
     return cls
 
@@ -601,5 +633,6 @@ def expr_integral(g, n, expression, space="stable"):
         accumulate(terms, (
             ((tails, lam, tuple(map(add, core_psi, psi))), c)
             for (tails, lam, core_psi), c
-            in _integrable_product(g, n, lams).terms.items()), coeff)
+            in _integrable_product(g, n, lams).terms.items()),
+            coeff / prod(map(factorial, lams)))
     return class_integrate(TautClass(g, n, terms))

@@ -402,6 +402,15 @@ class TestCacheCommand:
         assert (code, out) == (1, "")
         assert err.startswith("error: cannot load cache file")
 
+    @pytest.mark.parametrize("action", ["load", "verify"])
+    def test_missing_file(self, capsys, tmp_path, action):
+        path = str(tmp_path / "missing.cache")
+        code, out, err = run(capsys, "cache", action, path)
+        assert (code, out) == (1, "")
+        assert err == (f"error: cannot {action} cache file: {path} "
+                       f"does not exist\n")
+        assert not os.path.exists(path)
+
     def test_store_into_missing_directory(self, capsys, tmp_path):
         path = tmp_path / "missing" / "wk.cache"
         code, out, err = run(capsys, "cache", "store", str(path),

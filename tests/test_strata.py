@@ -1,7 +1,10 @@
 """Strata algebra: pinned expansions, excess products, pseudostable integrals."""
 
+import functools
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import factorial
 
 import pytest
@@ -59,18 +62,30 @@ def reference_integral(g, n, node, space):
     return class_integrate(walk(node))
 
 
+@functools.cache
+def complete_product(g, n, lams):
+    """``prod_{j in lams} hat_lambda_j`` for a sorted multiset, from the
+    public ``hat_lambda`` and ``class_multiply`` with their ``Fraction``
+    coefficients: every term, bare tails included, and no scale."""
+    if not lams:
+        return TautClass.one(g, n)
+    return class_multiply(complete_product(g, n, lams[:-1]),
+                          hat_lambda(g, n, lams[-1]))
+
+
 def product_route_integral(g, n, expression):
     """The pseudostable integral by the complete ``hat_lambda`` product of
     each lambda multiset, with the psi part attached, then integrated:
-    the route that builds every term, bare tails included."""
+    the route that builds every term and shares no scale with
+    ``expr_integral``."""
     terms = {}
     for key, coeff in strata._expand(expression, g, n,
                                      3 * g - 3 + n).items():
         lams, psi = strata._split(key, g, n)
-        product = strata._hat_lambda_product(g, n, lams)
         accumulate(terms, (
             ((tails, lam, tuple(a + b for a, b in zip(core_psi, psi))), c)
-            for (tails, lam, core_psi), c in product.terms.items()), coeff)
+            for (tails, lam, core_psi), c
+            in complete_product(g, n, lams).terms.items()), coeff)
     return class_integrate(TautClass(g, n, terms))
 
 
@@ -440,10 +455,12 @@ class TestNormalFormEvaluation:
         assert strata._HAT_LAMBDA_PRODUCTS
         assert (3, 1, (1, 1, 2)) in strata._INTEGRABLE_PRODUCTS
         assert (3, 1, (1, 1, 2)) not in strata._HAT_LAMBDA_PRODUCTS
+        assert strata._RESTRICTIONS
         assert hodge._HODGE_MEMO
         pshodge.clear_caches()
         assert not strata._HAT_LAMBDA_PRODUCTS
         assert not strata._INTEGRABLE_PRODUCTS
+        assert not strata._RESTRICTIONS
         assert not hodge._HODGE_MEMO and not hodge._CH_MEMO
         assert expr_integral(3, 1, e, "ps") == first
 
@@ -470,9 +487,79 @@ class TestIntegrableProducts:
         assert expr_integral(g, 1, e, "ps") == product_route_integral(g, 1, e)
 
     def test_every_tail_carries_psi_bullet(self):
-        full = strata._hat_lambda_product(4, 1, (1, 1, 2))
+        full = complete_product(4, 1, (1, 1, 2))
         kept = strata._integrable_product(4, 1, (1, 1, 2))
+        # the memo holds the product times 1! 1! 2!
         assert kept.terms == {
-            key: c for key, c in full.terms.items()
+            key: 2 * c for key, c in full.terms.items()
             if all(b == 1 for _, b in key[0])}
         assert len(kept.terms) < len(full.terms)
+
+
+class TestScaledProducts:
+    QUERIES = [
+        (2, 1, "(2*lambda2 - lambda1^2)*psi1^2"),
+        (3, 2, "(1-lambda1)^3*lambda2*psi1^2*psi2^2"),
+        (4, 1, "(1-lambda1+lambda2-lambda3+lambda4)^3*psi1^4"),
+        (4, 1, "(lambda2 - lambda1^2)^2*lambda1*psi1^5"),
+        (5, 1, "lambda1^3*lambda2^2*psi1^5"),
+    ]
+
+    def test_memoised_products_hold_ints(self):
+        """Both product memos hold ``prod j! * prod hat_lambda_j`` with
+        plain ``int`` coefficients, equal to the public ``Fraction``
+        product times the scale."""
+        pshodge.clear_caches()
+        for g, n, text in self.QUERIES:
+            expr_integral(g, n, parse_expression(text, g, n), "ps")
+        for memo in (strata._HAT_LAMBDA_PRODUCTS,
+                     strata._INTEGRABLE_PRODUCTS):
+            assert memo
+            for (g, n, lams), product in memo.items():
+                assert all(type(c) is int for c in product.terms.values())
+                if g > 4:
+                    continue  # the complete g=5 products take seconds
+                scale = 1
+                for j in lams:
+                    scale *= factorial(j)
+                full = complete_product(g, n, lams).terms
+                if memo is strata._INTEGRABLE_PRODUCTS:
+                    full = {key: c for key, c in full.items()
+                            if all(b == 1 for _, b in key[0])}
+                assert product.terms == {
+                    key: scale * c for key, c in full.items()}
+
+
+def restrictions_from_scratch(core_lambda, new_tails):
+    """The restrictions of a core lambda monomial over fresh tails, factor
+    by factor from ``restrict_lambda_to_tails``: a dict from the bump
+    vector to a Counter of the sorted kept lambda tuples."""
+    states = {(0,) * new_tails: Counter({(): 1})}
+    for j in core_lambda:
+        step = {}
+        for bumps, kept in states.items():
+            for jc, slots in restrict_lambda_to_tails(j, new_tails):
+                if any(bumps[s] for s in slots):
+                    continue  # a tail psi square vanishes
+                bumped = tuple(1 if s in slots else b
+                               for s, b in enumerate(bumps))
+                out = step.setdefault(bumped, Counter())
+                for lams, mult in kept.items():
+                    out[tuple(sorted(lams + ((jc,) if jc else ())))] += mult
+        states = step
+    return states
+
+
+class TestRestrictionTables:
+    @pytest.mark.parametrize("new_tails", range(5))
+    @pytest.mark.parametrize("size", range(5))
+    def test_tables_match_enumeration(self, size, new_tails):
+        """Every sorted core lambda multiset of length <= 4 with entries
+        <= 5."""
+        for core in combinations_with_replacement(range(1, 6), size):
+            table = strata._restrictions_by_bumps(core, new_tails)
+            assert {bumps: Counter(tuple(sorted(k)) for k in lams)
+                    for bumps, lams in table.items()} == \
+                restrictions_from_scratch(core, new_tails), core
+            assert strata._RESTRICTIONS[core, new_tails] is table
+            assert strata._restrictions_by_bumps(core, new_tails) is table
