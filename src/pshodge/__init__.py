@@ -2,11 +2,12 @@ r"""Exact Hodge integrals on moduli of stable and pseudostable curves.
 
 Layers, bottom up:
 
-* :mod:`pshodge.wk` -- psi and kappa/psi intersection numbers via the
+* :mod:`pshodge.wk` -- psi intersection numbers via the
   Witten--Kontsevich (DVV) recursion;
-* :mod:`pshodge.hodge` -- lambda-class integrals through Chern-character
-  reduction (Newton conversion plus the Grothendieck--Riemann--Roch
-  boundary recursion);
+* :mod:`pshodge.hodge` -- kappa-class and lambda-class integrals through
+  Chern-character reduction (Newton conversion plus the
+  Grothendieck--Riemann--Roch boundary recursion, with kappa elimination
+  in the same recursion and memo);
 * :mod:`pshodge.strata` -- the elliptic-tail strata algebra and the
   translation of pseudostable Hodge integrals to stable ones;
 * :mod:`pshodge.hurwitz` -- Hurwitz numbers counted from the characters
@@ -31,10 +32,11 @@ __all__ = ["clear_caches", "__version__"]
 
 
 def clear_caches():
-    """Drop the Hodge-integral and GRR memos, the memoised ``hat_lambda``
-    products (both the complete prefix products and the last products
-    that keep only integrable terms) and the table of lambda
-    restrictions over fresh tails (the WK table is managed separately)."""
+    """Drop the Hodge-integral and GRR memos (the kappa/psi integrals
+    among them), the memoised ``hat_lambda`` products (both the complete
+    prefix products and the last products that keep only integrable
+    terms) and the table of lambda restrictions over fresh tails (the WK
+    table is managed separately)."""
     hodge.clear_caches()
     strata._HAT_LAMBDA_PRODUCTS.clear()
     strata._INTEGRABLE_PRODUCTS.clear()

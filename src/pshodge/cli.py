@@ -38,6 +38,8 @@ __all__ = ["main"]
 
 # what reading, parsing or writing a cache file can raise
 _CACHE_ERRORS = (OSError, UnicodeDecodeError, CacheFormatError)
+# what evaluating one expression reports as a user error
+_EVAL_ERRORS = (ParseError, SymbolRangeError, EmptyModuliError, ValueError)
 
 
 def _file_error(args, option, message):
@@ -67,8 +69,15 @@ def _cache_ok(args, action):
 
 
 def _eval_one(text, g, n, space):
-    expression = parse_expression(text, g, n)
-    return expr_integral(g, n, expression, space=space)
+    """The value of ``text``; a ValueError past Python's recursion limit,
+    which stays as it is: a deeper Python stack can overflow C's."""
+    try:
+        expression = parse_expression(text, g, n)
+        return expr_integral(g, n, expression, space=space)
+    except RecursionError:
+        raise ValueError(
+            f"the evaluation recurses deeper than Python's limit of "
+            f"{sys.getrecursionlimit()} nested calls") from None
 
 
 def _value_text(value):
@@ -91,6 +100,26 @@ def _format_json(g, n, space, text, value=None, error=None):
     return json.dumps(payload)
 
 
+def _report(args, text, lineno=None):
+    """Evaluate ``text`` and print the result; returns the status, 0 or 1.
+    Without ``--json`` an error goes to stderr for EXPR, and to stdout as
+    ``line N: error: ...`` for batch line N."""
+    value = error = None
+    try:
+        value = _value_text(_eval_one(text, args.g, args.n, args.space))
+    except _EVAL_ERRORS as exc:
+        error = str(exc)
+    if args.json:
+        print(_format_json(args.g, args.n, args.space, text, value, error))
+    elif error is None:
+        print(value)
+    elif lineno is None:
+        print(f"error: {error}", file=sys.stderr)
+    else:
+        print(f"line {lineno}: error: {error}")
+    return 0 if error is None else 1
+
+
 def _cmd_eval(args):
     if (args.expr is None) == (args.batch is None):
         print("eval: provide exactly one of EXPR or --batch FILE",
@@ -100,20 +129,8 @@ def _cmd_eval(args):
         return 1
     status = 0
     if args.expr is not None:
-        try:
-            value = _value_text(
-                _eval_one(args.expr, args.g, args.n, args.space))
-        except (ParseError, SymbolRangeError, EmptyModuliError, ValueError) as exc:
-            if args.json:
-                print(_format_json(args.g, args.n, args.space, args.expr,
-                                   error=str(exc)))
-            else:
-                print(f"error: {exc}", file=sys.stderr)
+        if _report(args, args.expr):
             return 1
-        if args.json:
-            print(_format_json(args.g, args.n, args.space, args.expr, value))
-        else:
-            print(value)
     else:
         try:
             with open(args.batch, "r", encoding="utf-8") as fh:
@@ -121,24 +138,8 @@ def _cmd_eval(args):
         except (OSError, UnicodeDecodeError) as exc:
             return _file_error(args, "batch", f"cannot read batch file: {exc}")
         for lineno, line in enumerate(lines, start=1):
-            if not line:
-                continue
-            try:
-                value = _value_text(
-                    _eval_one(line, args.g, args.n, args.space))
-            except (ParseError, SymbolRangeError, EmptyModuliError,
-                    ValueError) as exc:
-                status = 1
-                if args.json:
-                    print(_format_json(args.g, args.n, args.space, line,
-                                       error=str(exc)))
-                else:
-                    print(f"line {lineno}: error: {exc}")
-                continue
-            if args.json:
-                print(_format_json(args.g, args.n, args.space, line, value))
-            else:
-                print(value)
+            if line:
+                status |= _report(args, line, lineno)
     if not _cache_ok(args, cache_store):
         return 1
     return status
@@ -159,7 +160,11 @@ def _cmd_series(args):
     for g in range(2, args.gmax + 1):
         power = 3 * g - 5 + n
         text = f"(2*lambda2 - lambda1^2)*psi1^{power}"
-        value = _eval_one(text, g, n, "ps")
+        try:
+            value = _eval_one(text, g, n, "ps")
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         coeff = Fraction(-1, 24 ** g * factorial(g - 1))
         ok = value == coeff
         if not ok:

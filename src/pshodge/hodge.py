@@ -30,7 +30,12 @@ steps:
    once.  Each memo entry is summed as an integer numerator over the
    running common denominator of its terms and stored as one
    ``Fraction``;
-3. what remains are kappa/psi integrals, finished by :mod:`pshodge.wk`.
+3. what remains are kappa/psi integrals.  kappa classes use the pointed
+   convention ``kappa_a = pi_*(psi^{a+1})`` for one extra marked point,
+   so the first kappa factor is eliminated against a fresh point,
+   absorbing any sub-multiset of the other kappa factors with
+   alternating signs.  These integrals share the memo of step 2, and the
+   pure psi correlators left at the end are read from :mod:`pshodge.wk`.
 
 Every operation is pure, exact, and memoised.
 """
@@ -53,6 +58,7 @@ __all__ = [
     "lambda_to_ch",
     "ch_in_lambda",
     "hodge_integral",
+    "kappa_integral",
     "clear_caches",
 ]
 
@@ -179,7 +185,8 @@ _HODGE_MEMO = {}
 
 
 def clear_caches():
-    """Drop the reduction memos (the WK table is managed separately)."""
+    """Drop the reduction memos, the kappa/psi integrals among them (the
+    WK table is managed separately)."""
     _CH_MEMO.clear()
     _HODGE_MEMO.clear()
 
@@ -188,9 +195,10 @@ def _reduce(g, psi, kappa, ch):
     """Integral over Mbar_{g,n} of ``prod ch_l prod kappa_a prod psi_i^{e_i}``
     for sorted tuples.  Factors are eliminated from the largest ``ch_l``
     down; an even l gives 0 at once, since its prefactor ``B_{l+1}``
-    vanishes.  A ch-free integral goes to the kappa layer; otherwise the
-    memo is read before any stability or degree check.  A ``psi^0`` or
-    ``psi^1`` marking whose removal leaves a stable space is forgotten
+    vanishes.  A ch-free integral eliminates ``kappa[0]`` against a fresh
+    point instead, and a pure psi integral is read from the WK table.
+    The memo is read before any stability or degree check.  A ``psi^0``
+    or ``psi^1`` marking whose removal leaves a stable space is forgotten
     (:func:`_forget_marking`) instead of expanding ``ch_l``.
 
     The separating terms of ``ch_l`` run over splits ``(psi1, kap1, ch1)``
@@ -209,16 +217,33 @@ def _reduce(g, psi, kappa, ch):
     The sum is kept as an integer numerator over the running least common
     multiple of the terms' denominators (:func:`~pshodge.multiset.add_term`),
     and one ``Fraction`` is built for the memo entry."""
-    if not ch:
-        return default_table()._kappa_eval(g, psi, kappa)
+    if not (ch or kappa):
+        return default_table()._psi_eval(g, psi)
     key = (g, psi, kappa, ch)
     hit = _CH_MEMO.get(key)
     if hit is not None:
         return hit
     n = len(psi)
-    if not is_stable(g, n) or g == 0:  # g = 0: rank-zero Hodge bundle
+    if not is_stable(g, n):
         return _ZERO
     if sum(psi) + sum(kappa) + sum(ch) != 3 * g - 3 + n:
+        return _ZERO
+    if not ch:
+        # kappa_a = pi_*(psi^{a+1}): a sub-multiset S of the other kappa
+        # factors merges into the fresh point's exponent, with sign (-1)^|S|
+        e = kappa[0] + 1
+        num, den = 0, 1
+        for chosen, remaining, mult in sub_multisets(kappa[1:]):
+            x = _reduce(g, tuple(sorted(psi + (e + sum(chosen),))),
+                        remaining, ())
+            if x:
+                sign = -1 if len(chosen) % 2 else 1
+                num, den = add_term(num, den, sign * mult * x.numerator,
+                                    x.denominator)
+        value = Fraction(num, den)
+        _CH_MEMO[key] = value
+        return value
+    if g == 0:  # rank-zero Hodge bundle
         return _ZERO
     l = ch[-1]
     if not l % 2:
@@ -330,6 +355,23 @@ def _forget_marking(g, psi, kappa, ch):
             mult *= kappa0
         num, den = add_term(num, den, mult * x.numerator, x.denominator)
     return Fraction(num, den)
+
+
+def kappa_integral(g, n, psi, kappa):
+    """Integral of ``prod kappa_a prod psi_i^{e_i}`` over Mbar_{g,n};
+    ``psi`` is read by :func:`pshodge.wk.psi_exponents`.  A negative
+    genus or kappa index raises ``ValueError``.
+
+    >>> kappa_integral(1, 1, None, [1])
+    Fraction(1, 24)
+    """
+    g = int(g)
+    if g < 0:
+        raise ValueError("genus must be non-negative")
+    kappa = tuple(sorted(int(a) for a in kappa))
+    if kappa and kappa[0] < 0:
+        raise ValueError("kappa indices must be non-negative")
+    return _reduce(g, tuple(sorted(psi_exponents(n, psi))), kappa, ())
 
 
 def hodge_integral(monomial):

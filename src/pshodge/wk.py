@@ -1,4 +1,4 @@
-r"""Exact intersection numbers of psi and kappa classes on Mbar_{g,n}.
+r"""Exact intersection numbers of psi classes on Mbar_{g,n}.
 
 The correlator ``<tau_{d_1} ... tau_{d_n}>_g`` is the integral of
 ``psi_1^{d_1} ... psi_n^{d_n}`` over the moduli space of stable n-pointed
@@ -41,16 +41,9 @@ positions of ``rest`` that realise S.  If ``rest`` is nonempty,
 even.  If ``rest`` is empty, the only unpaired term has ``a = b`` and
 ``g1 = g/2``; it carries ``C(g, g/2)``, which is even.
 
-kappa classes use the pointed convention ``kappa_a = pi_*(psi^{a+1})``
-for one extra marked point.  A kappa factor is eliminated against such an
-extra point, absorbing any subset of the remaining kappa factors with
-alternating signs; iterating reduces every mixed kappa/psi integral to
-pure psi correlators.  This layer stores ``Fraction`` values, each summed
-as an integer numerator over the running common denominator of its terms.
-
-All values are memoised in plain dicts.  Every evaluation is a pure
+All values are memoised in one plain dict.  Every evaluation is a pure
 function of its key, so threads that race on a key store equal values and
-no lock is needed.  The psi memo table can be persisted in a plain text
+no lock is needed.  The memo table can be persisted in a plain text
 format, see :mod:`pshodge.cache`.
 """
 
@@ -60,7 +53,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial
 
-from .multiset import add_term, counts, replace_one, sub_multisets
+from .multiset import counts, replace_one, sub_multisets
 
 __all__ = [
     "is_stable",
@@ -147,7 +140,6 @@ class WKTable:
 
     def __init__(self):
         self._psi = {}
-        self._kappa = {}
 
     def __len__(self):
         return len(self._psi)
@@ -272,79 +264,6 @@ class WKTable:
                     split += comb(g, g1) * left * right
             total += mult * split if i < half else mult * split // 2
         return total
-
-    # -- kappa/psi integrals --------------------------------------------
-
-    def kappa_integral(self, g, n, psi, kappa):
-        """Integral of ``prod kappa_a prod psi_i^{e_i}`` over Mbar_{g,n};
-        ``psi`` is read by :func:`psi_exponents`.
-
-        >>> WKTable().kappa_integral(1, 1, None, [1])
-        Fraction(1, 24)
-        """
-        exps = tuple(sorted(psi_exponents(n, psi)))
-        return self._kappa_eval(g, exps, tuple(sorted(int(a) for a in kappa)))
-
-    def _kappa_eval(self, g, psi, kappa):
-        """Memoised kappa/psi integral for sorted tuples.  The memo is read
-        before any check, and the sum over one elimination step is kept as
-        an integer numerator over the running common denominator of its
-        terms, with one ``Fraction`` built per memo entry."""
-        if not kappa:
-            return self._psi_eval(g, psi)
-        key = (g, psi, kappa)
-        hit = self._kappa.get(key)
-        if hit is not None:
-            return hit
-        n = len(psi)
-        if not is_stable(g, n):
-            return _ZERO
-        if sum(psi) + sum(kappa) != 3 * g - 3 + n:
-            return _ZERO
-        num, den = 0, 1
-        for coeff, new_psi, new_kappa in self._kappa_step(g, psi, kappa, 0):
-            x = self._kappa_eval(g, new_psi, new_kappa)
-            if x:
-                num, den = add_term(num, den, coeff * x.numerator,
-                                    x.denominator)
-        value = Fraction(num, den)
-        self._kappa[key] = value
-        return value
-
-    @staticmethod
-    def _kappa_step(g, psi, kappa, pick):
-        """One elimination of ``kappa[pick]`` against a fresh marked point.
-
-        Returns ``(coeff, psi', kappa')`` triples: any sub-multiset of the
-        other kappa factors is absorbed into the new point's psi exponent
-        with an alternating sign.
-        """
-        b1 = kappa[pick]
-        rest = kappa[:pick] + kappa[pick + 1:]
-        out = []
-        for chosen, remaining, mult in sub_multisets(rest):
-            sign = -1 if len(chosen) % 2 else 1
-            e = b1 + 1 + sum(chosen)
-            out.append((sign * mult, tuple(sorted(psi + (e,))), remaining))
-        return out
-
-    def _kappa_eval_random_order(self, g, psi, kappa, rng):
-        """Un-memoised evaluation eliminating kappa factors in random order.
-
-        Testing hook for the order-independence property.
-        """
-        if not kappa:
-            return self._psi_eval(g, psi)
-        n = len(psi)
-        if not is_stable(g, n):
-            return _ZERO
-        if sum(psi) + sum(kappa) != 3 * g - 3 + n:
-            return _ZERO
-        pick = rng.randrange(len(kappa))
-        value = _ZERO
-        for coeff, new_psi, new_kappa in self._kappa_step(g, psi, kappa, pick):
-            value += coeff * self._kappa_eval_random_order(g, new_psi, new_kappa, rng)
-        return value
 
 
 _DEFAULT = WKTable()

@@ -9,15 +9,17 @@ import time
 from fractions import Fraction
 from math import factorial
 
-from pshodge.hodge import HodgeMonomial, bell_polynomial, hodge_integral
+from pshodge.hodge import (HodgeMonomial, bell_polynomial, hodge_integral,
+                           kappa_integral)
 from pshodge.hurwitz import (HurwitzInstance, elsv_value, hurwitz_brute,
                              riemann_hurwitz_m)
 from pshodge.multiset import compositions, partitions
-from pshodge.selfcheck import mumford_relation_terms, random_taut_class
+from pshodge.selfcheck import (kappa_random_order, mumford_relation_terms,
+                               random_taut_class)
 from pshodge.strata import (TautClass, class_integrate, class_multiply,
                             hat_lambda, is_pseudostable, t_pullback_ch,
                             _make_term)
-from pshodge.wk import WKTable, default_table, is_stable, wk_integral
+from pshodge.wk import is_stable, wk_integral
 
 
 def report(number, label, t0, extra=""):
@@ -179,8 +181,7 @@ def test_criterion_7_algebra_properties():
 
 def test_criterion_8_kappa_reduction():
     t0 = time.time()
-    table = default_table()
-    assert table.kappa_integral(1, 1, (0,), (1,)) == Fraction(1, 24)
+    assert kappa_integral(1, 1, (0,), (1,)) == Fraction(1, 24)
     rng = random.Random(314159)
     done = 0
     while done < 50:
@@ -204,10 +205,9 @@ def test_criterion_8_kappa_reduction():
         psi = [0] * n
         for _ in range(left):
             psi[rng.randrange(n)] += 1
-        reference = table.kappa_integral(g, n, psi, kap)
-        scratch = WKTable()
+        reference = kappa_integral(g, n, psi, kap)
         for _ in range(3):
-            shuffled = scratch._kappa_eval_random_order(
+            shuffled = kappa_random_order(
                 g, tuple(sorted(psi)), tuple(sorted(kap)), rng)
             assert shuffled == reference, (g, n, psi, kap)
         done += 1

@@ -291,6 +291,43 @@ class TestLongLiteral:
                                    "error": self.message(digit_limit)}
 
 
+class TestDeepRecursion:
+    """An evaluation that recurses past Python's limit is a per-line error,
+    and the limit stays as it was."""
+
+    ARGS = ("--g", "0", "--n", "500")
+    EXPR = "psi1^497"
+
+    def message(self):
+        return ("the evaluation recurses deeper than Python's limit of "
+                f"{sys.getrecursionlimit()} nested calls")
+
+    def test_plain(self, capsys):
+        limit = sys.getrecursionlimit()
+        code, out, err = run(capsys, "eval", *self.ARGS, self.EXPR)
+        assert (code, out, err) == (1, "", f"error: {self.message()}\n")
+        assert sys.getrecursionlimit() == limit
+
+    def test_json(self, capsys):
+        code, out, err = run(capsys, "eval", *self.ARGS, "--json", self.EXPR)
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"g": 0, "n": 500, "space": "stable",
+                                   "expr": self.EXPR, "error": self.message()}
+
+    def test_batch_continues(self, capsys, tmp_path):
+        batch = tmp_path / "exprs.txt"
+        batch.write_text(f"{self.EXPR}\npsi1^3\n")
+        code, out, err = run(capsys, "eval", *self.ARGS, "--batch", str(batch))
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [f"line 1: error: {self.message()}", "0"]
+
+    def test_series(self, capsys):
+        code, out, err = run(capsys, "series", "--n", "1200", "--gmax", "2")
+        assert code == 1
+        assert len(out.splitlines()) == 1  # the header row only
+        assert err == f"error: {self.message()}\n"
+
+
 class TestInProcessCalls:
     def test_parser_built_once_and_not_at_import(self):
         assert run_fresh("-c", "import pshodge.cli as c; "

@@ -10,11 +10,11 @@ import pytest
 from pshodge import hodge
 from pshodge.hodge import (HodgeMonomial, _reduce, bell_polynomial, bernoulli,
                            ch_in_lambda, clear_caches, hodge_integral,
-                           lambda_to_ch)
+                           kappa_integral, lambda_to_ch)
 from pshodge.multiset import (accumulate, compositions, counts, multiply,
-                              replace_one, sub_multisets)
+                              partitions, replace_one, sub_multisets)
 from pshodge.selfcheck import mumford_relation_terms
-from pshodge.wk import default_table, is_stable, wk_integral
+from pshodge.wk import is_stable, wk_integral
 
 
 def bell_series_oracle(k, xs):
@@ -283,6 +283,28 @@ class TestClosedForms:
             / (2 * factorial(2 * g - 2) * (2 * g - 2) * (2 * g)))
 
 
+def reference_kappa(g, psi, kappa, memo):
+    """A kappa/psi integral for sorted tuples by eliminating ``kappa[0]``
+    against a fresh point, in plain ``Fraction`` arithmetic with its own
+    memo, keyed like ``_CH_MEMO`` with an empty ch part: the recursion
+    that folding kappa elimination into ``_reduce`` replaced, kept as a
+    differential oracle."""
+    if not kappa:
+        return wk_integral(g, psi)
+    n = len(psi)
+    if not is_stable(g, n) or sum(psi) + sum(kappa) != 3 * g - 3 + n:
+        return Fraction(0)
+    key = (g, psi, kappa, ())
+    if key not in memo:
+        memo[key] = sum(
+            ((-1) ** len(chosen) * mult * reference_kappa(
+                g, tuple(sorted(psi + (kappa[0] + 1 + sum(chosen),))),
+                remaining, memo)
+             for chosen, remaining, mult in sub_multisets(kappa[1:])),
+            Fraction(0))
+    return memo[key]
+
+
 def reference_reduce(g, psi, kappa, ch, memo):
     """The GRR reduction as a triple loop over every (psi, kappa, ch)
     sub-multiset split for each node branch ``a``, discarding the splits
@@ -290,7 +312,7 @@ def reference_reduce(g, psi, kappa, ch, memo):
 
     Differential oracle for ``hodge._reduce``, which lets the degree of a
     split pick ``a`` instead and visits a term and its mirror image once;
-    the kappa/psi leaves are the same WK table.
+    the kappa/psi leaves are :func:`reference_kappa`.
     """
     n = len(psi)
     if not is_stable(g, n):
@@ -300,7 +322,7 @@ def reference_reduce(g, psi, kappa, ch, memo):
     if sum(psi) + sum(kappa) + sum(ch) != 3 * g - 3 + n:
         return Fraction(0)
     if not ch:
-        return default_table()._kappa_eval(g, psi, kappa)
+        return reference_kappa(g, psi, kappa, memo)
     key = (g, psi, kappa, ch)
     if key in memo:
         return memo[key]
@@ -390,10 +412,10 @@ def grr_monomials(seed=8):
 class TestReductionOracle:
     def test_memo_matches_triple_loop(self):
         """After a cold run the integrals agree, and every ``_CH_MEMO``
-        entry equals the triple loop at its key.  The memo is smaller: a
-        psi^0 or psi^1 marking is forgotten instead of expanding a Chern
-        character, which also reaches kappa keys the triple loop never
-        memoises, such as ``(2, (), (1, 1), (1,))``."""
+        entry equals the triple loop at its key.  It holds fewer keys with
+        a ch factor: a psi^0 or psi^1 marking is forgotten instead of
+        expanding a Chern character, which also reaches kappa keys the
+        triple loop never memoises, such as ``(2, (), (1, 1), (1,))``."""
         monomials = grr_monomials()
         clear_caches()
         values = [hodge_integral(mono) for mono in monomials]
@@ -401,9 +423,40 @@ class TestReductionOracle:
         want = [reference_hodge_integral(mono, memo) for mono in monomials]
         assert values == want
         assert len(memo) > 100
-        assert len(hodge._CH_MEMO) < len(memo)
+
+        def with_ch(keys):
+            return sum(1 for key in keys if key[3])
+
+        assert with_ch(hodge._CH_MEMO) < with_ch(memo)
         for key, value in hodge._CH_MEMO.items():
             assert reference_reduce(*key, memo) == value, key
+
+    def test_kappa_matches_old_recursion(self):
+        """Every sorted psi/kappa key at g <= 3 and dimension <= 8, with
+        one to three kappa factors (kappa_0 among them), against the
+        eliminating recursion the GRR memo absorbed."""
+        clear_caches()
+        memo = {}
+        checked = 0
+        for g in range(4):
+            for n in range(12):
+                dim = 3 * g - 3 + n
+                if not is_stable(g, n) or dim > 8:
+                    continue
+                for k in range(dim + 1):
+                    kappas = [kap + zero for kap in partitions(k)
+                              for zero in ((), (0,))
+                              if 1 <= len(kap + zero) <= 3]
+                    for kap, part in product(kappas, partitions(dim - k)):
+                        if len(part) > n:
+                            continue
+                        psi = tuple(sorted(part + (0,) * (n - len(part))))
+                        kappa = tuple(sorted(kap))
+                        want = reference_kappa(g, psi, kappa, memo)
+                        assert kappa_integral(g, n, psi, kappa) == want, \
+                            (g, psi, kappa)
+                        checked += 1
+        assert checked > 1000
 
     def test_forgotten_marking_matches_triple_loop(self):
         """Every key with a psi^0 or psi^1 marking at g <= 4, n <= 4, with

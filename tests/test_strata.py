@@ -13,7 +13,8 @@ import pshodge
 from pshodge import expr as E
 from pshodge import hodge, strata
 from pshodge.expr import parse_expression
-from pshodge.hodge import HodgeMonomial, bell_polynomial, hodge_integral
+from pshodge.hodge import (HodgeMonomial, bell_polynomial, hodge_integral,
+                           kappa_integral)
 from pshodge.multiset import accumulate, compositions, partitions
 from pshodge.selfcheck import (random_taut_class, suite_hat_lambda_square)
 from pshodge.strata import (EmptyModuliError, TautClass, class_integrate,
@@ -457,6 +458,8 @@ class TestNormalFormEvaluation:
         assert (3, 1, (1, 1, 2)) not in strata._HAT_LAMBDA_PRODUCTS
         assert strata._RESTRICTIONS
         assert hodge._HODGE_MEMO
+        assert kappa_integral(1, 1, None, [1]) == Fraction(1, 24)
+        assert (1, (0,), (1,), ()) in hodge._CH_MEMO  # a kappa-only key
         pshodge.clear_caches()
         assert not strata._HAT_LAMBDA_PRODUCTS
         assert not strata._INTEGRABLE_PRODUCTS

@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pshodge
-from pshodge.hodge import HodgeMonomial, bernoulli, hodge_integral
+from pshodge.hodge import (HodgeMonomial, bernoulli, hodge_integral,
+                           kappa_integral)
 from pshodge.multiset import compositions, counts, replace_one, sub_multisets
-from pshodge.wk import (WKTable, default_table, is_stable,
-                        odd_double_factorial, wk_integral)
+from pshodge.selfcheck import kappa_random_order
+from pshodge.wk import WKTable, is_stable, odd_double_factorial, wk_integral
 
 
 def genus0_string_oracle(d):
@@ -248,7 +249,15 @@ class TestKeyCanonicalisation:
 
     def test_kappa_integral_rejects_negative_psi(self):
         with pytest.raises(ValueError):
-            default_table().kappa_integral(1, 1, [-1], [2])
+            kappa_integral(1, 1, [-1], [2])
+
+    def test_kappa_integral_rejects_negative_genus(self):
+        with pytest.raises(ValueError, match="genus"):
+            kappa_integral(-1, 5, None, [1])
+
+    def test_kappa_integral_rejects_negative_kappa_index(self):
+        with pytest.raises(ValueError, match="kappa"):
+            kappa_integral(1, 1, [0], [-1, 2])
 
 
 def _dimension_keys(gmax=3, dim_bound=12):
@@ -303,29 +312,27 @@ class TestEquations:
 class TestKappa:
     def test_kappa1_on_m11(self):
         # oracle: kappa_1 -> <tau_2 tau_0>_1, then string from <tau_1>_1
-        assert default_table().kappa_integral(1, 1, [0], [1]) == Fraction(1, 24)
+        assert kappa_integral(1, 1, [0], [1]) == Fraction(1, 24)
 
     def test_kappa1_on_m04(self):
         # oracle: <tau_2 tau_0^4>_0 = 1 by repeated string
-        assert default_table().kappa_integral(0, 4, None, [1]) == 1
+        assert kappa_integral(0, 4, None, [1]) == 1
         assert genus0_string_oracle((2, 0, 0, 0, 0)) == 1
 
     def test_empty_kappa_delegates(self):
-        assert default_table().kappa_integral(2, 1, [4], ()) == \
+        assert kappa_integral(2, 1, [4], ()) == \
             wk_integral(2, [4]) == Fraction(1, 1152)
 
     def test_degree_mismatch_is_zero(self):
-        assert default_table().kappa_integral(1, 1, None, [2]) == 0
+        assert kappa_integral(1, 1, None, [2]) == 0
 
     def test_of_accepts_marking_map(self):
         # kappa_1^2 -> two fresh points tau_2 tau_2, minus one tau_3
-        table = default_table()
         want = wk_integral(1, [0, 0, 1, 2, 2]) - wk_integral(1, [0, 0, 1, 3])
-        assert table.kappa_integral(1, 3, {2: 1}, [1, 1]) == \
-            table.kappa_integral(1, 3, [0, 1, 0], [1, 1]) == want != 0
+        assert kappa_integral(1, 3, {2: 1}, [1, 1]) == \
+            kappa_integral(1, 3, [0, 1, 0], [1, 1]) == want != 0
 
     def test_order_independence_randomised(self):
-        table = WKTable()
         rng = random.Random(1234)
         done = 0
         while done < 50:
@@ -349,9 +356,9 @@ class TestKappa:
             psi = [0] * n
             for _ in range(left):
                 psi[rng.randrange(n)] += 1
-            want = table.kappa_integral(g, n, psi, kap)
+            want = kappa_integral(g, n, psi, kap)
             for _ in range(3):
-                again = table._kappa_eval_random_order(
+                again = kappa_random_order(
                     g, tuple(sorted(psi)), tuple(sorted(kap)), rng)
                 assert want == again, (g, n, psi, kap)
             done += 1
