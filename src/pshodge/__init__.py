@@ -6,8 +6,9 @@ Layers, bottom up:
   Witten--Kontsevich (DVV) recursion;
 * :mod:`pshodge.hodge` -- kappa-class and lambda-class integrals through
   Chern-character reduction (Newton conversion plus the
-  Grothendieck--Riemann--Roch boundary recursion, with kappa elimination
-  in the same recursion and memo);
+  Grothendieck--Riemann--Roch boundary recursion on psi and ch factors,
+  Mumford's kappa term entering as a new marking); kappa classes are
+  eliminated against fresh points at entry;
 * :mod:`pshodge.strata` -- the elliptic-tail strata algebra and the
   translation of pseudostable Hodge integrals to stable ones;
 * :mod:`pshodge.hurwitz` -- Hurwitz numbers counted from the characters
@@ -32,11 +33,10 @@ __all__ = ["clear_caches", "__version__"]
 
 
 def clear_caches():
-    """Drop the Hodge-integral and GRR memos (the kappa/psi integrals
-    among them), the memoised ``hat_lambda`` products (both the complete
-    prefix products and the last products that keep only integrable
-    terms) and the table of lambda restrictions over fresh tails (the WK
-    table is managed separately)."""
+    """Drop the Hodge-integral and GRR memos, the memoised ``hat_lambda``
+    products (both the complete prefix products and the last products
+    that keep only integrable terms) and the table of lambda restrictions
+    over fresh tails (the WK table is managed separately)."""
     hodge.clear_caches()
     strata._HAT_LAMBDA_PRODUCTS.clear()
     strata._INTEGRABLE_PRODUCTS.clear()

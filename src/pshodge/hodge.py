@@ -14,30 +14,32 @@ steps:
    each lambda factor is multiplied out;
 2. a marking with ``psi^0`` or ``psi^1`` is forgotten first, by the
    string and dilaton equations: ch(E) is pulled back under the map that
-   forgets a point, and kappa classes take the Arbarello--Cornalba
-   correction.  Then one Chern character factor at a time is eliminated
-   with Mumford's Grothendieck--Riemann--Roch evaluation of ch(E): the
-   replacement is a kappa class, psi corrections at the markings, and
-   pushforwards from the one-edge boundary gluings, which lower the
-   genus or split the surface (with a Bernoulli-number prefactor).  A
-   split surface puts each psi, kappa and ch factor on one side and
+   forgets a point, so they hold with no correction term (no
+   Arbarello--Cornalba kappa correction).  Then one Chern character
+   factor at a time is eliminated with Mumford's
+   Grothendieck--Riemann--Roch evaluation of ch(E): the replacement is a
+   kappa term, psi corrections at the markings, and pushforwards from the
+   one-edge boundary gluings, which lower the genus or split the surface
+   (with a Bernoulli-number prefactor).  The kappa term ``kappa_l`` is the
+   same integrand with a new marking carrying ``psi^{l+1}``
+   (Faber--Pandharipande), so the recursion holds only psi and ch
+   factors.  A split surface puts each psi and ch factor on one side and
    ``psi^a``, ``psi^b`` at the two branches of the node; the degree of
-   one side forces its genus, so the (kappa, ch) splits are bucketed by
-   the degree they add to a side and each psi split, genus and ``a``
-   reads only its bucket; sides known to vanish (unstable, or genus 0
-   with a ch factor) are skipped without recursing, and a term and its
-   mirror image (sides swapped, ``a`` and ``b`` exchanged) are visited
-   once.  Each memo entry is summed as an integer numerator over the
-   running common denominator of its terms and stored as one
-   ``Fraction``;
-3. what remains are kappa/psi integrals.  kappa classes use the pointed
-   convention ``kappa_a = pi_*(psi^{a+1})`` for one extra marked point,
-   so the first kappa factor is eliminated against a fresh point,
+   one side forces its genus, so the ch splits are bucketed by the degree
+   they add to a side and each psi split, genus and ``a`` reads only its
+   bucket; sides known to vanish (unstable, or genus 0 with a ch factor)
+   are skipped without recursing, and a term and its mirror image (sides
+   swapped, ``a`` and ``b`` exchanged) are visited once.  Each memo entry
+   is summed as an integer numerator over the running common denominator
+   of its terms and stored as one ``Fraction``;
+3. what remains are pure psi correlators, read from :mod:`pshodge.wk`.
+   Integrals with kappa classes enter through :func:`kappa_integral`,
+   which eliminates them at entry: with the pointed convention
+   ``kappa_a = pi_*(psi^{a+1})`` each kappa factor becomes a fresh point,
    absorbing any sub-multiset of the other kappa factors with
-   alternating signs.  These integrals share the memo of step 2, and the
-   pure psi correlators left at the end are read from :mod:`pshodge.wk`.
+   alternating signs, down to WK correlators.
 
-Every operation is pure, exact, and memoised.
+Every operation is pure and exact; all but kappa elimination are memoised.
 """
 
 from __future__ import annotations
@@ -185,71 +187,61 @@ _HODGE_MEMO = {}
 
 
 def clear_caches():
-    """Drop the reduction memos, the kappa/psi integrals among them (the
-    WK table is managed separately)."""
+    """Drop the Hodge-integral and GRR reduction memos (the WK table is
+    managed separately)."""
     _CH_MEMO.clear()
     _HODGE_MEMO.clear()
 
 
-def _reduce(g, psi, kappa, ch):
-    """Integral over Mbar_{g,n} of ``prod ch_l prod kappa_a prod psi_i^{e_i}``
-    for sorted tuples.  Factors are eliminated from the largest ``ch_l``
-    down; an even l gives 0 at once, since its prefactor ``B_{l+1}``
-    vanishes.  A ch-free integral eliminates ``kappa[0]`` against a fresh
-    point instead, and a pure psi integral is read from the WK table.
-    The memo is read before any stability or degree check.  A ``psi^0``
-    or ``psi^1`` marking whose removal leaves a stable space is forgotten
-    (:func:`_forget_marking`) instead of expanding ``ch_l``.
+def _reduce(g, psi, ch):
+    """Integral over Mbar_{g,n} of ``prod ch_l prod psi_i^{e_i}`` for sorted
+    tuples.  Factors are eliminated from the largest ``ch_l`` down; an
+    even l gives 0 at once, since its prefactor ``B_{l+1}`` vanishes, and a
+    ch-free integral is read from the WK table.  The memo is read before
+    any stability or degree check.  A ``psi^0`` or ``psi^1`` marking whose
+    removal leaves a stable space is forgotten (:func:`_forget_marking`)
+    instead of expanding ``ch_l``.
 
-    The separating terms of ``ch_l`` run over splits ``(psi1, kap1, ch1)``
-    of the factors and node branches ``a + b = l - 1``.  The side holding
+    Mumford's kappa term of ``ch_l`` becomes a new marking: for the rest
+    X of the integrand, ``kappa_l X = pi_*(psi_{n+1}^{l+1} pi^* X)``, where
+    pi forgets the new point, ch(E) pulls back under pi and
+    ``psi_{n+1} D_{i,n+1} = 0`` (Faber--Pandharipande).  So the term is the
+    same integral on Mbar_{g,n+1} with the new marking carrying
+    ``psi^{l+1}``, and no key holds a kappa class.
+
+    The separating terms of ``ch_l`` run over splits ``(psi1, ch1)`` of the
+    factors and node branches ``a + b = l - 1``.  The side holding
     ``psi1`` and ``psi^a`` has ``n1 = len(psi1) + 1`` points and degree
-    ``w + a`` with ``w = w_psi + w_kc``, ``w_psi = sum(psi1) + 3 - n1``
-    and ``w_kc = sum(kap1) + sum(ch1)``, which forces its genus to
-    ``h = (w + a) / 3``.  The (kappa, ch) split pairs are bucketed once
-    per call by ``w_kc``; each psi split and each stable pair of genera
-    ``(h, g - h)`` then reads only the bucket ``w_kc = 3h - a - w_psi``
-    for each ``a``.  A side that is unstable, or of genus 0 with a ch
-    factor (the Hodge bundle has rank 0 there), is skipped.  Swapping
-    the two sides maps the split at ``a`` to a split at ``b`` with the
-    same term, so only ``a <= b`` is visited, counted twice.
+    ``w_psi + sum(ch1) + a`` with ``w_psi = sum(psi1) + 3 - n1``, which
+    forces its genus to ``h = (w_psi + sum(ch1) + a) / 3``.  The ch splits
+    are bucketed once per call by ``sum(ch1)``; each psi split and each
+    stable pair of genera ``(h, g - h)`` then reads only the bucket
+    ``sum(ch1) = 3h - a - w_psi`` for each ``a``.  A side that is unstable,
+    or of genus 0 with a ch factor (the Hodge bundle has rank 0 there), is
+    skipped.  Swapping the two sides maps the split at ``a`` to a split at
+    ``b`` with the same term, so only ``a <= b`` is visited, counted twice.
 
     The sum is kept as an integer numerator over the running least common
     multiple of the terms' denominators (:func:`~pshodge.multiset.add_term`),
     and one ``Fraction`` is built for the memo entry."""
-    if not (ch or kappa):
+    if not ch:
         return default_table()._psi_eval(g, psi)
-    key = (g, psi, kappa, ch)
+    key = (g, psi, ch)
     hit = _CH_MEMO.get(key)
     if hit is not None:
         return hit
     n = len(psi)
     if not is_stable(g, n):
         return _ZERO
-    if sum(psi) + sum(kappa) + sum(ch) != 3 * g - 3 + n:
+    if sum(psi) + sum(ch) != 3 * g - 3 + n:
         return _ZERO
-    if not ch:
-        # kappa_a = pi_*(psi^{a+1}): a sub-multiset S of the other kappa
-        # factors merges into the fresh point's exponent, with sign (-1)^|S|
-        e = kappa[0] + 1
-        num, den = 0, 1
-        for chosen, remaining, mult in sub_multisets(kappa[1:]):
-            x = _reduce(g, tuple(sorted(psi + (e + sum(chosen),))),
-                        remaining, ())
-            if x:
-                sign = -1 if len(chosen) % 2 else 1
-                num, den = add_term(num, den, sign * mult * x.numerator,
-                                    x.denominator)
-        value = Fraction(num, den)
-        _CH_MEMO[key] = value
-        return value
     if g == 0:  # rank-zero Hodge bundle
         return _ZERO
     l = ch[-1]
     if not l % 2:
         return _ZERO
     if psi and psi[0] <= 1 and is_stable(g, n - 1):
-        value = _forget_marking(g, psi, kappa, ch)
+        value = _forget_marking(g, psi, ch)
         _CH_MEMO[key] = value
         return value
     rest = ch[:-1]
@@ -257,10 +249,10 @@ def _reduce(g, psi, kappa, ch):
     # num / den is twice the bracket that multiplies the prefactor
     # Bern_{l+1} / (l+1)!: the separating terms enter at weight 1 instead
     # of 1/2, every other term at weight 2
-    x = _reduce(g, psi, tuple(sorted(kappa + (l,))), rest)
+    x = _reduce(g, tuple(sorted(psi + (l + 1,))), rest)
     num, den = 2 * x.numerator, x.denominator
     for v, c in counts(psi).items():
-        x = _reduce(g, replace_one(psi, v, v + l), kappa, rest)
+        x = _reduce(g, replace_one(psi, v, v + l), rest)
         num, den = add_term(num, den, -2 * c * x.numerator, x.denominator)
 
     # the terms with node branches (a, b) and (b, a) are equal, the sides
@@ -270,22 +262,18 @@ def _reduce(g, psi, kappa, ch):
     half = (l - 1) // 2
     for a in range(half + 1):
         twice = 1 if a == half else 2
-        x = _reduce(g - 1, tuple(sorted(psi + (a, l - 1 - a))), kappa, rest)
+        x = _reduce(g - 1, tuple(sorted(psi + (a, l - 1 - a))), rest)
         num, den = add_term(num, den, (-twice if a % 2 else twice)
                             * x.numerator, x.denominator)
-    ch_splits = sub_multisets(rest)
     buckets = {}
-    for kap1, kap2, mkap in sub_multisets(kappa):
-        w_kap = sum(kap1)
-        for ch1, ch2, mch in ch_splits:
-            buckets.setdefault(w_kap + sum(ch1), []).append(
-                (kap1, kap2, ch1, ch2, mkap * mch))
+    for ch1, ch2, mch in sub_multisets(rest):
+        buckets.setdefault(sum(ch1), []).append((ch1, ch2, mch))
     for psi1, psi2, mpsi in sub_multisets(psi):
         n1 = len(psi1) + 1
         n2 = len(psi2) + 1
         w_psi = sum(psi1) + 3 - n1
         # at a = half the mirror split puts psi2 beside psi^a: skip the
-        # greater psi side, and compare kappa and ch only on a tie
+        # greater psi side, and compare the ch factors only on a tie
         tie = psi1 == psi2
         last = half if psi1 <= psi2 else half - 1
         branches = [(a, tuple(sorted(psi1 + (a,))),
@@ -298,18 +286,17 @@ def _reduce(g, psi, kappa, ch):
                 pairs = buckets.get(3 * h - a - w_psi)
                 if pairs is None:
                     continue
-                for kap1, kap2, ch1, ch2, m in pairs:
+                for ch1, ch2, m in pairs:
                     if (h == 0 and ch1) or (h == g and ch2):
                         continue  # a genus-0 side with ch: rank-zero bundle
                     m *= m_a
                     if tie and a == half:
-                        side, mirror = (kap1, ch1), (kap2, ch2)
-                        if side > mirror:
+                        if ch1 > ch2:
                             continue
-                        if side == mirror:
+                        if ch1 == ch2:
                             m //= 2
-                    left = _reduce(h, side1, kap1, ch1)
-                    right = _reduce(g - h, side2, kap2, ch2)
+                    left = _reduce(h, side1, ch1)
+                    right = _reduce(g - h, side2, ch2)
                     if left and right:
                         num, den = add_term(
                             num, den, m * left.numerator * right.numerator,
@@ -321,46 +308,54 @@ def _reduce(g, psi, kappa, ch):
     return value
 
 
-def _forget_marking(g, psi, kappa, ch):
+def _forget_marking(g, psi, ch):
     """:func:`_reduce` with ``psi[0] <= 1`` by forgetting that marking.
 
-    ch(E) is pulled back under the map that forgets a point, and
-    ``kappa_a = pi^* kappa_a + psi^a`` there (Arbarello--Cornalba), so with
+    ch(E) is pulled back under the map that forgets a point, so with
     ``d = psi[1:]`` on ``m = len(d)`` points the string (``psi^0``) and
-    dilaton (``psi^1``) equations hold with a kappa correction: every
-    nonempty sub-multiset S of the kappa factors merges into one
-    ``kappa_{sum(S) + e - 1}``, ``e`` the forgotten exponent.  For S
-    empty, ``psi^0`` lowers one positive exponent of ``d``, and ``psi^1``
-    multiplies the integral over ``d`` by ``kappa_0``.  ``kappa_0`` is
-    the scalar ``2g - 2 + m``, never a stored factor."""
+    dilaton (``psi^1``) equations hold as for pure psi integrals, with no
+    correction term: ``psi^0`` lowers one positive exponent of ``d``, and
+    ``psi^1`` multiplies the integral over ``d`` by ``2g - 2 + m``."""
     e, d = psi[0], psi[1:]
-    kappa0 = 2 * g - 2 + len(d)
-    num, den = 0, 1
     if e:
-        x = _reduce(g, d, kappa, ch)
-        num, den = kappa0 * x.numerator, x.denominator
-    else:
-        for v, c in counts(d).items():
-            if v:
-                x = _reduce(g, replace_one(d, v, v - 1), kappa, ch)
-                num, den = add_term(num, den, c * x.numerator, x.denominator)
-    for chosen, remaining, mult in sub_multisets(kappa):
-        if not chosen:
-            continue
-        a = sum(chosen) + e - 1
-        if a:
-            x = _reduce(g, d, tuple(sorted(remaining + (a,))), ch)
-        else:
-            x = _reduce(g, d, remaining, ch)
-            mult *= kappa0
-        num, den = add_term(num, den, mult * x.numerator, x.denominator)
+        return (2 * g - 2 + len(d)) * _reduce(g, d, ch)
+    num, den = 0, 1
+    for v, c in counts(d).items():
+        if v:
+            x = _reduce(g, replace_one(d, v, v - 1), ch)
+            num, den = add_term(num, den, c * x.numerator, x.denominator)
+    return Fraction(num, den)
+
+
+def _eliminate_kappa(g, psi, kappa):
+    """A kappa/psi integral for sorted tuples, unmemoised.  With the
+    pointed convention ``kappa_a = pi_*(psi^{a+1})`` the first kappa factor
+    is eliminated against a fresh point: a sub-multiset S of the other
+    kappa factors merges into the fresh point's exponent, with sign
+    ``(-1)^|S|``.  The pure psi correlators left are read from the WK
+    table."""
+    if not kappa:
+        return default_table()._psi_eval(g, psi)
+    n = len(psi)
+    if not is_stable(g, n) or sum(psi) + sum(kappa) != 3 * g - 3 + n:
+        return _ZERO
+    e = kappa[0] + 1
+    num, den = 0, 1
+    for chosen, remaining, mult in sub_multisets(kappa[1:]):
+        x = _eliminate_kappa(g, tuple(sorted(psi + (e + sum(chosen),))),
+                             remaining)
+        if x:
+            sign = -1 if len(chosen) % 2 else 1
+            num, den = add_term(num, den, sign * mult * x.numerator,
+                                x.denominator)
     return Fraction(num, den)
 
 
 def kappa_integral(g, n, psi, kappa):
     """Integral of ``prod kappa_a prod psi_i^{e_i}`` over Mbar_{g,n};
-    ``psi`` is read by :func:`pshodge.wk.psi_exponents`.  A negative
-    genus or kappa index raises ``ValueError``.
+    ``psi`` is read by :func:`pshodge.wk.psi_exponents`.  The kappa
+    factors are eliminated at entry (:func:`_eliminate_kappa`), outside
+    the GRR memo.  A negative genus or kappa index raises ``ValueError``.
 
     >>> kappa_integral(1, 1, None, [1])
     Fraction(1, 24)
@@ -371,7 +366,7 @@ def kappa_integral(g, n, psi, kappa):
     kappa = tuple(sorted(int(a) for a in kappa))
     if kappa and kappa[0] < 0:
         raise ValueError("kappa indices must be non-negative")
-    return _reduce(g, tuple(sorted(psi_exponents(n, psi))), kappa, ())
+    return _eliminate_kappa(g, tuple(sorted(psi_exponents(n, psi))), kappa)
 
 
 def hodge_integral(monomial):
@@ -406,6 +401,6 @@ def hodge_integral(monomial):
             poly = multiply(poly, odd)
     value = _ZERO
     for mono, coeff in poly.items():
-        value += coeff * _reduce(g, psi, (), mono)
+        value += coeff * _reduce(g, psi, mono)
     _HODGE_MEMO[key] = value
     return value

@@ -42,8 +42,8 @@ from .multiset import compositions, partitions, sub_multisets
 from .wk import is_stable
 
 __all__ = ["ENUMERATION_D_MAX", "ENUMERATION_M_MAX", "EnumerationBoundError",
-           "HurwitzInstance", "canonical_permutation", "count_factorizations",
-           "hurwitz_brute", "riemann_hurwitz_m", "elsv_value"]
+           "HurwitzInstance", "count_factorizations", "hurwitz_brute",
+           "riemann_hurwitz_m", "elsv_value"]
 
 ENUMERATION_D_MAX = 20
 ENUMERATION_M_MAX = 40
@@ -77,31 +77,6 @@ class HurwitzInstance:
         """The genus for which m matches Riemann--Hurwitz, if integral."""
         num = self.m - len(self.mu) - self.d + 2
         return num // 2 if num % 2 == 0 and num >= 0 else None
-
-
-def canonical_permutation(mu):
-    """The permutation of {0..d-1} with cycles ``(0..mu_1-1)(mu_1..)...``.
-
-    >>> canonical_permutation((2, 1))
-    (1, 0, 2)
-    """
-    perm, start = [], 0
-    for part in mu:
-        perm += [*range(start + 1, start + part), start]
-        start += part
-    return tuple(perm)
-
-
-def _cycle_type(perm):
-    lengths, seen = [], set()
-    for x in range(len(perm)):
-        length = 0
-        while x not in seen:
-            seen.add(x)
-            x, length = perm[x], length + 1
-        if length:
-            lengths.append(length)
-    return tuple(sorted(lengths))
 
 
 def _dimension(lam):
@@ -142,15 +117,16 @@ def _character(lam, mu, memo):
     return memo[lam, mu]
 
 
-def count_factorizations(target, m):
+def count_factorizations(cycle_type, m):
     """Number of m-tuples of transpositions of {0..d-1} whose left-to-right
-    product equals ``target`` and which generate a transitive subgroup.
+    product equals a fixed permutation with cycle lengths ``cycle_type``
+    and which generate a transitive subgroup.
 
-    Only the cycle type of ``target`` matters, sorted so that the last
-    part is cycle 0; the count comes from the characters of S_d (module
+    The parts may come in any order; sorted ascending, the last part is
+    cycle 0.  The count comes from the characters of S_d (module
     docstring), with every memo local to the call.
 
-    >>> count_factorizations((0, 1, 2), 2), count_factorizations((0, 1, 2), 4)
+    >>> count_factorizations((1, 1, 1), 2), count_factorizations((1, 1, 1), 4)
     (0, 24)
     """
     chars, terms, counts, connected = {}, {}, {}, {}
@@ -182,7 +158,7 @@ def count_factorizations(target, m):
             connected[nu, k] = total
         return connected[nu, k]
 
-    return transitive(_cycle_type(target), m)
+    return transitive(tuple(sorted(cycle_type)), m)
 
 
 def hurwitz_brute(instance):
@@ -198,7 +174,7 @@ def hurwitz_brute(instance):
         raise EnumerationBoundError(
             f"refusing d={instance.d}, m={instance.m}: the Hurwitz count "
             f"bound is d <= {ENUMERATION_D_MAX}, m <= {ENUMERATION_M_MAX}")
-    return count_factorizations(canonical_permutation(instance.mu), instance.m)
+    return count_factorizations(instance.mu, instance.m)
 
 
 def riemann_hurwitz_m(g, mu):

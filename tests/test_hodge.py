@@ -182,11 +182,11 @@ class TestHodgeIntegral:
     def test_ch_parity_vanishing(self):
         # even ch_l vanish through B_{l+1} = 0; this makes the odd-ch
         # filter in hodge_integral exact
-        for g, psi, kappa, ch in [(2, (2,), (), (2,)), (3, (0,), (1,), (2, 4))]:
-            assert _reduce(g, psi, kappa, ch) == 0
+        for g, psi, ch in [(2, (2,), (2,)), (3, (0, 2), (2, 4))]:
+            assert _reduce(g, psi, ch) == 0
 
     def test_ch1_equals_lambda1(self):
-        assert _reduce(1, (0,), (), (1,)) == Fraction(1, 24) == \
+        assert _reduce(1, (0,), (1,)) == Fraction(1, 24) == \
             hodge_integral(HodgeMonomial.of(1, 1, {1: 1}))
 
     def test_linearity_randomised(self):
@@ -311,8 +311,10 @@ def reference_reduce(g, psi, kappa, ch, memo):
     whose degree forces no genus; ``memo`` plays the role of ``_CH_MEMO``.
 
     Differential oracle for ``hodge._reduce``, which lets the degree of a
-    split pick ``a`` instead and visits a term and its mirror image once;
-    the kappa/psi leaves are :func:`reference_kappa`.
+    split pick ``a`` instead, visits a term and its mirror image once and
+    turns the kappa term of ``ch_l`` into a new marking carrying
+    ``psi^{l+1}``; here kappa classes are carried in the key and the
+    kappa/psi leaves are :func:`reference_kappa`.
     """
     n = len(psi)
     if not is_stable(g, n):
@@ -409,13 +411,24 @@ def grr_monomials(seed=8):
     return out
 
 
+def odd_ch_factors(k):
+    """The sorted tuples of odd ch indices of total degree k."""
+    return [tuple(sorted(p)) for p in partitions(k) if all(l % 2 for l in p)]
+
+
+def psi_tuples(n, deg):
+    """The sorted psi exponents on n points of total degree ``deg``."""
+    return [tuple(sorted(p + (0,) * (n - len(p)))) for p in partitions(deg)
+            if len(p) <= n]
+
+
 class TestReductionOracle:
     def test_memo_matches_triple_loop(self):
         """After a cold run the integrals agree, and every ``_CH_MEMO``
-        entry equals the triple loop at its key.  It holds fewer keys with
-        a ch factor: a psi^0 or psi^1 marking is forgotten instead of
-        expanding a Chern character, which also reaches kappa keys the
-        triple loop never memoises, such as ``(2, (), (1, 1), (1,))``."""
+        entry ``(g, psi, ch)`` equals the triple loop at its key.  It holds
+        fewer keys than the triple loop's memo holds keys with a ch factor:
+        a psi^0 or psi^1 marking is forgotten instead of expanding a Chern
+        character, and the kappa term is a new marking, not a kappa key."""
         monomials = grr_monomials()
         clear_caches()
         values = [hodge_integral(mono) for mono in monomials]
@@ -423,13 +436,10 @@ class TestReductionOracle:
         want = [reference_hodge_integral(mono, memo) for mono in monomials]
         assert values == want
         assert len(memo) > 100
-
-        def with_ch(keys):
-            return sum(1 for key in keys if key[3])
-
-        assert with_ch(hodge._CH_MEMO) < with_ch(memo)
+        assert len(hodge._CH_MEMO) < sum(1 for key in memo if key[3])
         for key, value in hodge._CH_MEMO.items():
-            assert reference_reduce(*key, memo) == value, key
+            g, psi, ch = key
+            assert reference_reduce(g, psi, (), ch, memo) == value, key
 
     def test_kappa_matches_old_recursion(self):
         """Every sorted psi/kappa key at g <= 3 and dimension <= 8, with
@@ -459,22 +469,59 @@ class TestReductionOracle:
         assert checked > 1000
 
     def test_forgotten_marking_matches_triple_loop(self):
-        """Every key with a psi^0 or psi^1 marking at g <= 4, n <= 4, with
-        0-2 kappa factors (kappa_1 among them, so that kappa_0 arises as
-        a scalar) and 1-2 odd ch factors, against the triple loop."""
+        """Every key with a psi^0 or psi^1 marking at g <= 4, n <= 5 with one
+        to three odd ch factors from a fixed list, against the triple
+        loop."""
         clear_caches()
         memo = {}
         checked = set()
-        for g, n, kappa, ch, first in product(
-                range(1, 5), range(1, 5),
-                ((), (1,), (2,), (1, 1), (1, 2), (1, 3)),
-                ((1,), (3,), (5,), (1, 1), (1, 3), (3, 3)), (0, 1)):
-            deg = 3 * g - 3 + n - sum(kappa) - sum(ch) - first
+        for g, n, ch, first in product(
+                range(1, 5), range(1, 6),
+                ((1,), (3,), (5,), (1, 1), (1, 3), (3, 3), (1, 5), (3, 5),
+                 (1, 1, 1), (1, 1, 3)), (0, 1)):
+            deg = 3 * g - 3 + n - sum(ch) - first
             if deg < 0:
                 continue
             for rest in compositions(deg, n - 1):
-                key = (g, tuple(sorted((first,) + rest)), kappa, ch)
+                key = (g, tuple(sorted((first,) + rest)), ch)
                 if key not in checked:
-                    assert _reduce(*key) == reference_reduce(*key, memo), key
+                    assert _reduce(*key) == \
+                        reference_reduce(key[0], key[1], (), key[2], memo), key
                     checked.add(key)
         assert len(checked) > 1000
+
+    def test_every_small_key_matches_triple_loop(self):
+        """Every sorted key with odd ch factors at g <= 3, n <= 3."""
+        clear_caches()
+        memo = {}
+        keys = [(g, psi, ch) for g, n in product(range(4), range(4))
+                if is_stable(g, n) for k in range(1, 3 * g - 2 + n)
+                for ch in odd_ch_factors(k)
+                for psi in psi_tuples(n, 3 * g - 3 + n - k)]
+        assert len(keys) == 213
+        for g, psi, ch in keys:
+            assert _reduce(g, psi, ch) == \
+                reference_reduce(g, psi, (), ch, memo), (g, psi, ch)
+
+    def test_kappa_term_is_a_new_marking(self):
+        """``kappa_l X = pi_*(psi_{n+1}^{l+1} pi^* X)``: the triple loop with
+        ``kappa_l`` carried in its key equals ``_reduce`` with a new marking
+        carrying ``psi^{l+1}``, for every odd-ch key at g <= 3,
+        1 <= n <= 3 and l >= 1.  The two routes share only the WK
+        leaves."""
+        clear_caches()
+        memo = {}
+        checked = nonzero = 0
+        for g, n in product(range(4), range(1, 4)):
+            if not is_stable(g, n):
+                continue
+            dim = 3 * g - 3 + n
+            for l, k in product(range(1, dim + 1), range(1, dim + 1)):
+                for ch, psi in product(odd_ch_factors(k),
+                                       psi_tuples(n, dim - l - k)):
+                    want = reference_reduce(g, psi, (l,), ch, memo)
+                    assert _reduce(g, tuple(sorted(psi + (l + 1,))), ch) \
+                        == want, (g, psi, l, ch)
+                    checked += 1
+                    nonzero += bool(want)
+        assert (checked, nonzero) == (339, 308)

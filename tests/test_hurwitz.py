@@ -12,11 +12,37 @@ import pytest
 from pshodge.expr import parse_expression
 from pshodge.hurwitz import (ENUMERATION_D_MAX, ENUMERATION_M_MAX,
                              EnumerationBoundError, HurwitzInstance,
-                             _character, _dimension, canonical_permutation,
-                             count_factorizations, elsv_value, hurwitz_brute,
-                             riemann_hurwitz_m)
+                             _character, _dimension, count_factorizations,
+                             elsv_value, hurwitz_brute, riemann_hurwitz_m)
 from pshodge.multiset import compositions, counts, partitions
 from pshodge.strata import expr_integral, is_pseudostable
+
+
+def canonical_permutation(mu):
+    """The permutation of {0..d-1} with cycles ``(0..mu_1-1)(mu_1..)...``,
+    for the permutation oracles below.
+
+    >>> canonical_permutation((2, 1))
+    (1, 0, 2)
+    """
+    perm, start = [], 0
+    for part in mu:
+        perm += [*range(start + 1, start + part), start]
+        start += part
+    return tuple(perm)
+
+
+def cycle_type(perm):
+    """The cycle lengths of ``perm``, ascending."""
+    lengths, seen = [], set()
+    for x in range(len(perm)):
+        length = 0
+        while x not in seen:
+            seen.add(x)
+            x, length = perm[x], length + 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
 
 
 def naive_count(target, m):
@@ -201,16 +227,15 @@ class TestBruteForce:
     ])
     def test_against_naive_enumeration(self, mu, m):
         target = canonical_permutation(mu)
-        assert count_factorizations(target, m) == naive_count(target, m)
+        assert count_factorizations(mu, m) == naive_count(target, m)
 
     def test_matches_reference_dfs(self):
         cases = [(mu, m) for d in range(1, 6) for mu in partitions(d)
                  for m in range(6)]
         cases += [(mu, m) for mu in partitions(6) for m in range(5)]
         for mu, m in cases:
-            target = canonical_permutation(mu)
-            assert count_factorizations(target, m) == \
-                reference_count(target, m), (mu, m)
+            assert count_factorizations(mu, m) == \
+                reference_count(canonical_permutation(mu), m), (mu, m)
 
     def test_matches_reference_dfs_conjugated(self):
         rng = random.Random(5)
@@ -226,7 +251,8 @@ class TestBruteForce:
                 for x, y in enumerate(sigma):
                     inv[y] = x
                 conj = tuple(sigma[target[inv[x]]] for x in range(d))
-            assert count_factorizations(conj, m) == \
+            assert cycle_type(conj) == tuple(sorted(mu))
+            assert count_factorizations(cycle_type(conj), m) == \
                 reference_count(conj, m) == \
                 state_search_count(conj, m), (mu, m, conj)
 
@@ -236,9 +262,8 @@ class TestBruteForce:
                  for m in range(9)]
         assert len(cases) == 261
         for mu, m in cases:
-            target = canonical_permutation(mu)
-            assert count_factorizations(target, m) == \
-                state_search_count(target, m), (mu, m)
+            assert count_factorizations(mu, m) == \
+                state_search_count(canonical_permutation(mu), m), (mu, m)
 
     def test_genus_one_at_the_guard(self):
         # the largest genus-one inputs the former guard d <= 6, m <= 8 admitted
@@ -263,9 +288,9 @@ class TestBruteForce:
             for x, y in enumerate(sigma):
                 inv[y] = x
             conj = tuple(sigma[target[inv[x]]] for x in range(d))
-            assert count_factorizations(conj, m) == \
-                count_factorizations(target, m) == \
-                state_search_count(conj, m)
+            assert state_search_count(conj, m) == \
+                state_search_count(target, m) == \
+                count_factorizations(cycle_type(conj), m)
 
     def test_opposite_composition_convention(self):
         # reversing the tuple inverts the product; counting factorizations
@@ -276,9 +301,9 @@ class TestBruteForce:
             inverse = [0] * d
             for x, y in enumerate(target):
                 inverse[y] = x
-            assert count_factorizations(target, m) == \
-                count_factorizations(tuple(inverse), m) == \
-                state_search_count(tuple(inverse), m)
+            assert state_search_count(tuple(inverse), m) == \
+                state_search_count(target, m) == \
+                count_factorizations(cycle_type(inverse), m)
 
     def test_resource_guard(self):
         bound = "bound is d <= 20, m <= 40"

@@ -458,8 +458,12 @@ class TestNormalFormEvaluation:
         assert (3, 1, (1, 1, 2)) not in strata._HAT_LAMBDA_PRODUCTS
         assert strata._RESTRICTIONS
         assert hodge._HODGE_MEMO
+        assert hodge._reduce(1, (0,), (1,)) == Fraction(1, 24)
+        assert (1, (0,), (1,)) in hodge._CH_MEMO  # a (g, psi, ch) key
+        assert all(len(key) == 3 for key in hodge._CH_MEMO)
+        stored = dict(hodge._CH_MEMO)
         assert kappa_integral(1, 1, None, [1]) == Fraction(1, 24)
-        assert (1, (0,), (1,), ()) in hodge._CH_MEMO  # a kappa-only key
+        assert hodge._CH_MEMO == stored  # kappa elimination stores nothing
         pshodge.clear_caches()
         assert not strata._HAT_LAMBDA_PRODUCTS
         assert not strata._INTEGRABLE_PRODUCTS
