@@ -37,9 +37,10 @@ steps:
    which eliminates them at entry: with the pointed convention
    ``kappa_a = pi_*(psi^{a+1})`` each kappa factor becomes a fresh point,
    absorbing any sub-multiset of the other kappa factors with
-   alternating signs, down to WK correlators.
+   alternating signs, down to WK correlators, with a memo local to the
+   call.
 
-Every operation is pure and exact; all but kappa elimination are memoised.
+Every operation is pure, exact, and memoised.
 """
 
 from __future__ import annotations
@@ -327,15 +328,20 @@ def _forget_marking(g, psi, ch):
     return Fraction(num, den)
 
 
-def _eliminate_kappa(g, psi, kappa):
-    """A kappa/psi integral for sorted tuples, unmemoised.  With the
-    pointed convention ``kappa_a = pi_*(psi^{a+1})`` the first kappa factor
-    is eliminated against a fresh point: a sub-multiset S of the other
-    kappa factors merges into the fresh point's exponent, with sign
-    ``(-1)^|S|``.  The pure psi correlators left are read from the WK
-    table."""
+def _eliminate_kappa(g, psi, kappa, memo):
+    """A kappa/psi integral for sorted tuples.  With the pointed convention
+    ``kappa_a = pi_*(psi^{a+1})`` the first kappa factor is eliminated
+    against a fresh point: a sub-multiset S of the other kappa factors
+    merges into the fresh point's exponent, with sign ``(-1)^|S|``.  The
+    pure psi correlators left are read from the WK table.  ``memo`` is
+    local to one :func:`kappa_integral` call and keyed by
+    ``(psi, kappa)``: without it, ``kappa_1^k`` would take ``2^(k-1)``
+    paths to its leaves."""
     if not kappa:
         return default_table()._psi_eval(g, psi)
+    hit = memo.get((psi, kappa))
+    if hit is not None:
+        return hit
     n = len(psi)
     if not is_stable(g, n) or sum(psi) + sum(kappa) != 3 * g - 3 + n:
         return _ZERO
@@ -343,19 +349,21 @@ def _eliminate_kappa(g, psi, kappa):
     num, den = 0, 1
     for chosen, remaining, mult in sub_multisets(kappa[1:]):
         x = _eliminate_kappa(g, tuple(sorted(psi + (e + sum(chosen),))),
-                             remaining)
+                             remaining, memo)
         if x:
             sign = -1 if len(chosen) % 2 else 1
             num, den = add_term(num, den, sign * mult * x.numerator,
                                 x.denominator)
-    return Fraction(num, den)
+    value = memo[psi, kappa] = Fraction(num, den)
+    return value
 
 
 def kappa_integral(g, n, psi, kappa):
     """Integral of ``prod kappa_a prod psi_i^{e_i}`` over Mbar_{g,n};
     ``psi`` is read by :func:`pshodge.wk.psi_exponents`.  The kappa
-    factors are eliminated at entry (:func:`_eliminate_kappa`), outside
-    the GRR memo.  A negative genus or kappa index raises ``ValueError``.
+    factors are eliminated at entry (:func:`_eliminate_kappa`), with a
+    memo local to the call, outside the GRR memo.  A negative genus or
+    kappa index raises ``ValueError``.
 
     >>> kappa_integral(1, 1, None, [1])
     Fraction(1, 24)
@@ -366,7 +374,8 @@ def kappa_integral(g, n, psi, kappa):
     kappa = tuple(sorted(int(a) for a in kappa))
     if kappa and kappa[0] < 0:
         raise ValueError("kappa indices must be non-negative")
-    return _eliminate_kappa(g, tuple(sorted(psi_exponents(n, psi))), kappa)
+    return _eliminate_kappa(g, tuple(sorted(psi_exponents(n, psi))), kappa,
+                            {})
 
 
 def hodge_integral(monomial):

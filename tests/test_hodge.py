@@ -468,6 +468,15 @@ class TestReductionOracle:
                         checked += 1
         assert checked > 1000
 
+    def test_many_kappa_factors_match_old_recursion(self):
+        """``kappa_1^k`` on Mbar_{0,k+3} and Mbar_{1,k}, whose elimination
+        takes ``2^(k-1)`` paths to its leaves."""
+        memo = {}
+        for g, k in ((0, 10), (0, 14), (1, 12)):
+            n = k + 3 - 3 * g
+            assert kappa_integral(g, n, None, [1] * k) == \
+                reference_kappa(g, (0,) * n, (1,) * k, memo) != 0, (g, k)
+
     def test_forgotten_marking_matches_triple_loop(self):
         """Every key with a psi^0 or psi^1 marking at g <= 4, n <= 5 with one
         to three odd ch factors from a fixed list, against the triple
