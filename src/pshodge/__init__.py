@@ -9,7 +9,8 @@ Layers, bottom up:
   Grothendieck--Riemann--Roch boundary recursion on psi and ch factors,
   Mumford's kappa term entering as a new marking); kappa classes are
   eliminated against fresh points at entry;
-* :mod:`pshodge.strata` -- the elliptic-tail strata algebra and the
+* :mod:`pshodge.strata` -- the elliptic-tail strata algebra, with one
+  term-product kernel and one memo of ``hat_lambda`` products, and the
   translation of pseudostable Hodge integrals to stable ones;
 * :mod:`pshodge.hurwitz` -- Hurwitz numbers counted from the characters
   of S_d, against their linear-Hodge evaluation (ELSV), an independent
@@ -33,11 +34,9 @@ __all__ = ["clear_caches", "__version__"]
 
 
 def clear_caches():
-    """Drop the Hodge-integral and GRR memos, the memoised ``hat_lambda``
-    products (both the complete prefix products and the last products
-    that keep only integrable terms) and the table of lambda restrictions
-    over fresh tails (the WK table is managed separately)."""
+    """Drop the Hodge-integral and GRR memos, the one memo of ``hat_lambda``
+    products (complete prefixes and integrable last products alike) and
+    the table of lambda restrictions over fresh tails (the WK table is
+    managed separately)."""
     hodge.clear_caches()
-    strata._HAT_LAMBDA_PRODUCTS.clear()
-    strata._INTEGRABLE_PRODUCTS.clear()
-    strata._RESTRICTIONS.clear()
+    strata.clear_caches()

@@ -51,13 +51,16 @@ every tail contributes ``1/24`` per ``psi_bullet`` (and 0 without one).
    ``j! * hat_lambda_j``, whose coefficients ``j!/i!`` are integers, so
    the products keep plain ``int`` coefficients and the monomial's
    coefficient is divided by ``prod j!`` once.  The product of all
-   factors but the last is complete (memoised, built from its prefix),
-   since a later factor can give a bare tail its ``psi_bullet``; the
-   last factor is multiplied in building only the integrable terms,
-   those whose tails all carry ``psi_bullet`` (memoised separately).
-   The restrictions of a core lambda monomial over fresh tails, grouped
-   by the tails they bump, depend only on the monomial and the tail
-   count and are built once per pair (``_RESTRICTIONS``).  Stably, each
+   factors but the last is complete, since a later factor can give a
+   bare tail its ``psi_bullet``; the last factor is multiplied in
+   keeping only the integrable terms, those whose tails all carry
+   ``psi_bullet``.  One term-product kernel builds both, told which
+   ``psi_bullet`` exponents a product tail may end with, and one memo
+   (``_PRODUCTS``) holds both kinds of product, each built from its
+   complete prefix.  The restrictions of a core lambda monomial over
+   fresh tails, grouped by the tails they bump, depend only on the
+   monomial and the tail count and are built once per pair
+   (``_RESTRICTIONS``).  Stably, each
    monomial is a Hodge integral and no strata class is formed;
 3. attach the monomial's psi part to every integrable term of that
    product by adding exponents to ``core_psi``, since psi classes pull
@@ -92,6 +95,7 @@ __all__ = [
     "class_integrate",
     "t_pullback_ch",
     "expr_integral",
+    "clear_caches",
 ]
 
 _ZERO = Fraction(0)
@@ -290,30 +294,45 @@ def _restrictions_by_bumps(core_lambda, new_tails):
     return table
 
 
-def _excess_branches(a, b):
+# The psi_bullet exponents a tail may take on top of the ``b`` it has,
+# for each set of exponents a product tail may end with.
+_INCREMENTS = {(0, 1): ((0, 1), (0,)), (1,): ((1,), (0,))}
+
+
+def _excess_branches(a, b, bullets):
     """Expansion of the excess weight ``-psi_star - psi_bullet`` against a
-    matched tail carrying ``psi_star^a psi_bullet^b``."""
-    out = [(-1, (a + 1, b))]
-    if b + 1 <= 1:
+    matched tail carrying ``psi_star^a psi_bullet^b``, keeping the
+    branches whose tail ends with a ``psi_bullet`` exponent in
+    ``bullets``."""
+    out = []
+    if b in bullets:
+        out.append((-1, (a + 1, b)))
+    if b + 1 in bullets:
         out.append((-1, (a, b + 1)))
     return out
 
 
-def _bumped(rest, restrictions):
+def _bumped(rest, restrictions, bullets):
     """``(lams, tails)`` for every bump vector of ``restrictions`` that
-    leaves each of the unmatched tails ``rest`` with at most one
-    ``psi_bullet``: the kept lambda tuples and the bumped tails."""
+    leaves each of the unmatched tails ``rest`` with a ``psi_bullet``
+    exponent in ``bullets``: the kept lambda tuples and the bumped
+    tails."""
+    if not rest:
+        return [(restrictions[()], rest)]  # the common case, kept cheap
+    increments = _INCREMENTS[bullets]
     out = []
-    for bumps, lams in restrictions.items():
-        tails = [(a, b + e) for (a, b), e in zip(rest, bumps)]
-        if all(b <= 1 for _, b in tails):
-            out.append((lams, tails))
+    for bumps in iproduct(*[increments[b] for _, b in rest]):
+        lams = restrictions.get(bumps)
+        if lams is not None:
+            out.append((lams, [(a, b + e) for (a, b), e in zip(rest, bumps)]))
     return out
 
 
-def _term_product(g, n, t, u, base):
+def _term_product(g, n, t, u, base, bullets):
     """The ``(key, coeff)`` strata terms of ``base`` times the product of
-    the decorations ``t`` and ``u`` on Mbar_{g,n}."""
+    the decorations ``t`` and ``u`` on Mbar_{g,n} whose tails all end
+    with a ``psi_bullet`` exponent in ``bullets``: ``(0, 1)`` keeps every
+    term, ``(1,)`` only the integrable ones."""
     t_tails, t_lambda, t_psi = t
     u_tails, u_lambda, u_psi = u
     i, ip = len(t_tails), len(u_tails)
@@ -324,21 +343,21 @@ def _term_product(g, n, t, u, base):
         for tsel in combinations(range(i), m):
             # u's core restrictions bump t's unmatched tails
             new_ts = _bumped([t_tails[x] for x in range(i) if x not in tsel],
-                             u_restrictions)
+                             u_restrictions, bullets)
             if not new_ts:
                 continue
             for usel in permutations(range(ip), m):
+                # t's core restrictions bump u's unmatched tails
+                new_us = _bumped(
+                    [u_tails[y] for y in range(ip) if y not in usel],
+                    t_restrictions, bullets)
+                if not new_us:
+                    continue
                 merged = [(t_tails[x][0] + u_tails[y][0],
                            t_tails[x][1] + u_tails[y][1])
                           for x, y in zip(tsel, usel)]
-                if any(b > 1 for _, b in merged):
-                    continue
-                new_us = _bumped(
-                    [u_tails[y] for y in range(ip) if y not in usel],
-                    t_restrictions)
-                if not new_us:
-                    continue
-                for branches in iproduct(*[_excess_branches(a, b)
+                # a merged psi_bullet^2 leaves no branch
+                for branches in iproduct(*[_excess_branches(a, b, bullets)
                                            for a, b in merged]):
                     sign = 1
                     matched_tails = []
@@ -357,56 +376,6 @@ def _term_product(g, n, t, u, base):
                                         yield term
 
 
-def _integrable_term_product(g, n, t, u, base):
-    """The terms of ``_term_product(g, n, t, u, base)`` in which every
-    tail carries ``psi_bullet``: the others integrate to zero.
-
-    A matched pair takes only the ``psi_bullet`` branch of the excess
-    weight, and each core's lambda restriction only the bump vector that
-    gives every bare unmatched tail of the other factor its
-    ``psi_bullet``.
-    """
-    t_tails, t_lambda, t_psi = t
-    u_tails, u_lambda, u_psi = u
-    i, ip = len(t_tails), len(u_tails)
-    core_psi = tuple(map(add, t_psi, u_psi))
-    for m in range(min(i, ip) + 1):
-        t_restrictions = _restrictions_by_bumps(t_lambda, ip - m)
-        u_restrictions = _restrictions_by_bumps(u_lambda, i - m)
-        for tsel in combinations(range(i), m):
-            t_rest = [t_tails[x] for x in range(i) if x not in tsel]
-            u_lams = u_restrictions.get(tuple(1 - b for _, b in t_rest))
-            if u_lams is None:
-                continue
-            new_t = [(a, 1) for a, _ in t_rest]
-            for usel in permutations(range(ip), m):
-                u_rest = [u_tails[y] for y in range(ip) if y not in usel]
-                t_lams = t_restrictions.get(tuple(1 - b for _, b in u_rest))
-                if t_lams is None:
-                    continue
-                sign = 1
-                tails = [(a, 1) for a, _ in u_rest] + new_t
-                for x, y in zip(tsel, usel):
-                    b = t_tails[x][1] + u_tails[y][1]
-                    if b > 1:
-                        break
-                    # the one branch whose tail carries psi_bullet
-                    s, ab = next(
-                        branch for branch in _excess_branches(
-                            t_tails[x][0] + u_tails[y][0], b)
-                        if branch[1][1] == 1)
-                    sign *= s
-                    tails.append(ab)
-                else:
-                    coeff = base * sign
-                    for lam_t in t_lams:
-                        for lam_u in u_lams:
-                            term = _make_term(g, n, coeff, tails,
-                                              lam_t + lam_u, core_psi)
-                            if term is not None:
-                                yield term
-
-
 def class_multiply(first, second, integrable=False):
     """Product of two strata classes on the same ambient Mbar_{g,n}.
 
@@ -414,17 +383,17 @@ def class_multiply(first, second, integrable=False):
     with m tails of the other, weighting every matched pair by the excess
     class and treating unmatched tails as fresh degenerations of the
     other factor's core (see module docstring).  With ``integrable``,
-    only the terms whose tails all carry ``psi_bullet`` are built; the
-    product then integrates against any psi monomial as the full one
-    does, but cannot be multiplied further.
+    the one term-product kernel keeps only the terms whose tails all
+    carry ``psi_bullet``; the product then integrates against any psi
+    monomial as the full one does, but cannot be multiplied further.
     """
     first._check_ambient(second)
     g, n = first.g, first.n
-    product = _integrable_term_product if integrable else _term_product
+    bullets = (1,) if integrable else (0, 1)
     out = {}
     for t, tc in first.terms.items():
         for u, uc in second.terms.items():
-            accumulate(out, product(g, n, t, u, tc * uc))
+            accumulate(out, _term_product(g, n, t, u, tc * uc, bullets))
     return TautClass(g, n, out)
 
 
@@ -547,8 +516,14 @@ def _split(key, g, n):
     return key[:cut], tuple(psi)
 
 
-_HAT_LAMBDA_PRODUCTS = {}
-_INTEGRABLE_PRODUCTS = {}
+_PRODUCTS = {}
+
+
+def clear_caches():
+    """Drop the memoised ``hat_lambda`` products and the table of lambda
+    restrictions over fresh tails."""
+    _PRODUCTS.clear()
+    _RESTRICTIONS.clear()
 
 
 def _scaled_hat_lambda(g, n, j):
@@ -560,45 +535,29 @@ def _scaled_hat_lambda(g, n, j):
         for key, c in hat_lambda(g, n, j).terms.items()})
 
 
-def _hat_lambda_product(g, n, lams):
+def _lambda_product(g, n, lams, integrable=False):
     """``prod_{j in lams} j! * hat_lambda_j`` on Mbar_{g,n} for a sorted
-    multiset, with ``int`` coefficients.
+    multiset, with ``int`` coefficients; with ``integrable``, only its
+    terms whose tails all carry ``psi_bullet``.
 
-    Memoised by ``(g, n, lams)``; each product is its prefix's product
-    times one more factor, so products sharing a prefix share the work.
-    Every ``hat_lambda_j`` is homogeneous of degree j, so no truncation
-    is needed.
+    Memoised in ``_PRODUCTS`` by ``(g, n, lams, integrable)``.  Each
+    product is its prefix's product times one more factor, so products
+    sharing a prefix share the work.  The prefix is always complete,
+    since a later factor can give its bare tails their ``psi_bullet``;
+    only the last factor is multiplied in with ``integrable``.  Every
+    ``hat_lambda_j`` is homogeneous of degree j, so no truncation is
+    needed.
     """
     if not lams:
         return TautClass.one(g, n)
-    key = (g, n, lams)
-    cls = _HAT_LAMBDA_PRODUCTS.get(key)
+    key = (g, n, lams, integrable)
+    cls = _PRODUCTS.get(key)
     if cls is None:
         cls = _scaled_hat_lambda(g, n, lams[-1])
-        if len(lams) > 1:
-            cls = class_multiply(_hat_lambda_product(g, n, lams[:-1]), cls)
-        _HAT_LAMBDA_PRODUCTS[key] = cls
-    return cls
-
-
-def _integrable_product(g, n, lams):
-    """The terms of ``_hat_lambda_product(g, n, lams)`` whose tails all
-    carry ``psi_bullet``, with the same scale ``prod_{j in lams} j!``,
-    memoised by ``(g, n, lams)``.
-
-    The prefix product stays complete, since a later factor can give its
-    bare tails their ``psi_bullet``; only the last factor is multiplied
-    in with ``integrable=True``.
-    """
-    if not lams:
-        return TautClass.one(g, n)
-    key = (g, n, lams)
-    cls = _INTEGRABLE_PRODUCTS.get(key)
-    if cls is None:
-        cls = class_multiply(_hat_lambda_product(g, n, lams[:-1]),
-                             _scaled_hat_lambda(g, n, lams[-1]),
-                             integrable=True)
-        _INTEGRABLE_PRODUCTS[key] = cls
+        if len(lams) > 1 or integrable:
+            cls = class_multiply(_lambda_product(g, n, lams[:-1]), cls,
+                                 integrable)
+        _PRODUCTS[key] = cls
     return cls
 
 
@@ -633,6 +592,6 @@ def expr_integral(g, n, expression, space="stable"):
         accumulate(terms, (
             ((tails, lam, tuple(map(add, core_psi, psi))), c)
             for (tails, lam, core_psi), c
-            in _integrable_product(g, n, lams).terms.items()),
+            in _lambda_product(g, n, lams, integrable=True).terms.items()),
             coeff / prod(map(factorial, lams)))
     return class_integrate(TautClass(g, n, terms))

@@ -80,11 +80,13 @@ def psi_exponents(n, psi=None):
     """One psi exponent per marking, as a tuple of length n.
 
     ``psi`` is ``None`` (all zero), a marking->exponent map with markings
-    ``1..n``, or a list of n exponents.
+    ``1..n``, or a list of n exponents.  A negative n is refused.
 
     >>> psi_exponents(3, {2: 4})
     (0, 4, 0)
     """
+    if n < 0:
+        raise ValueError("the number of markings must be non-negative")
     if psi is None:
         return (0,) * n
     if isinstance(psi, dict):

@@ -4,7 +4,8 @@ import functools
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import (combinations, combinations_with_replacement,
+                       permutations, product)
 from math import factorial
 
 import pytest
@@ -107,12 +108,140 @@ def top_degree_monomials(g, n, max_lambdas):
                 yield "*".join(factors) or "1"
 
 
-def flipped_excess_branches(a, b):
+def flipped_excess_branches(a, b, bullets):
     """The excess weight with the wrong sign, ``+psi_star + psi_bullet``."""
-    out = [(1, (a + 1, b))]
-    if b + 1 <= 1:
+    out = []
+    if b in bullets:
+        out.append((1, (a + 1, b)))
+    if b + 1 in bullets:
         out.append((1, (a, b + 1)))
     return out
+
+
+def reference_excess_branches(a, b):
+    """The excess weight ``-psi_star - psi_bullet`` against a matched tail
+    carrying ``psi_star^a psi_bullet^b``, every branch kept."""
+    out = [(-1, (a + 1, b))]
+    if b + 1 <= 1:
+        out.append((-1, (a, b + 1)))
+    return out
+
+
+def reference_bumped(rest, restrictions):
+    """``(lams, tails)`` for every bump vector of ``restrictions`` that
+    leaves each of the unmatched tails ``rest`` with at most one
+    ``psi_bullet``, found by scanning the table."""
+    out = []
+    for bumps, lams in restrictions.items():
+        tails = [(a, b + e) for (a, b), e in zip(rest, bumps)]
+        if all(b <= 1 for _, b in tails):
+            out.append((lams, tails))
+    return out
+
+
+def reference_term_product(g, n, t, u, base):
+    """Every ``(key, coeff)`` strata term of ``base`` times the product of
+    the decorations ``t`` and ``u``: the complete kernel as it stood
+    before the two kernels became one."""
+    t_tails, t_lambda, t_psi = t
+    u_tails, u_lambda, u_psi = u
+    i, ip = len(t_tails), len(u_tails)
+    core_psi = tuple(a + b for a, b in zip(t_psi, u_psi))
+    for m in range(min(i, ip) + 1):
+        t_restrictions = strata._restrictions_by_bumps(t_lambda, ip - m)
+        u_restrictions = strata._restrictions_by_bumps(u_lambda, i - m)
+        for tsel in combinations(range(i), m):
+            new_ts = reference_bumped(
+                [t_tails[x] for x in range(i) if x not in tsel],
+                u_restrictions)
+            if not new_ts:
+                continue
+            for usel in permutations(range(ip), m):
+                merged = [(t_tails[x][0] + u_tails[y][0],
+                           t_tails[x][1] + u_tails[y][1])
+                          for x, y in zip(tsel, usel)]
+                if any(b > 1 for _, b in merged):
+                    continue
+                new_us = reference_bumped(
+                    [u_tails[y] for y in range(ip) if y not in usel],
+                    t_restrictions)
+                if not new_us:
+                    continue
+                for branches in product(*[reference_excess_branches(a, b)
+                                          for a, b in merged]):
+                    sign = 1
+                    matched_tails = []
+                    for s, ab in branches:
+                        sign *= s
+                        matched_tails.append(ab)
+                    coeff = base * sign
+                    for t_lams, new_u in new_us:
+                        for u_lams, new_t in new_ts:
+                            tails = matched_tails + new_t + new_u
+                            for lam_t in t_lams:
+                                for lam_u in u_lams:
+                                    term = _make_term(g, n, coeff, tails,
+                                                      lam_t + lam_u, core_psi)
+                                    if term is not None:
+                                        yield term
+
+
+def reference_integrable_term_product(g, n, t, u, base):
+    """The terms of ``reference_term_product`` in which every tail
+    carries ``psi_bullet``: the integrable kernel as it stood before the
+    two kernels became one.  A matched pair takes only the
+    ``psi_bullet`` branch of the excess weight, and each core's lambda
+    restriction only the bump vector that gives every bare unmatched
+    tail of the other factor its ``psi_bullet``."""
+    t_tails, t_lambda, t_psi = t
+    u_tails, u_lambda, u_psi = u
+    i, ip = len(t_tails), len(u_tails)
+    core_psi = tuple(a + b for a, b in zip(t_psi, u_psi))
+    for m in range(min(i, ip) + 1):
+        t_restrictions = strata._restrictions_by_bumps(t_lambda, ip - m)
+        u_restrictions = strata._restrictions_by_bumps(u_lambda, i - m)
+        for tsel in combinations(range(i), m):
+            t_rest = [t_tails[x] for x in range(i) if x not in tsel]
+            u_lams = u_restrictions.get(tuple(1 - b for _, b in t_rest))
+            if u_lams is None:
+                continue
+            new_t = [(a, 1) for a, _ in t_rest]
+            for usel in permutations(range(ip), m):
+                u_rest = [u_tails[y] for y in range(ip) if y not in usel]
+                t_lams = t_restrictions.get(tuple(1 - b for _, b in u_rest))
+                if t_lams is None:
+                    continue
+                sign = 1
+                tails = [(a, 1) for a, _ in u_rest] + new_t
+                for x, y in zip(tsel, usel):
+                    b = t_tails[x][1] + u_tails[y][1]
+                    if b > 1:
+                        break
+                    s, ab = next(
+                        branch for branch in reference_excess_branches(
+                            t_tails[x][0] + u_tails[y][0], b)
+                        if branch[1][1] == 1)
+                    sign *= s
+                    tails.append(ab)
+                else:
+                    coeff = base * sign
+                    for lam_t in t_lams:
+                        for lam_u in u_lams:
+                            term = _make_term(g, n, coeff, tails,
+                                              lam_t + lam_u, core_psi)
+                            if term is not None:
+                                yield term
+
+
+def akiyama_tanigawa_bernoulli(m):
+    """The Bernoulli number B_m (with B_1 = +1/2) by the Akiyama--Tanigawa
+    algorithm, a route apart from ``hodge.bernoulli``."""
+    a = []
+    for k in range(m + 1):
+        a.append(Fraction(1, k + 1))
+        for j in range(k, 0, -1):
+            a[j - 1] = j * (a[j - 1] - a[j])
+    return a[0]
 
 
 def random_expression(rng, g, n, depth):
@@ -381,6 +510,35 @@ class TestPseudostableIntegrals:
             assert expr_integral(g, n, e, "ps") == wk_integral(g, exps)
 
 
+class TestPseudostableIdentities:
+    """Two nonlinear pseudostable closed forms, observed through
+    ``expr_integral`` for g = 2..7 and g = 2..6, not derived.  Each
+    checks the whole ps pipeline, the g=5 strata products included,
+    against values that share no code with it."""
+
+    @pytest.mark.parametrize("g", [2, 3, 4, 5])
+    def test_lambda_g_squared(self, g):
+        """``int_ps lambda_g^2 psi_1^{g-2} = 1/(24^g g!)``, while stably
+        ``lambda_g^2 = 0`` (Mumford)."""
+        e = parse_expression(f"lambda{g}^2*psi1^{g - 2}", g, 1)
+        assert expr_integral(g, 1, e, "ps") == \
+            Fraction(1, 24 ** g * factorial(g))
+        assert expr_integral(g, 1, e, "stable") == 0
+
+    @pytest.mark.parametrize("g", [2, 3, 4, 5])
+    def test_lambda_g_lambda_1_excess(self, g):
+        """``int_ps - int_stable`` of ``lambda_g lambda_1 psi_1^{2g-3}``
+        is ``b_{g-1}/24``, with ``b_h = int lambda_h psi^{2h-2}`` over
+        Mbar_{h,1} in Faber--Pandharipande's closed form
+        ``(2^{2h-1} - 1)/2^{2h-1} * |B_{2h}|/(2h)!``."""
+        h = g - 1
+        b_h = (Fraction(2 ** (2 * h - 1) - 1, 2 ** (2 * h - 1))
+               * abs(akiyama_tanigawa_bernoulli(2 * h)) / factorial(2 * h))
+        e = parse_expression(f"lambda{g}*lambda1*psi1^{2 * g - 3}", g, 1)
+        assert expr_integral(g, 1, e, "ps") - \
+            expr_integral(g, 1, e, "stable") == b_h / 24
+
+
 class TestBellAssembly:
     def z_class(self, g, n, l):
         return (Fraction((-1) ** (l - 1) * factorial(l - 1) * factorial(l))
@@ -453,9 +611,9 @@ class TestNormalFormEvaluation:
     def test_clear_caches_empties_product_memo(self):
         e = parse_expression("lambda1^2*lambda2*psi1^3", 3, 1)
         first = expr_integral(3, 1, e, "ps")
-        assert strata._HAT_LAMBDA_PRODUCTS
-        assert (3, 1, (1, 1, 2)) in strata._INTEGRABLE_PRODUCTS
-        assert (3, 1, (1, 1, 2)) not in strata._HAT_LAMBDA_PRODUCTS
+        assert (3, 1, (1, 1, 2), True) in strata._PRODUCTS
+        assert (3, 1, (1, 1), False) in strata._PRODUCTS  # its prefix
+        assert (3, 1, (1, 1, 2), False) not in strata._PRODUCTS
         assert strata._RESTRICTIONS
         assert hodge._HODGE_MEMO
         assert hodge._reduce(1, (0,), (1,)) == Fraction(1, 24)
@@ -464,19 +622,26 @@ class TestNormalFormEvaluation:
         stored = dict(hodge._CH_MEMO)
         assert kappa_integral(1, 1, None, [1]) == Fraction(1, 24)
         assert hodge._CH_MEMO == stored  # kappa elimination stores nothing
+        strata.clear_caches()  # each module clears only its own memos
+        assert not strata._PRODUCTS and not strata._RESTRICTIONS
+        assert hodge._HODGE_MEMO and hodge._CH_MEMO
+        assert expr_integral(3, 1, e, "ps") == first
         pshodge.clear_caches()
-        assert not strata._HAT_LAMBDA_PRODUCTS
-        assert not strata._INTEGRABLE_PRODUCTS
+        assert not strata._PRODUCTS
         assert not strata._RESTRICTIONS
         assert not hodge._HODGE_MEMO and not hodge._CH_MEMO
         assert expr_integral(3, 1, e, "ps") == first
 
 
+# every monomial up to genus 3; at genus 4 the complete products of three
+# or more factors take seconds, so the cubes stand in
+SWEEP = [(2, 1, 9), (2, 2, 9), (3, 1, 9), (3, 2, 9)]
+CUBES = [(4, "(1-lambda1+lambda2-lambda3+lambda4)^3*psi1^4"),
+         (5, "(1-lambda1+lambda2-lambda3+lambda4-lambda5)^3*psi1^6")]
+
+
 class TestIntegrableProducts:
-    # every monomial up to genus 3; at genus 4 the complete products of
-    # three or more factors take seconds, so the cube below stands in
-    @pytest.mark.parametrize("g, n, max_lambdas", [
-        (2, 1, 9), (2, 2, 9), (3, 1, 9), (3, 2, 9), (4, 1, 2)])
+    @pytest.mark.parametrize("g, n, max_lambdas", SWEEP + [(4, 1, 2)])
     def test_monomials_match_complete_products(self, g, n, max_lambdas):
         """Differential oracle: every top-degree monomial through the
         products that build only integrable terms, against the complete
@@ -486,21 +651,52 @@ class TestIntegrableProducts:
             assert expr_integral(g, n, e, "ps") == \
                 product_route_integral(g, n, e), text
 
-    @pytest.mark.parametrize("g, text", [
-        (4, "(1-lambda1+lambda2-lambda3+lambda4)^3*psi1^4"),
-        (5, "(1-lambda1+lambda2-lambda3+lambda4-lambda5)^3*psi1^6")])
+    @pytest.mark.parametrize("g, text", CUBES)
     def test_cubes_match_complete_products(self, g, text):
         e = parse_expression(text, g, 1)
         assert expr_integral(g, 1, e, "ps") == product_route_integral(g, 1, e)
 
     def test_every_tail_carries_psi_bullet(self):
         full = complete_product(4, 1, (1, 1, 2))
-        kept = strata._integrable_product(4, 1, (1, 1, 2))
+        kept = strata._lambda_product(4, 1, (1, 1, 2), integrable=True)
         # the memo holds the product times 1! 1! 2!
         assert kept.terms == {
             key: 2 * c for key, c in full.terms.items()
             if all(b == 1 for _, b in key[0])}
         assert len(kept.terms) < len(full.terms)
+
+    def test_kernel_matches_reference_kernels(self, monkeypatch):
+        """Differential oracle: the one term-product kernel, under both
+        bullet sets, against the complete and the integrable kernels it
+        replaced, on every ordered term pair that ``class_multiply`` meets
+        while the monomial sweep to genus 3 and the g=4, 5 cubes run."""
+        kernel = strata._term_product
+        met = set()
+
+        def recording(g, n, t, u, base, bullets):
+            met.add((bullets, g, n, t, u))
+            return kernel(g, n, t, u, base, bullets)
+
+        monkeypatch.setattr(strata, "_term_product", recording)
+        pshodge.clear_caches()
+        try:
+            for g, n, max_lambdas in SWEEP:
+                for text in top_degree_monomials(g, n, max_lambdas):
+                    expr_integral(g, n, parse_expression(text, g, n), "ps")
+            for g, text in CUBES:
+                expr_integral(g, 1, parse_expression(text, g, 1), "ps")
+        finally:
+            monkeypatch.undo()
+            pshodge.clear_caches()  # drop the products built while recording
+        assert {key[0] for key in met} == {(0, 1), (1,)}
+        pairs = {key[1:] for key in met}
+        for g, n, t, u in pairs:
+            for bullets, reference in (
+                    ((0, 1), reference_term_product),
+                    ((1,), reference_integrable_term_product)):
+                assert accumulate({}, kernel(g, n, t, u, 1, bullets)) == \
+                    accumulate({}, reference(g, n, t, u, 1)), \
+                    (bullets, g, n, t, u)
 
 
 class TestScaledProducts:
@@ -513,28 +709,26 @@ class TestScaledProducts:
     ]
 
     def test_memoised_products_hold_ints(self):
-        """Both product memos hold ``prod j! * prod hat_lambda_j`` with
-        plain ``int`` coefficients, equal to the public ``Fraction``
-        product times the scale."""
+        """The product memo holds ``prod j! * prod hat_lambda_j``, complete
+        or with only its integrable terms, with plain ``int``
+        coefficients, equal to the public ``Fraction`` product times the
+        scale."""
         pshodge.clear_caches()
         for g, n, text in self.QUERIES:
             expr_integral(g, n, parse_expression(text, g, n), "ps")
-        for memo in (strata._HAT_LAMBDA_PRODUCTS,
-                     strata._INTEGRABLE_PRODUCTS):
-            assert memo
-            for (g, n, lams), product in memo.items():
-                assert all(type(c) is int for c in product.terms.values())
-                if g > 4:
-                    continue  # the complete g=5 products take seconds
-                scale = 1
-                for j in lams:
-                    scale *= factorial(j)
-                full = complete_product(g, n, lams).terms
-                if memo is strata._INTEGRABLE_PRODUCTS:
-                    full = {key: c for key, c in full.items()
-                            if all(b == 1 for _, b in key[0])}
-                assert product.terms == {
-                    key: scale * c for key, c in full.items()}
+        assert {key[3] for key in strata._PRODUCTS} == {False, True}
+        for (g, n, lams, integrable), cls in strata._PRODUCTS.items():
+            assert all(type(c) is int for c in cls.terms.values())
+            if g > 4:
+                continue  # the complete g=5 products take seconds
+            scale = 1
+            for j in lams:
+                scale *= factorial(j)
+            full = complete_product(g, n, lams).terms
+            if integrable:
+                full = {key: c for key, c in full.items()
+                        if all(b == 1 for _, b in key[0])}
+            assert cls.terms == {key: scale * c for key, c in full.items()}
 
 
 def restrictions_from_scratch(core_lambda, new_tails):

@@ -255,6 +255,13 @@ class TestKeyCanonicalisation:
         with pytest.raises(ValueError, match="genus"):
             kappa_integral(-1, 5, None, [1])
 
+    def test_kappa_integral_rejects_negative_markings(self):
+        # n = -1 once read as no markings and gave the Mbar_{2,0} value
+        with pytest.raises(ValueError, match="markings"):
+            kappa_integral(2, -1, None, [3])
+        with pytest.raises(ValueError, match="markings"):
+            HodgeMonomial.of(2, -1)
+
     def test_kappa_integral_rejects_negative_kappa_index(self):
         with pytest.raises(ValueError, match="kappa"):
             kappa_integral(1, 1, [0], [-1, 2])
