@@ -294,8 +294,8 @@ def _restrictions_by_bumps(core_lambda, new_tails):
     return table
 
 
-# The psi_bullet exponents a tail may take on top of the ``b`` it has,
-# for each set of exponents a product tail may end with.
+# _INCREMENTS[bullets][b]: the psi_bullet exponents a tail carrying
+# psi_bullet^b may gain so that it ends with an exponent in ``bullets``.
 _INCREMENTS = {(0, 1): ((0, 1), (0,)), (1,): ((1,), (0,))}
 
 
@@ -318,7 +318,7 @@ def _bumped(rest, restrictions, bullets):
     exponent in ``bullets``: the kept lambda tuples and the bumped
     tails."""
     if not rest:
-        return [(restrictions[()], rest)]  # the common case, kept cheap
+        return [(restrictions[()], rest)]  # the most frequent call
     increments = _INCREMENTS[bullets]
     out = []
     for bumps in iproduct(*[increments[b] for _, b in rest]):

@@ -141,8 +141,9 @@ def reference_bumped(rest, restrictions):
 
 def reference_term_product(g, n, t, u, base):
     """Every ``(key, coeff)`` strata term of ``base`` times the product of
-    the decorations ``t`` and ``u``: the complete kernel as it stood
-    before the two kernels became one."""
+    the decorations ``t`` and ``u``, by a complete kernel of its own that
+    scans the restriction tables: the oracle for ``strata._term_product``
+    with bullets ``(0, 1)``."""
     t_tails, t_lambda, t_psi = t
     u_tails, u_lambda, u_psi = u
     i, ip = len(t_tails), len(u_tails)
@@ -188,11 +189,12 @@ def reference_term_product(g, n, t, u, base):
 
 def reference_integrable_term_product(g, n, t, u, base):
     """The terms of ``reference_term_product`` in which every tail
-    carries ``psi_bullet``: the integrable kernel as it stood before the
-    two kernels became one.  A matched pair takes only the
-    ``psi_bullet`` branch of the excess weight, and each core's lambda
-    restriction only the bump vector that gives every bare unmatched
-    tail of the other factor its ``psi_bullet``."""
+    carries ``psi_bullet``, by an integrable kernel of its own: the
+    oracle for ``strata._term_product`` with bullets ``(1,)``.  A
+    matched pair takes only the ``psi_bullet`` branch of the excess
+    weight, and each core's lambda restriction only the bump vector that
+    gives every bare unmatched tail of the other factor its
+    ``psi_bullet``."""
     t_tails, t_lambda, t_psi = t
     u_tails, u_lambda, u_psi = u
     i, ip = len(t_tails), len(u_tails)
