@@ -31,7 +31,7 @@ from math import factorial
 from .cache import CacheFormatError, cache_load, cache_store, cache_verify
 from .expr import ParseError, SymbolRangeError, parse_expression
 from .multiset import partitions
-from .strata import EmptyModuliError, expr_integral
+from .strata import EmptyModuliError, check_ambient, expr_integral
 from .wk import default_table, is_stable
 
 __all__ = ["main"]
@@ -70,7 +70,10 @@ def _cache_ok(args, action):
 
 def _eval_one(text, g, n, space):
     """The value of ``text``; a ValueError past Python's recursion limit,
-    which stays as it is: a deeper Python stack can overflow C's."""
+    which stays as it is: a deeper Python stack can overflow C's.  The
+    ambient is checked before the text is parsed, so an empty moduli
+    space is reported as such whatever symbols the text names."""
+    check_ambient(g, n, space)
     try:
         expression = parse_expression(text, g, n)
         return expr_integral(g, n, expression, space=space)

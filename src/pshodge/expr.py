@@ -96,33 +96,30 @@ def _check_index(name, index, bound, label):
         raise SymbolRangeError(name, index, bound, label)
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>lambda|psi)|(?P<op>[-+*/^()]))")
+# whitespace between tokens is skipped by the search; any other character
+# that starts no token lands in the last group
+_TOKEN = re.compile(r"(\d+)|(lambda|psi)|([-+*/^()])|(\S)")
 
 
 def _tokenize(text):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}",
-                             len(text) - len(stripped))
-        if m.group("num"):
+    for m in _TOKEN.finditer(text):
+        num, name, op, other = m.groups()
+        at = m.start()
+        if num:
             try:
-                value = int(m.group("num"))
+                value = int(num)
             except ValueError:  # longer than Python converts from text
                 raise ParseError("integer literal has more than "
                                  f"{sys.get_int_max_str_digits()} digits",
-                                 m.start("num")) from None
-            tokens.append(("num", value, m.start("num")))
-        elif m.group("name"):
-            tokens.append(("name", m.group("name"), m.start("name")))
+                                 at) from None
+            tokens.append(("num", value, at))
+        elif name:
+            tokens.append(("name", name, at))
+        elif op:
+            tokens.append(("op", op, at))
         else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+            raise ParseError(f"unexpected character {other!r}", at)
     tokens.append(("end", None, len(text)))
     return tokens
 

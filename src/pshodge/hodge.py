@@ -164,7 +164,10 @@ class HodgeMonomial:
     @staticmethod
     def of(g, n, lambdas=None, psis=None):
         """Build a monomial; ``lambdas`` maps index j to its exponent and
-        ``psis`` is read by :func:`pshodge.wk.psi_exponents`."""
+        ``psis`` is read by :func:`pshodge.wk.psi_exponents`.  A negative
+        genus raises ``ValueError``."""
+        if int(g) < 0:
+            raise ValueError("genus must be non-negative")
         lam = {}
         if lambdas:
             items = lambdas.items() if isinstance(lambdas, dict) else lambdas

@@ -46,7 +46,11 @@ every tail contributes ``1/24`` per ``psi_bullet`` (and 0 without one).
 1. expand the expression once into a sparse polynomial in the lambda
    and psi classes (key: the multiset of symbol indices, ``lambda_j``
    as j and ``psi_i`` as ``g + i``), dropping monomials above the
-   dimension as they arise and keeping only those of exactly top degree;
+   dimension as they arise and keeping only those of exactly top degree.
+   Coefficients stay plain ``int`` while they are integral and become
+   ``Fraction`` only in that last filter; a power of a single monomial
+   is formed directly, and square-and-multiply is left to powers of
+   sums;
 2. for each lambda multiset that occurs, form the product of the
    ``j! * hat_lambda_j``, whose coefficients ``j!/i!`` are integers, so
    the products keep plain ``int`` coefficients and the monomial's
@@ -87,6 +91,7 @@ from .wk import is_stable, psi_exponents
 
 __all__ = [
     "EmptyModuliError",
+    "check_ambient",
     "TautClass",
     "is_pseudostable",
     "hat_lambda",
@@ -126,6 +131,16 @@ class EmptyModuliError(ValueError):
         self.g = g
         self.n = n
         self.space = space
+
+
+def check_ambient(g, n, space):
+    """Refuse an unknown ``space``, and an ambient (g, n) whose moduli
+    space in it is empty, with :class:`EmptyModuliError`."""
+    if space not in ("stable", "ps"):
+        raise ValueError("space must be 'stable' or 'ps'")
+    nonempty = is_pseudostable if space == "ps" else is_stable
+    if g < 0 or n < 0 or not nonempty(g, n):
+        raise EmptyModuliError(g, n, space)
 
 
 def _degree(key):
@@ -472,19 +487,25 @@ def _expand(node, g, n, dim):
     A key is the sorted multiset of symbol indices, ``lambda_j`` as j and
     ``psi_i`` as ``g + i``, so its lambda part comes first.  Monomials of
     degree above ``dim`` integrate to zero and are dropped as soon as
-    they arise.
+    they arise.  Coefficients stay plain ``int`` while they are integral
+    and become :class:`~fractions.Fraction` once, in the final filter,
+    and the power of a single monomial is formed in one step.
     """
 
     def degree(key):
-        return sum(k if k <= g else 1 for k in key)
+        cut = bisect_right(key, g)  # the lambda part, as in _split
+        return sum(key[:cut]) + len(key) - cut
 
     def walk(node):
         if isinstance(node, expr_mod.Lit):
-            return {(): Fraction(node.value)} if node.value else {}
+            value = Fraction(node.value)
+            if not value:
+                return {}
+            return {(): value.numerator if value.denominator == 1 else value}
         if isinstance(node, expr_mod.Lam):
-            return {(node.index,): _ONE}
+            return {(node.index,): 1}
         if isinstance(node, expr_mod.Psi):
-            return {(g + node.index,): _ONE}
+            return {(g + node.index,): 1}
         if isinstance(node, expr_mod.Sum):
             return accumulate(walk(node.left), walk(node.right).items())
         if isinstance(node, expr_mod.Diff):
@@ -492,8 +513,14 @@ def _expand(node, g, n, dim):
         if isinstance(node, expr_mod.Prod):
             return multiply(walk(node.left), walk(node.right), degree, dim)
         if isinstance(node, expr_mod.Pow):
+            base, e = walk(node.base), node.exponent
+            if len(base) == 1:
+                (key, c), = base.items()
+                if degree(key) * e > dim:
+                    return {}
+                return {tuple(sorted(key * e)): c ** e}
             # square and multiply: truncation commutes with the product
-            base, e, out = walk(node.base), node.exponent, {(): _ONE}
+            out = {(): 1}
             while e:
                 if e & 1:
                     out = multiply(out, base, degree, dim)
@@ -503,7 +530,8 @@ def _expand(node, g, n, dim):
             return out
         raise TypeError(f"not an expression node: {node!r}")
 
-    return {key: c for key, c in walk(node).items() if degree(key) == dim}
+    return {key: Fraction(c) for key, c in walk(node).items()
+            if degree(key) == dim}
 
 
 def _split(key, g, n):
@@ -566,17 +594,15 @@ def expr_integral(g, n, expression, space="stable"):
 
     ``space`` is ``"stable"`` or ``"ps"``; empty ambient moduli raise
     :class:`EmptyModuliError`.  Evaluation takes the four steps set out
-    in the module docstring.
+    in the module docstring; the first expands the expression with
+    integer coefficients while they stay integral, and forms the power
+    of a single monomial in one step.
 
     >>> e = expr_mod.parse_expression("(2*lambda2 - lambda1^2)*psi1^2", 2, 1)
     >>> expr_integral(2, 1, e, space="ps")
     Fraction(-1, 576)
     """
-    if space not in ("stable", "ps"):
-        raise ValueError("space must be 'stable' or 'ps'")
-    nonempty = is_pseudostable if space == "ps" else is_stable
-    if g < 0 or n < 0 or not nonempty(g, n):
-        raise EmptyModuliError(g, n, space)
+    check_ambient(g, n, space)
     expr_mod.validate(expression, g, n)
     poly = _expand(expression, g, n, 3 * g - 3 + n)
     if space == "stable":
