@@ -75,6 +75,20 @@ class TestEval:
         assert err.startswith(f"error: ({g}, {n}) is not a")
         assert "must be non-negative" in err
 
+    @pytest.mark.parametrize("g, n, space, expr", [
+        (3, -1, "ps", "psi1"), (-1, 2, "stable", "lambda1*psi1")])
+    def test_negative_ambient_reported_before_symbols(self, capsys, g, n,
+                                                      space, expr):
+        # the ambient is checked before the parser reads a symbol against it
+        ambient = ("eval", "--g", str(g), "--n", str(n), "--space", space)
+        code, out, err = run(capsys, *ambient, expr)
+        assert (code, out, err) == run(capsys, *ambient, "1")
+        assert (code, out) == (1, "")
+        assert err == (f"error: ({g}, {n}) is not a "
+                       f"{'pseudostable' if space == 'ps' else 'stable'} "
+                       "index; the genus and the number of markings must be "
+                       "non-negative\n")
+
     def test_huge_power_is_fast(self, capsys):
         # square-and-multiply on the truncated product: about 30 steps
         start = time.perf_counter()

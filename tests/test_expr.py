@@ -1,5 +1,6 @@
 """Expression parser: grammar, validation, round trips."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pshodge.expr import (Diff, Lam, Lit, ParseError, Pow, Prod, Psi, Sum,
-                          SymbolRangeError, parse_expression, to_text,
-                          validate)
+                          SymbolRangeError, _tokenize, parse_expression,
+                          to_text, validate)
 
 
 class TestGrammar:
@@ -87,6 +88,50 @@ class TestErrors:
     def test_zero_denominator(self):
         with pytest.raises(ParseError):
             parse_expression("1/0", 1, 1)
+
+
+class TestTokenizer:
+    """Tokens carry the 0-based offset of their first character, and the
+    end token the length of the text, whatever whitespace surrounds them."""
+
+    @pytest.mark.parametrize("text, tokens", [
+        ("\tlambda1 *\n psi1^2 \n",
+         [("name", "lambda", 1), ("num", 1, 7), ("op", "*", 9),
+          ("name", "psi", 12), ("num", 1, 15), ("op", "^", 16),
+          ("num", 2, 17), ("end", None, 20)]),
+        ("  psi1  ", [("name", "psi", 2), ("num", 1, 5), ("end", None, 8)]),
+        (" 3/4 - (lambda2)\t",
+         [("num", 3, 1), ("op", "/", 2), ("num", 4, 3), ("op", "-", 5),
+          ("op", "(", 7), ("name", "lambda", 8), ("num", 2, 14),
+          ("op", ")", 15), ("end", None, 17)]),
+        ("", [("end", None, 0)]),
+        (" \t\n", [("end", None, 3)]),
+    ])
+    def test_tokens_and_positions(self, text, tokens):
+        assert _tokenize(text) == tokens
+
+    @pytest.mark.parametrize("text, message, position", [
+        ("lambd1", "unexpected character 'l'", 0),
+        ("psi1 $", "unexpected character '$'", 5),
+        (" \t\n\u00a3 psi1", "unexpected character '\u00a3'", 3),
+    ])
+    def test_unexpected_character(self, text, message, position):
+        with pytest.raises(ParseError) as err:
+            parse_expression(text, 1, 1)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
+    def test_integer_literal_over_the_conversion_limit(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this Python converts integers of any length")
+        # the long literal is reported before the bad character after it
+        text = " 2*" + "9" * (limit + 1) + " $"
+        with pytest.raises(ParseError) as err:
+            parse_expression(text, 1, 1)
+        assert str(err.value) == (f"integer literal has more than {limit} "
+                                  "digits (at position 3)")
+        assert err.value.position == 3
 
 
 def expr_trees(g, n, depth=3):

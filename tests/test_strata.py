@@ -16,14 +16,14 @@ from pshodge import hodge, strata
 from pshodge.expr import parse_expression
 from pshodge.hodge import (HodgeMonomial, bell_polynomial, hodge_integral,
                            kappa_integral)
-from pshodge.multiset import accumulate, compositions, partitions
+from pshodge.multiset import accumulate, compositions, multiply, partitions
 from pshodge.selfcheck import (random_taut_class, suite_hat_lambda_square)
 from pshodge.strata import (EmptyModuliError, TautClass, class_integrate,
                             class_multiply, expr_integral, hat_lambda,
                             is_pseudostable,
                             restrict_lambda_to_tails, t_pullback_ch)
 from pshodge.strata import _make_term
-from pshodge.wk import wk_integral
+from pshodge.wk import is_stable, wk_integral
 
 
 def reference_integral(g, n, node, space):
@@ -262,6 +262,68 @@ def random_expression(rng, g, n, depth):
         return E.Pow(random_expression(rng, g, n, depth - 1), rng.randint(0, 3))
     return op(random_expression(rng, g, n, depth - 1),
               random_expression(rng, g, n, depth - 1))
+
+
+def reference_expand(node, g, n, dim):
+    """The expander as it stood before integer coefficients: every
+    coefficient a ``Fraction`` and every power by square-and-multiply.
+    Kept as the oracle for :func:`pshodge.strata._expand`."""
+    one = Fraction(1)
+
+    def degree(key):
+        return sum(k if k <= g else 1 for k in key)
+
+    def walk(node):
+        if isinstance(node, E.Lit):
+            return {(): Fraction(node.value)} if node.value else {}
+        if isinstance(node, E.Lam):
+            return {(node.index,): one}
+        if isinstance(node, E.Psi):
+            return {(g + node.index,): one}
+        if isinstance(node, E.Sum):
+            return accumulate(walk(node.left), walk(node.right).items())
+        if isinstance(node, E.Diff):
+            return accumulate(walk(node.left), walk(node.right).items(), -1)
+        if isinstance(node, E.Prod):
+            return multiply(walk(node.left), walk(node.right), degree, dim)
+        if isinstance(node, E.Pow):
+            base, e, out = walk(node.base), node.exponent, {(): one}
+            while e:
+                if e & 1:
+                    out = multiply(out, base, degree, dim)
+                e >>= 1
+                if e:
+                    base = multiply(base, base, degree, dim)
+            return out
+        raise TypeError(f"not an expression node: {node!r}")
+
+    return {key: c for key, c in walk(node).items() if degree(key) == dim}
+
+
+def random_expand_tree(rng, g, n, depth):
+    """A random tree for the expander: literals zero, negative or
+    rational, and powers 0..4 of leaves, sums and products."""
+    leaves = ["lit"] + ["lam"] * (g > 0) + ["psi"] * (n > 0)
+    if depth == 0 or rng.random() < 0.25:
+        kind = rng.choice(leaves)
+        if kind == "lit":
+            return E.Lit(Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))))
+        if kind == "lam":
+            return E.Lam(rng.randint(1, g))
+        return E.Psi(rng.randint(1, n))
+    op = rng.choice([E.Sum, E.Diff, E.Prod, E.Pow, E.Pow])
+    if op is E.Pow:
+        return E.Pow(random_expand_tree(rng, g, n, depth - 1), rng.randint(0, 4))
+    return op(random_expand_tree(rng, g, n, depth - 1),
+              random_expand_tree(rng, g, n, depth - 1))
+
+
+def tree_nodes(node):
+    yield node
+    for child in (getattr(node, "left", None), getattr(node, "right", None),
+                  getattr(node, "base", None)):
+        if child is not None:
+            yield from tree_nodes(child)
 
 
 def term(g, n, coeff, tails=(), lam=(), psi=None):
@@ -603,6 +665,45 @@ class TestNormalFormEvaluation:
                 nonzero += value != 0
             differ += values["stable"] != values["ps"]
         assert nonzero >= 50 and differ >= 10
+
+    def test_expansion_matches_reference_expander(self):
+        """Differential oracle: the integer expander against the Fraction
+        one it replaced, at every dimension up to the top one, so that
+        terms above the dimension are dropped on the way; equal dicts
+        whose values are all ``Fraction``."""
+        rng = random.Random(1729)
+        ambients = [(0, 3)] + [(g, n) for g in range(1, 5) for n in range(4)
+                               if is_stable(g, n)]
+        seen = Counter()
+        for _ in range(1000):
+            g, n = rng.choice(ambients)
+            node = random_expand_tree(rng, g, n, rng.randint(0, 5))
+            for dim in range(3 * g - 3 + n + 1):
+                got = strata._expand(node, g, n, dim)
+                assert got == reference_expand(node, g, n, dim), \
+                    (g, n, dim, E.to_text(node))
+                assert all(type(c) is Fraction for c in got.values())
+                seen["nonzero"] += bool(got)
+            for sub in tree_nodes(node):
+                if isinstance(sub, E.Lit):
+                    seen["zero" if sub.value == 0 else
+                         "negative" if sub.value < 0 else
+                         "rational" if sub.value.denominator > 1 else
+                         "positive"] += 1
+                elif isinstance(sub, E.Pow):
+                    seen[f"exponent {sub.exponent}"] += 1
+                    seen["power of a sum"] += isinstance(sub.base,
+                                                         (E.Sum, E.Diff))
+        assert len(seen) == 11 and min(seen.values()) >= 50, seen
+
+    @pytest.mark.parametrize("g, n, text", [
+        (2, 1, "2*psi1^4"), (2, 2, "lambda1^2*lambda2*psi1")])
+    def test_integer_input_gives_a_fraction(self, g, n, text):
+        # integer coefficients must not reach the ps division by prod j!
+        # as int / int, which gives a float
+        node = parse_expression(text, g, n)
+        for space in ("stable", "ps"):
+            assert type(expr_integral(g, n, node, space)) is Fraction
 
     def test_nonlinear_differs_from_stable_g5(self):
         text = "(1-lambda1+lambda2-lambda3+lambda4-lambda5)^3*psi1^6"

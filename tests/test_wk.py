@@ -255,6 +255,11 @@ class TestKeyCanonicalisation:
         with pytest.raises(ValueError, match="genus"):
             kappa_integral(-1, 5, None, [1])
 
+    def test_hodge_monomial_rejects_negative_genus(self):
+        # hodge_integral once read g = -1 as an empty space and gave 0
+        with pytest.raises(ValueError, match="genus"):
+            HodgeMonomial.of(-1, 3, None, [0, 0, 0])
+
     def test_kappa_integral_rejects_negative_markings(self):
         # n = -1 once read as no markings and gave the Mbar_{2,0} value
         with pytest.raises(ValueError, match="markings"):
