@@ -134,8 +134,9 @@ class EmptyModuliError(ValueError):
 
 
 def check_ambient(g, n, space):
-    """Refuse an unknown ``space``, and an ambient (g, n) whose moduli
-    space in it is empty, with :class:`EmptyModuliError`."""
+    """Raise ``ValueError`` for an unknown ``space``, and
+    :class:`EmptyModuliError` for an ambient (g, n) whose moduli space
+    in ``space`` is empty."""
     if space not in ("stable", "ps"):
         raise ValueError("space must be 'stable' or 'ps'")
     nonempty = is_pseudostable if space == "ps" else is_stable
