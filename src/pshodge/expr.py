@@ -10,7 +10,8 @@ Grammar (whitespace insignificant)::
 
 Symbols are spelled ``lambda3``, ``psi1``.  Symbol indices are validated
 against the ambient ``(g, n)`` at parse time: ``1 <= j <= g`` for lambda,
-``1 <= i <= n`` for psi.
+``1 <= i <= n`` for psi.  A tree built in code is checked against the
+same ranges by :func:`pshodge.strata.expr_integral` as it is expanded.
 
 >>> parse_expression("lambda1*psi1^3", 2, 1)
 Prod(left=Lam(index=1), right=Pow(base=Psi(index=1), exponent=3))
@@ -26,7 +27,7 @@ from fractions import Fraction
 __all__ = [
     "Lit", "Lam", "Psi", "Sum", "Diff", "Prod", "Pow",
     "ParseError", "SymbolRangeError",
-    "parse_expression", "to_text", "validate",
+    "parse_expression", "to_text",
 ]
 
 
@@ -217,7 +218,8 @@ class _Parser:
             if kind != "op" or value != ")":
                 raise ParseError("expected ')'", at)
             return node
-        raise ParseError(f"expected a value, got {value!r}", at)
+        got = "end of input" if kind == "end" else repr(value)
+        raise ParseError(f"expected a value, got {got}", at)
 
 
 def parse_expression(text, g, n):
@@ -236,28 +238,6 @@ def parse_expression(text, g, n):
     pshodge.expr.SymbolRangeError: symbol lambda0 is out of range: g=2 allows lambda1..lambda2
     """
     return _Parser(text, g, n).parse()
-
-
-def validate(node, g, n):
-    """Check symbol ranges and exponent signs of a programmatic tree."""
-    if isinstance(node, Lit):
-        return
-    if isinstance(node, Lam):
-        _check_index("lambda", node.index, g, "g")
-        return
-    if isinstance(node, Psi):
-        _check_index("psi", node.index, n, "n")
-        return
-    if isinstance(node, Pow):
-        if node.exponent < 0:
-            raise ValueError("exponents must be non-negative")
-        validate(node.base, g, n)
-        return
-    if isinstance(node, (Sum, Diff, Prod)):
-        validate(node.left, g, n)
-        validate(node.right, g, n)
-        return
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 def to_text(node):

@@ -53,6 +53,14 @@ class EnumerationBoundError(ValueError):
     """Refusal to enumerate beyond the desk-scale resource guard."""
 
 
+def _partition(mu):
+    """``mu`` as a partition: int parts, largest first, all positive."""
+    mu = tuple(sorted((int(x) for x in mu), reverse=True))
+    if not mu or mu[-1] < 1:
+        raise ValueError("mu must be a partition with positive parts")
+    return mu
+
+
 @dataclass(frozen=True)
 class HurwitzInstance:
     """A factorization-counting instance: partition ``mu`` and length ``m``."""
@@ -62,9 +70,7 @@ class HurwitzInstance:
 
     @staticmethod
     def of(mu, m):
-        mu = tuple(sorted((int(x) for x in mu), reverse=True))
-        if not mu or mu[-1] < 1:
-            raise ValueError("mu must be a partition with positive parts")
+        mu = _partition(mu)
         if m < 0:
             raise ValueError("m must be non-negative")
         return HurwitzInstance(mu, int(m))
@@ -195,12 +201,13 @@ def elsv_value(g, mu):
 
     Expands ``(1 - lambda_1 + lambda_2 - ...) / prod(1 - mu_i psi_i)`` to
     top degree on Mbar_{g,l} and sums the Hodge integrals with the
-    combinatorial prefactor.  Requires ``(g, l)`` stable.
+    combinatorial prefactor.  Requires a partition ``mu`` with positive
+    parts and ``(g, l)`` stable.
 
     >>> elsv_value(1, (2,))
     Fraction(1, 1)
     """
-    mu = tuple(sorted((int(x) for x in mu), reverse=True))
+    mu = _partition(mu)
     ell = len(mu)
     if not is_stable(g, ell):
         raise ValueError(f"({g}, {ell}) is unstable: the formula is out of range")

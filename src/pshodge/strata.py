@@ -47,6 +47,7 @@ every tail contributes ``1/24`` per ``psi_bullet`` (and 0 without one).
    and psi classes (key: the multiset of symbol indices, ``lambda_j``
    as j and ``psi_i`` as ``g + i``), dropping monomials above the
    dimension as they arise and keeping only those of exactly top degree.
+   The same walk checks every symbol index and exponent of the tree.
    Coefficients stay plain ``int`` while they are integral and become
    ``Fraction`` only in that last filter; a power of a single monomial
    is formed directly, and square-and-multiply is left to powers of
@@ -491,6 +492,9 @@ def _expand(node, g, n, dim):
     they arise.  Coefficients stay plain ``int`` while they are integral
     and become :class:`~fractions.Fraction` once, in the final filter,
     and the power of a single monomial is formed in one step.
+
+    The walk is the tree's only check: a bad symbol index, a negative
+    exponent or a non-node raises, the first met left to right.
     """
 
     def degree(key):
@@ -504,8 +508,10 @@ def _expand(node, g, n, dim):
                 return {}
             return {(): value.numerator if value.denominator == 1 else value}
         if isinstance(node, expr_mod.Lam):
+            expr_mod._check_index("lambda", node.index, g, "g")
             return {(node.index,): 1}
         if isinstance(node, expr_mod.Psi):
+            expr_mod._check_index("psi", node.index, n, "n")
             return {(g + node.index,): 1}
         if isinstance(node, expr_mod.Sum):
             return accumulate(walk(node.left), walk(node.right).items())
@@ -514,6 +520,10 @@ def _expand(node, g, n, dim):
         if isinstance(node, expr_mod.Prod):
             return multiply(walk(node.left), walk(node.right), degree, dim)
         if isinstance(node, expr_mod.Pow):
+            # checked before the base: a negative exponent would give a
+            # float, or never end the square-and-multiply loop
+            if node.exponent < 0:
+                raise ValueError("exponents must be non-negative")
             base, e = walk(node.base), node.exponent
             if len(base) == 1:
                 (key, c), = base.items()
@@ -597,14 +607,15 @@ def expr_integral(g, n, expression, space="stable"):
     :class:`EmptyModuliError`.  Evaluation takes the four steps set out
     in the module docstring; the first expands the expression with
     integer coefficients while they stay integral, and forms the power
-    of a single monomial in one step.
+    of a single monomial in one step.  A tree built in code is checked
+    while it is expanded, and raises the parser's
+    :class:`~pshodge.expr.SymbolRangeError` on an out-of-range symbol.
 
     >>> e = expr_mod.parse_expression("(2*lambda2 - lambda1^2)*psi1^2", 2, 1)
     >>> expr_integral(2, 1, e, space="ps")
     Fraction(-1, 576)
     """
     check_ambient(g, n, space)
-    expr_mod.validate(expression, g, n)
     poly = _expand(expression, g, n, 3 * g - 3 + n)
     if space == "stable":
         total = _ZERO

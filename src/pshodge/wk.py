@@ -41,10 +41,10 @@ positions of ``rest`` that realise S.  If ``rest`` is nonempty,
 even.  If ``rest`` is empty, the only unpaired term has ``a = b`` and
 ``g1 = g/2``; it carries ``C(g, g/2)``, which is even.
 
-All values are memoised in one plain dict.  Every evaluation is a pure
-function of its key, so threads that race on a key store equal values and
-no lock is needed.  The memo table can be persisted in a plain text
-format, see :mod:`pshodge.cache`.
+All values are memoised in one plain dict, and every value is a pure
+function of its key.  The table can be persisted in a plain text format
+(see :mod:`pshodge.cache`), and :func:`pshodge.clear_caches` leaves it
+as it is.
 """
 
 from __future__ import annotations
@@ -135,9 +135,9 @@ class WKTable:
 
     The psi memo maps a sorted key ``(g, d)`` to the integer ``A(g, d)``
     (see the module docstring); every public method converts it back to
-    the rational correlator.  All evaluation entry points are pure, so
-    concurrent queries for equal keys store and return equal values; each
-    store is one dict assignment.
+    the rational correlator.  Every stored value is a pure function of its
+    key; :mod:`pshodge.cache` saves and loads the memo, and
+    :func:`pshodge.clear_caches` does not empty it.
     """
 
     def __init__(self):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from pshodge.expr import (Diff, Lam, Lit, ParseError, Pow, Prod, Psi, Sum,
                           SymbolRangeError, _tokenize, parse_expression,
-                          to_text, validate)
+                          to_text)
+from pshodge.strata import expr_integral
 
 
 class TestGrammar:
@@ -64,7 +65,7 @@ class TestErrors:
         assert str(err.value) == ("symbol psi0 is out of range: "
                                   "n=3 allows psi1..psi3")
         with pytest.raises(SymbolRangeError) as err:
-            validate(Lam(0), 0, 3)
+            expr_integral(0, 3, Lam(0))
         assert str(err.value) == ("symbol lambda0 is out of range: "
                                   "g=0 allows no lambda symbol")
 
@@ -88,6 +89,17 @@ class TestErrors:
     def test_zero_denominator(self):
         with pytest.raises(ParseError):
             parse_expression("1/0", 1, 1)
+
+    @pytest.mark.parametrize("text, got, position", [
+        ("psi1^4 +", "end of input", 8), ("", "end of input", 0),
+        ("(", "end of input", 1), ("lambda1 * ", "end of input", 10),
+        ("(psi1 - )", "')'", 8)])
+    def test_value_missing(self, text, got, position):
+        with pytest.raises(ParseError) as err:
+            parse_expression(text, 2, 1)
+        assert str(err.value) == (f"expected a value, got {got} "
+                                  f"(at position {position})")
+        assert err.value.position == position
 
 
 class TestTokenizer:

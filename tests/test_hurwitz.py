@@ -362,6 +362,20 @@ class TestELSV:
         with pytest.raises(ValueError):
             elsv_value(0, (2, 1))
 
+    @pytest.mark.parametrize("g, mu", [
+        (0, (0, 1, 2)), (2, ()), (0, (-1, 2, 3))])
+    def test_non_partition_rejected_like_an_instance(self, g, mu):
+        # ELSV and the brute count normalise mu through one helper
+        message = "mu must be a partition with positive parts"
+        with pytest.raises(ValueError, match=message):
+            elsv_value(g, mu)
+        with pytest.raises(ValueError, match=message):
+            HurwitzInstance.of(mu, riemann_hurwitz_m(g, mu))
+
+    def test_parts_in_any_order(self):
+        assert elsv_value(1, [1, 2]) == elsv_value(1, (2, 1))
+        assert HurwitzInstance.of([1, 3, 2], 4).mu == (3, 2, 1)
+
     @pytest.mark.parametrize("g,mu", [
         (1, (1,)), (2, (1,)),       # no transpositions exist in S_1
         (1, (2,)), (1, (1, 1)),

@@ -2,6 +2,7 @@
 
 import functools
 import random
+import signal
 from collections import Counter
 from fractions import Fraction
 from itertools import (combinations, combinations_with_replacement,
@@ -634,6 +635,43 @@ class TestBellAssembly:
                 mono = TautClass.psi_monomial(g, n, exps)
                 assert class_integrate(class_multiply(lhs, mono)) == \
                     class_integrate(class_multiply(rhs, mono))
+
+
+class TestTreeChecks:
+    """A tree built in code is checked while it is expanded: the first bad
+    node, left to right, raises, and a negative exponent is refused before
+    its base is looked at."""
+
+    @pytest.fixture(autouse=True)
+    def no_hang(self):
+        # a negative exponent on a sum would loop forever (-1 >> 1 == -1)
+        def hang(signum, frame):
+            raise TimeoutError("the expansion did not end")
+        old = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(10)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+    @pytest.mark.parametrize("space", ["stable", "ps"])
+    @pytest.mark.parametrize("g, n, node, error, message", [
+        (2, 1, E.Lam(3), E.SymbolRangeError,
+         "symbol lambda3 is out of range: g=2 allows lambda1..lambda2"),
+        (2, 1, E.Psi(0), E.SymbolRangeError,
+         "symbol psi0 is out of range: n=1 allows psi1"),
+        (2, 1, E.Prod(E.Psi(2), E.Lam(5)), E.SymbolRangeError,
+         "symbol psi2 is out of range: n=1 allows psi1"),
+        (2, 1, E.Pow(E.Lam(3), -1), ValueError,
+         "exponents must be non-negative"),
+        (2, 1, E.Pow(E.Sum(E.Lam(1), E.Psi(1)), -1), ValueError,
+         "exponents must be non-negative"),
+        (2, 1, "psi1", TypeError, "not an expression node: 'psi1'"),
+    ])
+    def test_first_bad_node_raises(self, g, n, node, error, message, space):
+        with pytest.raises(error) as err:
+            expr_integral(g, n, node, space)
+        assert type(err.value) is error
+        assert str(err.value) == message
 
 
 class TestNormalFormEvaluation:
