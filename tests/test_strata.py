@@ -638,9 +638,9 @@ class TestBellAssembly:
 
 
 class TestTreeChecks:
-    """A tree built in code is checked while it is expanded: the first bad
-    node, left to right, raises, and a negative exponent is refused before
-    its base is looked at."""
+    """A tree built in code is checked on (2, 1) while it is expanded: the
+    first bad node, left to right, raises, and a negative exponent is
+    refused before its base is looked at."""
 
     @pytest.fixture(autouse=True)
     def no_hang(self):
@@ -654,22 +654,21 @@ class TestTreeChecks:
         signal.signal(signal.SIGALRM, old)
 
     @pytest.mark.parametrize("space", ["stable", "ps"])
-    @pytest.mark.parametrize("g, n, node, error, message", [
-        (2, 1, E.Lam(3), E.SymbolRangeError,
+    @pytest.mark.parametrize("node, error, message", [
+        (E.Lam(3), E.SymbolRangeError,
          "symbol lambda3 is out of range: g=2 allows lambda1..lambda2"),
-        (2, 1, E.Psi(0), E.SymbolRangeError,
+        (E.Psi(0), E.SymbolRangeError,
          "symbol psi0 is out of range: n=1 allows psi1"),
-        (2, 1, E.Prod(E.Psi(2), E.Lam(5)), E.SymbolRangeError,
+        (E.Prod(E.Psi(2), E.Lam(5)), E.SymbolRangeError,
          "symbol psi2 is out of range: n=1 allows psi1"),
-        (2, 1, E.Pow(E.Lam(3), -1), ValueError,
+        (E.Pow(E.Lam(3), -1), ValueError, "exponents must be non-negative"),
+        (E.Pow(E.Sum(E.Lam(1), E.Psi(1)), -1), ValueError,
          "exponents must be non-negative"),
-        (2, 1, E.Pow(E.Sum(E.Lam(1), E.Psi(1)), -1), ValueError,
-         "exponents must be non-negative"),
-        (2, 1, "psi1", TypeError, "not an expression node: 'psi1'"),
+        ("psi1", TypeError, "not an expression node: 'psi1'"),
     ])
-    def test_first_bad_node_raises(self, g, n, node, error, message, space):
+    def test_first_bad_node_raises(self, node, error, message, space):
         with pytest.raises(error) as err:
-            expr_integral(g, n, node, space)
+            expr_integral(2, 1, node, space)
         assert type(err.value) is error
         assert str(err.value) == message
 
