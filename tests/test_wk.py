@@ -120,7 +120,7 @@ class TestScaledIntegers:
         for g in range(1, 10):
             table.integral(g, (3 * g - 2,))
         items = table.psi_items()
-        assert len(items) == 451
+        assert len(items) == 189
         oracle = FractionDVV()
         for (g, d), value in items:
             assert oracle.value(g, d) == value, (g, d)
@@ -133,30 +133,35 @@ class TestScaledIntegers:
 
     def test_memo_holds_integers_to_genus_10(self):
         table = WKTable()
-        for g, d in psi_wk_style_keys(10):
+        for g, d in psi_wk_style_keys(12):
             table.integral(g, d)
+        for g in range(13, 26):
+            table.integral(g, (3 * g - 2,))
         assert len(table) > 1000
         assert all(type(a) is int for a in table._psi.values())
 
 
 def self_complementary_keys():
-    """Keys whose ``rest`` (all but the largest exponent) has only even
-    multiplicities, so its sub-multisets have a self-complementary middle
-    entry: ``(2, 2, p)`` and ``(4, 4, p)`` at g = 5..9 and
-    ``(3, 3, 5, 5, p)`` at g = 7..9, with ``p`` set by the dimension."""
-    keys = [(g, rest + (3 * g - 3 + len(rest) + 1 - sum(rest),))
-            for rest in ((2, 2), (4, 4)) for g in range(5, 10)]
-    keys += [(g, (3, 3, 5, 5, 3 * g - 14)) for g in range(7, 10)]
+    """Keys whose ``rest`` (all but the smallest exponent ``p``) has only
+    even multiplicities, so its sub-multisets have a self-complementary
+    middle entry: ``(2, x, x)`` at even g = 2..8 and ``(3, x, x)`` at odd
+    g = 3..9, with ``x`` set by the dimension, and ``(p, x, x, y, y)`` at
+    g = 6..9."""
+    keys = [(g, (p, (3 * g - p) // 2, (3 * g - p) // 2))
+            for p in (2, 3) for g in range(p, 10, 2)]
+    keys += [(6, (2, 4, 4, 5, 5)), (7, (3, 4, 4, 6, 6)),
+             (8, (2, 5, 5, 7, 7)), (9, (3, 5, 5, 8, 8))]
     return keys
 
 
 class TestMirrorWalk:
     def test_self_complementary_rest_matches_fraction_oracle(self):
         keys = self_complementary_keys()
-        assert {d[-1] % 2 for _, d in keys} == {0, 1}
+        assert {d[0] % 2 for _, d in keys} == {0, 1}
         for g, d in keys:
             assert d == tuple(sorted(d)) and d[0] >= 2
-            assert len(sub_multisets(d[:-1])) % 2 == 1, d
+            assert sum(d) == 3 * g - 3 + len(d), d
+            assert len(sub_multisets(d[1:])) % 2 == 1, d
         table = WKTable()
         oracle = FractionDVV()
         for g, d in keys:
@@ -182,13 +187,13 @@ def two_point_coefficients(g):
 
 
 class TestTwoPointOracle:
-    def test_dijkgraaf_two_point_function_to_genus_10(self):
+    def test_dijkgraaf_two_point_function_to_genus_16(self):
         """``(x + y) D(x, y)``, with ``D`` the generating function of
         ``<tau_i tau_j>_g``, has ``<tau_{a-1} tau_b>_g + <tau_a tau_{b-1}>_g``
         as its coefficient of ``x^a y^b`` for ``a + b = 3g``."""
         table = WKTable()
         checked = 0
-        for g in range(1, 11):
+        for g in range(1, 17):
             coeffs = two_point_coefficients(g)
             for a in range(3 * g + 1):
                 b = 3 * g - a
@@ -196,7 +201,23 @@ class TestTwoPointOracle:
                         + (table.integral(g, (a, b - 1)) if b else 0))
                 assert coeffs.get(a, 0) == want, (g, a)
                 checked += 1
-        assert checked == sum(3 * g + 1 for g in range(1, 11))
+        assert checked == sum(3 * g + 1 for g in range(1, 17))
+
+
+class TestReach:
+    """DVV runs on the smallest exponent, so a one-point correlator
+    reaches few memo keys and its cost grows slowly with the genus."""
+
+    @pytest.mark.parametrize("g", (20, 25, 30))
+    def test_one_pointed_closed_form_at_high_genus(self, g):
+        assert WKTable().integral(g, (3 * g - 2,)) == \
+            Fraction(1, 24 ** g * factorial(g))
+
+    def test_cold_genus_14_one_point_fills_few_entries(self):
+        # the largest-exponent recursion filled 5784 entries here
+        table = WKTable()
+        assert table.integral(14, (40,)) == Fraction(1, 24 ** 14 * factorial(14))
+        assert len(table) < 1000
 
 
 class TestRefusals:
