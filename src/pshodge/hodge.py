@@ -26,13 +26,15 @@ steps:
    factors.  A split surface puts each psi and ch factor on one side and
    ``psi^a``, ``psi^b`` at the two branches of the node; the degree of
    one side forces its genus, so the ch splits are bucketed by the degree
-   they add to a side and each psi split, genus and ``a`` reads only its
-   bucket; sides known to vanish (unstable, or genus 0 with a ch factor)
-   are skipped without recursing, and a term and its mirror image (sides
-   swapped, ``a`` and ``b`` exchanged) are visited once.  Each memo entry
-   is summed as an integer numerator over the running common denominator
-   of its terms and stored as one ``Fraction``;
-3. what remains are pure psi correlators, read from :mod:`pshodge.wk`.
+   they add to a side, and each psi split and bucket visits only the
+   ``a`` that give both sides a stable genus; sides known to vanish
+   (unstable, or genus 0 with a ch factor) are skipped without recursing,
+   and a term and its mirror image (sides swapped, ``a`` and ``b``
+   exchanged) are visited once.  Each memo entry is summed as an integer
+   numerator over the running common denominator of its terms and stored
+   as one ``Fraction``;
+3. what remains are pure psi correlators, read from :mod:`pshodge.wk`
+   once each and kept in the GRR memo as ``Fraction``s.
    Integrals with kappa classes enter through :func:`kappa_integral`,
    which eliminates them at entry: with the pointed convention
    ``kappa_a = pi_*(psi^{a+1})`` each kappa factor becomes a fresh point,
@@ -191,8 +193,9 @@ _HODGE_MEMO = {}
 
 
 def clear_caches():
-    """Drop the Hodge-integral and GRR reduction memos (the WK table is
-    managed separately)."""
+    """Drop the Hodge-integral and GRR reduction memos.  The GRR memo also
+    holds the psi correlators it has read, as ``Fraction``s; the WK table
+    they come from is managed separately."""
     _CH_MEMO.clear()
     _HODGE_MEMO.clear()
 
@@ -201,7 +204,8 @@ def _reduce(g, psi, ch):
     """Integral over Mbar_{g,n} of ``prod ch_l prod psi_i^{e_i}`` for sorted
     tuples.  Factors are eliminated from the largest ``ch_l`` down; an
     even l gives 0 at once, since its prefactor ``B_{l+1}`` vanishes, and a
-    ch-free integral is read from the WK table.  The memo is read before
+    ch-free integral (a leaf) is read from the WK table once and memoised
+    as a ``Fraction`` under ``(g, psi, ())``.  The memo is read before
     any stability or degree check.  A ``psi^0`` or ``psi^1`` marking whose
     removal leaves a stable space is forgotten (:func:`_forget_marking`)
     instead of expanding ``ch_l``.
@@ -217,23 +221,25 @@ def _reduce(g, psi, ch):
     factors and node branches ``a + b = l - 1``.  The side holding
     ``psi1`` and ``psi^a`` has ``n1 = len(psi1) + 1`` points and degree
     ``w_psi + sum(ch1) + a`` with ``w_psi = sum(psi1) + 3 - n1``, which
-    forces its genus to ``h = (w_psi + sum(ch1) + a) / 3``.  The ch splits
-    are bucketed once per call by ``sum(ch1)``; each psi split and each
-    stable pair of genera ``(h, g - h)`` then reads only the bucket
-    ``sum(ch1) = 3h - a - w_psi`` for each ``a``.  A side that is unstable,
-    or of genus 0 with a ch factor (the Hodge bundle has rank 0 there), is
+    forces its genus to ``h = (t + a) / 3`` with ``t = w_psi + sum(ch1)``.
+    The ch splits are bucketed once per call by ``sum(ch1)``; each psi
+    split walks the buckets, and in each it steps ``a`` by 3 from the least
+    ``a = -t (mod 3)`` whose side is stable, so ``h`` grows by one per step,
+    until the other side, of genus ``g - h``, would be unstable.  A side of
+    genus 0 with a ch factor (the Hodge bundle has rank 0 there) is
     skipped.  Swapping the two sides maps the split at ``a`` to a split at
     ``b`` with the same term, so only ``a <= b`` is visited, counted twice.
 
     The sum is kept as an integer numerator over the running least common
     multiple of the terms' denominators (:func:`~pshodge.multiset.add_term`),
     and one ``Fraction`` is built for the memo entry."""
-    if not ch:
-        return default_table()._psi_eval(g, psi)
     key = (g, psi, ch)
     hit = _CH_MEMO.get(key)
     if hit is not None:
         return hit
+    if not ch:
+        value = _CH_MEMO[key] = default_table()._psi_eval(g, psi)
+        return value
     n = len(psi)
     if not is_stable(g, n):
         return _ZERO
@@ -280,16 +286,20 @@ def _reduce(g, psi, ch):
         # greater psi side, and compare the ch factors only on a tie
         tie = psi1 == psi2
         last = half if psi1 <= psi2 else half - 1
-        branches = [(a, tuple(sorted(psi1 + (a,))),
-                     tuple(sorted(psi2 + (l - 1 - a,))),
-                     -2 * mpsi if a % 2 else 2 * mpsi)
-                    for a in range(last + 1)]
         # both sides stable: 2h - 2 + n1 > 0 and 2(g - h) - 2 + n2 > 0
-        for h in range(0 if n1 > 2 else 1, g + 1 if n2 > 2 else g):
-            for a, side1, side2, m_a in branches:
-                pairs = buckets.get(3 * h - a - w_psi)
-                if pairs is None:
-                    continue
+        h_min = 0 if n1 > 2 else 1
+        h_max = g if n2 > 2 else g - 1
+        for s, pairs in buckets.items():
+            # 3h = t + a: start at the least a = -t (mod 3) with h >= h_min;
+            # h grows by one per step
+            t = w_psi + s
+            for a in range(max(-t % 3, 3 * h_min - t), last + 1, 3):
+                h = (t + a) // 3
+                if h > h_max:
+                    break
+                side1 = tuple(sorted(psi1 + (a,)))
+                side2 = tuple(sorted(psi2 + (l - 1 - a,)))
+                m_a = -2 * mpsi if a % 2 else 2 * mpsi
                 for ch1, ch2, m in pairs:
                     if (h == 0 and ch1) or (h == g and ch2):
                         continue  # a genus-0 side with ch: rank-zero bundle

@@ -5,12 +5,12 @@ conventions: the string/dilaton structure of psi correlators, the
 vanishing forced by the multiplicative inverse relation between the
 Chern classes of the Hodge bundle and its dual, closed forms from the
 literature for lambda_g, lambda_g lambda_{g-1} and lambda_g lambda_{g-1}
-lambda_{g-2} integrals, equality of pseudostable
-and stable integrals in the lambda-linear range, agreement of the
-transposition-factorization counts with their Hodge-integral evaluation,
-and the ring axioms of the strata algebra.  All checks are exact; the
-random instances are drawn from a fixed seed so that reports are
-reproducible and independent of any warm cache.
+lambda_{g-2} integrals, equality of pseudostable and stable integrals in
+the lambda-linear range, two observed nonlinear pseudostable identities,
+agreement of the transposition-factorization counts with their
+Hodge-integral evaluation, and the ring axioms of the strata algebra.
+All checks are exact; the random instances are drawn from a fixed seed
+so that reports are reproducible and independent of any warm cache.
 """
 
 from __future__ import annotations
@@ -20,12 +20,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, prod
 
+from .expr import parse_expression
 from .hodge import (HodgeMonomial, bell_polynomial, hodge_integral,
                     kappa_integral)
 from .hurwitz import HurwitzInstance, elsv_value, hurwitz_brute, riemann_hurwitz_m
 from .multiset import compositions, partitions, sub_multisets
-from .strata import (TautClass, class_integrate, class_multiply, hat_lambda,
-                     is_pseudostable, t_pullback_ch, _make_term)
+from .strata import (TautClass, class_integrate, class_multiply,
+                     expr_integral, hat_lambda, is_pseudostable,
+                     t_pullback_ch, _make_term)
 from .wk import default_table, is_stable, wk_integral
 
 __all__ = ["SuiteResult", "run_all", "mumford_relation_terms",
@@ -210,6 +212,13 @@ def _bernoulli_numbers(count):
     return out
 
 
+def _lambda_g_one_point(h, bern):
+    """Faber--Pandharipande's ``b_h = int_{Mbar_{h,1}} psi^{2h-2} lambda_h
+    = (2^{2h-1} - 1)/2^{2h-1} * |B_{2h}|/(2h)!``; ``bern[m]`` is ``|B_m|``."""
+    return (Fraction(2 ** (2 * h - 1) - 1, 2 ** (2 * h - 1))
+            * bern[2 * h] / factorial(2 * h))
+
+
 def suite_hodge_closed_forms(gmax=5):
     """Closed forms for lambda_g psi (Faber--Pandharipande and the lambda_g
     formula, n <= 3), lambda_g lambda_{g-1} psi (n <= 2, g >= 2) and
@@ -217,9 +226,7 @@ def suite_hodge_closed_forms(gmax=5):
     result = SuiteResult("hodge-closed-forms", True)
     bern = [abs(b) for b in _bernoulli_numbers(2 * gmax + 1)]
     for g in range(1, gmax + 1):
-        # Faber--Pandharipande: b_g = int_{Mbar_{g,1}} psi^{2g-2} lambda_g
-        b_g = (Fraction(2 ** (2 * g - 1) - 1, 2 ** (2 * g - 1))
-               * bern[2 * g] / factorial(2 * g))
+        b_g = _lambda_g_one_point(g, bern)
         # lambda_g formula: int psi^d lambda_g = binom(2g-3+n; d) b_g; at
         # n = 1 it is b_g itself
         for n in range(1, 4):
@@ -264,6 +271,29 @@ def suite_linear_hodge(gmax=3, nmax=2):
                         corrected, TautClass.psi_monomial(g, n, exps)))
                     stable = hodge_integral(HodgeMonomial.of(g, n, {j: 1}, exps))
                     result.record(ps == stable, ("linear", g, n, j, exps))
+    return result
+
+
+def suite_ps_nonlinear(gmax=5):
+    """Two nonlinear pseudostable identities on Mbar^ps_{g,1}, g = 2..gmax.
+    Both are observed in the engine's values, not derived:
+    ``int_ps lambda_g^2 psi_1^{g-2} = 1/(24^g g!)``, while stably
+    ``lambda_g^2 = 0`` (Mumford), and ``int_ps - int_stable`` of
+    ``lambda_g lambda_1 psi_1^{2g-3}`` is ``b_{g-1}/24``."""
+    result = SuiteResult("ps-nonlinear", True)
+    bern = [abs(b) for b in _bernoulli_numbers(2 * gmax - 1)]
+    for g in range(2, gmax + 1):
+        square = parse_expression(f"lambda{g}^2*psi1^{g - 2}", g, 1)
+        result.record(expr_integral(g, 1, square, "ps")
+                      == Fraction(1, 24 ** g * factorial(g)),
+                      ("lambda_g^2 ps", g))
+        result.record(expr_integral(g, 1, square, "stable") == 0,
+                      ("lambda_g^2 stable", g))
+        mixed = parse_expression(f"lambda{g}*lambda1*psi1^{2 * g - 3}", g, 1)
+        excess = (expr_integral(g, 1, mixed, "ps")
+                  - expr_integral(g, 1, mixed, "stable"))
+        result.record(excess == _lambda_g_one_point(g - 1, bern) / 24,
+                      ("lambda_g lambda_1 excess", g))
     return result
 
 
@@ -388,6 +418,7 @@ def run_all(seed=DEFAULT_SEED):
         suite_mumford(),
         suite_hodge_closed_forms(),
         suite_linear_hodge(),
+        suite_ps_nonlinear(),
         suite_elsv(),
         suite_algebra(seed),
         suite_hat_lambda_square(),

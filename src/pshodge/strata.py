@@ -78,11 +78,12 @@ truncating.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product as iproduct
-from math import factorial, prod
+from math import factorial, log2, prod
 from operator import add
 
 from . import expr as expr_mod
@@ -483,6 +484,22 @@ def t_pullback_ch(g, n, l):
     return TautClass.from_terms(g, n, terms)
 
 
+def _check_power(c, e):
+    """Refuse ``c ** e`` for a constant ``c`` when it would have more digits
+    than Python converts to text (the limit that also governs printing).
+    A numerator or denominator of bit length ``b`` is at least
+    ``2^(b-1)``, so its power has more than ``(b-1) e log10(2)`` digits;
+    the estimate is formed before the power, and ``c = +-1`` always
+    passes."""
+    # 0, or a Python with no such limit: refuse nothing
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    bits = max(abs(c.numerator).bit_length(), c.denominator.bit_length()) - 1
+    # (b-1) e log10(2) >= limit; an int compares exactly with a float
+    if limit and bits * e >= limit * log2(10):
+        raise ValueError(f"a power of a constant in the expression would "
+                         f"have more than {limit} digits")
+
+
 def _expand(node, g, n, dim):
     """Expand an expression tree into a sparse polynomial of degree ``dim``.
 
@@ -494,7 +511,9 @@ def _expand(node, g, n, dim):
     and the power of a single monomial is formed in one step.
 
     The walk is the tree's only check: a bad symbol index, a negative
-    exponent or a non-node raises, the first met left to right.
+    exponent, a power of a constant too long to print
+    (:func:`_check_power`) or a non-node raises, the first met left to
+    right.
     """
 
     def degree(key):
@@ -525,6 +544,8 @@ def _expand(node, g, n, dim):
             if node.exponent < 0:
                 raise ValueError("exponents must be non-negative")
             base, e = walk(node.base), node.exponent
+            if () in base:  # the power's constant term is c ** e
+                _check_power(base[()], e)
             if len(base) == 1:
                 (key, c), = base.items()
                 if degree(key) * e > dim:

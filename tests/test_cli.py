@@ -247,9 +247,10 @@ class TestEval:
 
 
 class TestTooLargeToPrint:
-    """A value with more digits than Python prints is a per-line error."""
+    """A value with more digits than Python prints is a per-line error.
+    Each literal power fits; their product does not."""
 
-    EXPR = "2^20000*psi1^4"
+    EXPR = "2^10000*2^10000*psi1^4"
 
     def message(self, limit):
         return ("the result is too large to print: its numerator or "
@@ -277,6 +278,48 @@ class TestTooLargeToPrint:
         assert (code, err) == (1, "")
         assert out.splitlines() == [
             "1/1152", f"line 2: error: {self.message(digit_limit)}", "1/480"]
+
+
+class TestHugeLiteralPower:
+    """A power of a constant longer than Python prints is refused before
+    it is formed, with a plain error; a power of +-1 never is."""
+
+    def message(self, limit):
+        return (f"a power of a constant in the expression would have more "
+                f"than {limit} digits")
+
+    @pytest.mark.parametrize("expr", ["2^3000000*psi1^4",
+                                      "2^10000000000*psi1^4",
+                                      "(2+psi1)^10000000000*psi1^4",
+                                      "2^3000000*psi1^3"])
+    def test_refused_fast(self, capsys, digit_limit, expr):
+        # the last one integrates to zero by degree, and is refused too
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", "--g", "2", "--n", "1", expr)
+        assert (code, out, err) == (1, "",
+                                    f"error: {self.message(digit_limit)}\n")
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("expr, value", [
+        ("1^10000000000*psi1^4", "1/1152"),
+        ("(-1)^10000000001*psi1^4", "-1/1152"),
+        ("(1+psi1)^10000000000*psi1^4", "1/1152")])
+    def test_unit_base_is_never_refused(self, capsys, digit_limit, expr,
+                                        value):
+        code, out, _ = run(capsys, "eval", "--g", "2", "--n", "1", expr)
+        assert (code, out) == (0, value + "\n")
+
+    def test_refused_exactly_past_the_limit(self, capsys, digit_limit):
+        assert digit_limit == 4300
+        # 2^14284 has 4300 digits, 2^14285 has 4301
+        assert len(str(2 ** 14284)) == 4300 == len(str(2 ** 14285 // 10))
+        code, out, _ = run(capsys, "eval", "--g", "2", "--n", "1",
+                           "2^14284*psi1^4")
+        assert (code, out) == (0, f"{2 ** 14277}/9\n")
+        code, out, err = run(capsys, "eval", "--g", "2", "--n", "1",
+                             "2^14285*psi1^4")
+        assert (code, out, err) == (1, "",
+                                    f"error: {self.message(digit_limit)}\n")
 
 
 class TestLongLiteral:

@@ -428,7 +428,9 @@ class TestReductionOracle:
         entry ``(g, psi, ch)`` equals the triple loop at its key.  It holds
         fewer keys than the triple loop's memo holds keys with a ch factor:
         a psi^0 or psi^1 marking is forgotten instead of expanding a Chern
-        character, and the kappa term is a new marking, not a kappa key."""
+        character, and the kappa term is a new marking, not a kappa key.
+        The ch-free keys are the WK leaves, each stored once as the
+        correlator itself."""
         monomials = grr_monomials()
         clear_caches()
         values = [hodge_integral(mono) for mono in monomials]
@@ -436,10 +438,32 @@ class TestReductionOracle:
         want = [reference_hodge_integral(mono, memo) for mono in monomials]
         assert values == want
         assert len(memo) > 100
-        assert len(hodge._CH_MEMO) < sum(1 for key in memo if key[3])
+        assert sum(1 for key in hodge._CH_MEMO if key[2]) < \
+            sum(1 for key in memo if key[3])
+        leaves = 0
         for key, value in hodge._CH_MEMO.items():
             g, psi, ch = key
+            assert type(value) is Fraction, key
             assert reference_reduce(g, psi, (), ch, memo) == value, key
+            if not ch:
+                assert value == wk_integral(g, psi), key
+                leaves += 1
+        assert leaves > 100
+
+    @pytest.mark.parametrize("g, n, lambdas, psis", [
+        (5, 0, {5: 1, 4: 1, 3: 1}, None),
+        (5, 1, {5: 1, 4: 1}, [4]),
+    ], ids=["faber", "lambda5-lambda4-psi1^4"])
+    def test_genus_five_matches_triple_loop(self, g, n, lambdas, psis):
+        """Faber's ``lambda_5 lambda_4 lambda_3`` and ``lambda_5 lambda_4
+        psi_1^4``: at g=5 the genus of a split side ranges over 0..5, so
+        the separating sum walks many ch buckets, each over several node
+        branches ``a``."""
+        clear_caches()
+        mono = HodgeMonomial.of(g, n, lambdas, psis)
+        value = hodge_integral(mono)
+        assert value != 0
+        assert value == reference_hodge_integral(mono, {})
 
     def test_kappa_matches_old_recursion(self):
         """Every sorted psi/kappa key at g <= 3 and dimension <= 8, with

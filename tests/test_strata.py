@@ -13,7 +13,7 @@ import pytest
 
 import pshodge
 from pshodge import expr as E
-from pshodge import hodge, strata
+from pshodge import hodge, selfcheck, strata
 from pshodge.expr import parse_expression
 from pshodge.hodge import (HodgeMonomial, bell_polynomial, hodge_integral,
                            kappa_integral)
@@ -602,6 +602,24 @@ class TestPseudostableIdentities:
         e = parse_expression(f"lambda{g}*lambda1*psi1^{2 * g - 3}", g, 1)
         assert expr_integral(g, 1, e, "ps") - \
             expr_integral(g, 1, e, "stable") == b_h / 24
+
+    def test_selfcheck_suite(self, monkeypatch):
+        """The ``ps-nonlinear`` selfcheck suite passes, and reports each of
+        its three checks per genus once a ps value is off."""
+        result = selfcheck.suite_ps_nonlinear()
+        assert (result.name, result.passed, result.failures) == \
+            ("ps-nonlinear", True, [])
+
+        def off(g, n, e, space):
+            return expr_integral(g, n, e, space) + (space == "ps")
+
+        monkeypatch.setattr(selfcheck, "expr_integral", off)
+        result = selfcheck.suite_ps_nonlinear(gmax=3)
+        assert not result.passed
+        assert result.failures == [("lambda_g^2 ps", 2),
+                                   ("lambda_g lambda_1 excess", 2),
+                                   ("lambda_g^2 ps", 3),
+                                   ("lambda_g lambda_1 excess", 3)]
 
 
 class TestBellAssembly:
