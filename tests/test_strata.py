@@ -604,8 +604,8 @@ class TestPseudostableIdentities:
             expr_integral(g, 1, e, "stable") == b_h / 24
 
     def test_selfcheck_suite(self, monkeypatch):
-        """The ``ps-nonlinear`` selfcheck suite passes, and reports each of
-        its three checks per genus once a ps value is off."""
+        """The ``ps-nonlinear`` selfcheck suite passes, and once every ps
+        value is off it reports both checks that read one, per genus."""
         result = selfcheck.suite_ps_nonlinear()
         assert (result.name, result.passed, result.failures) == \
             ("ps-nonlinear", True, [])
