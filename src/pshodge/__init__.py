@@ -35,8 +35,8 @@ __all__ = ["clear_caches", "__version__"]
 
 def clear_caches():
     """Drop the Hodge-integral and GRR memos, the one memo of ``hat_lambda``
-    products (complete prefixes and integrable last products alike) and
-    the table of lambda restrictions over fresh tails (the WK table is
-    managed separately)."""
+    products (complete prefixes and integrable last products alike), the
+    table of lambda restrictions over fresh tails and the tail matchings
+    by type (the WK table is managed separately)."""
     hodge.clear_caches()
     strata.clear_caches()

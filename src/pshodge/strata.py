@@ -33,13 +33,18 @@ is faithful because relabelling tails is an automorphism over the
 gluing.
 
 Products are excess intersections: two terms multiply by matching m
-tails of one with m tails of the other (labelled matchings); every
-matched pair contributes the excess weight ``-psi_star - psi_bullet``
-and keeps its merged decorations; each factor's core lambda classes are
-restricted to the deeper stratum carrying the other factor's unmatched
-tails, where the Hodge bundle splits off one tail line bundle per new
-tail.  Integration factorises: the core integral is a Hodge integral and
-every tail contributes ``1/24`` per ``psi_bullet`` (and 0 without one).
+tails of one with m tails of the other (summed over labelled matchings);
+every matched pair contributes the excess weight
+``-psi_star - psi_bullet`` and keeps its merged decorations; each
+factor's core lambda classes are restricted to the deeper stratum
+carrying the other factor's unmatched tails, where the Hodge bundle
+splits off one tail line bundle per new tail.  Labelled matchings that
+pair the same tail types give the same terms, so they are counted, not
+listed (compare Graber--Pandharipande, "Constructions of nontautological
+classes on moduli spaces of curves", 2003, for products of boundary
+strata).  Integration factorises: the core integral is a Hodge integral
+and every tail contributes ``1/24`` per ``psi_bullet`` (and 0 without
+one).
 
 :func:`expr_integral` evaluates a polynomial in four steps:
 
@@ -65,8 +70,15 @@ every tail contributes ``1/24`` per ``psi_bullet`` (and 0 without one).
    complete prefix.  The restrictions of a core lambda monomial over
    fresh tails, grouped by the tails they bump, depend only on the
    monomial and the tail count and are built once per pair
-   (``_RESTRICTIONS``).  Stably, each
-   monomial is a Hodge integral and no strata class is formed;
+   (``_RESTRICTIONS``).  The kernel walks the matchings of two tail
+   multisets by contingency table, how many tails of each type meet
+   tails of each other type, and multiplies each table's terms by its
+   number of labelled matchings; the tables of a pair of multisets are
+   built once (``_MATCHINGS``).  The i tails of a ``hat_lambda_j``
+   correction term are all bare, so two such terms meet in i + 1
+   tables where they have ``sum_m C(i, m)^2 m!`` labelled matchings.
+   Stably, each monomial is a Hodge integral and no strata class is
+   formed;
 3. attach the monomial's psi part to every integrable term of that
    product by adding exponents to ``core_psi``, since psi classes pull
    back unchanged and leave the tails as they are;
@@ -82,8 +94,8 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product as iproduct
-from math import factorial, log2, prod
+from itertools import combinations, product as iproduct
+from math import comb, factorial, log2, perm, prod
 from operator import add
 
 from . import expr as expr_mod
@@ -336,7 +348,7 @@ def _bumped(rest, restrictions, bullets):
     exponent in ``bullets``: the kept lambda tuples and the bumped
     tails."""
     if not rest:
-        return [(restrictions[()], rest)]  # the most frequent call
+        return [(restrictions[()], [])]  # the most frequent call
     increments = _INCREMENTS[bullets]
     out = []
     for bumps in iproduct(*[increments[b] for _, b in rest]):
@@ -346,52 +358,103 @@ def _bumped(rest, restrictions, bullets):
     return out
 
 
+_MATCHINGS = {}
+
+
+def _matchings(t_tails, u_tails):
+    """The matchings of tails of ``t_tails`` with tails of ``u_tails``
+    (two sorted multisets), counted by tail type.
+
+    A matching of m tails is determined, up to relabelling, by its
+    contingency table ``k_TU``: how many tails of type T are matched with
+    tails of type U.  With ``c_T`` and ``d_U`` the multiplicities of the
+    types and ``r_T``, ``s_U`` the row and column sums, a table stands for
+
+        prod_T C(c_T, r_T) r_T! / prod_U k_TU!  *  prod_U d_U! / (d_U - s_U)!
+
+    labelled matchings, so the weights at m sum to
+    ``C(i, m) * ip! / (ip - m)!``.  Returns a list indexed by m whose
+    entries are ``(weight, pairs, t_rest, u_rest)``: the matched type
+    pairs ``(T, U)``, each repeated ``k_TU`` times, and the sorted
+    unmatched tails of either side.  Memoised in ``_MATCHINGS`` by the
+    pair of multisets; callers must not mutate the lists.
+    """
+    key = (t_tails, u_tails)
+    tables = _MATCHINGS.get(key)
+    if tables is not None:
+        return tables
+    rows, cols = counts(t_tails), counts(u_tails)  # free tails per type
+    cells = [(T, U) for T in rows for U in cols]
+    tables = [[] for _ in range(min(len(t_tails), len(u_tails)) + 1)]
+
+    def rec(idx, weight, pairs):
+        if idx == len(cells):
+            tables[len(pairs)].append((
+                weight, pairs,
+                tuple(T for T, c in rows.items() for _ in range(c)),
+                tuple(U for U, d in cols.items() for _ in range(d))))
+            return
+        rec(idx + 1, weight, pairs)
+        T, U = cells[idx]
+        c, d = rows[T], cols[U]
+        for k in range(1, min(c, d) + 1):
+            # k of the c free T tails, each sent to its own free U tail
+            rows[T], cols[U] = c - k, d - k
+            rec(idx + 1, weight * comb(c, k) * perm(d, k),
+                pairs + ((T, U),) * k)
+        rows[T], cols[U] = c, d
+
+    rec(0, 1, ())
+    _MATCHINGS[key] = tables
+    return tables
+
+
 def _term_product(g, n, t, u, base, bullets):
     """The ``(key, coeff)`` strata terms of ``base`` times the product of
     the decorations ``t`` and ``u`` on Mbar_{g,n} whose tails all end
     with a ``psi_bullet`` exponent in ``bullets``: ``(0, 1)`` keeps every
-    term, ``(1,)`` only the integrable ones."""
+    term, ``(1,)`` only the integrable ones.
+
+    Matchings are walked by tail type (:func:`_matchings`), not one by
+    one: every labelled matching with the same contingency table gives
+    the same terms, so each table's terms are yielded once with its
+    count of labelled matchings folded into the coefficient."""
     t_tails, t_lambda, t_psi = t
     u_tails, u_lambda, u_psi = u
     i, ip = len(t_tails), len(u_tails)
     core_psi = tuple(map(add, t_psi, u_psi))
-    for m in range(min(i, ip) + 1):
+    for m, tables in enumerate(_matchings(t_tails, u_tails)):
         t_restrictions = _restrictions_by_bumps(t_lambda, ip - m)
         u_restrictions = _restrictions_by_bumps(u_lambda, i - m)
-        for tsel in combinations(range(i), m):
+        for weight, pairs, t_rest, u_rest in tables:
             # u's core restrictions bump t's unmatched tails
-            new_ts = _bumped([t_tails[x] for x in range(i) if x not in tsel],
-                             u_restrictions, bullets)
+            new_ts = _bumped(t_rest, u_restrictions, bullets)
             if not new_ts:
                 continue
-            for usel in permutations(range(ip), m):
-                # t's core restrictions bump u's unmatched tails
-                new_us = _bumped(
-                    [u_tails[y] for y in range(ip) if y not in usel],
-                    t_restrictions, bullets)
-                if not new_us:
-                    continue
-                merged = [(t_tails[x][0] + u_tails[y][0],
-                           t_tails[x][1] + u_tails[y][1])
-                          for x, y in zip(tsel, usel)]
-                # a merged psi_bullet^2 leaves no branch
-                for branches in iproduct(*[_excess_branches(a, b, bullets)
-                                           for a, b in merged]):
-                    sign = 1
-                    matched_tails = []
-                    for s, ab in branches:
-                        sign *= s
-                        matched_tails.append(ab)
-                    coeff = base * sign
-                    for t_lams, new_u in new_us:
-                        for u_lams, new_t in new_ts:
-                            tails = matched_tails + new_t + new_u
-                            for lam_t in t_lams:
-                                for lam_u in u_lams:
-                                    term = _make_term(g, n, coeff, tails,
-                                                      lam_t + lam_u, core_psi)
-                                    if term is not None:
-                                        yield term
+            # t's core restrictions bump u's unmatched tails
+            new_us = _bumped(u_rest, t_restrictions, bullets)
+            if not new_us:
+                continue
+            scaled = base * weight
+            # a merged psi_bullet^2 leaves no branch
+            for branches in iproduct(*[
+                    _excess_branches(ta + ua, tb + ub, bullets)
+                    for (ta, tb), (ua, ub) in pairs]):
+                sign = 1
+                matched_tails = []
+                for s, ab in branches:
+                    sign *= s
+                    matched_tails.append(ab)
+                coeff = scaled * sign
+                for t_lams, new_u in new_us:
+                    for u_lams, new_t in new_ts:
+                        tails = matched_tails + new_t + new_u
+                        for lam_t in t_lams:
+                            for lam_u in u_lams:
+                                term = _make_term(g, n, coeff, tails,
+                                                  lam_t + lam_u, core_psi)
+                                if term is not None:
+                                    yield term
 
 
 def class_multiply(first, second, integrable=False):
@@ -580,10 +643,11 @@ _PRODUCTS = {}
 
 
 def clear_caches():
-    """Drop the memoised ``hat_lambda`` products and the table of lambda
-    restrictions over fresh tails."""
+    """Drop the memoised ``hat_lambda`` products, the table of lambda
+    restrictions over fresh tails and the tail matchings by type."""
     _PRODUCTS.clear()
     _RESTRICTIONS.clear()
+    _MATCHINGS.clear()
 
 
 def _scaled_hat_lambda(g, n, j):

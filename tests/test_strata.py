@@ -7,7 +7,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import (combinations, combinations_with_replacement,
                        permutations, product)
-from math import factorial
+from math import comb, factorial, perm
 
 import pytest
 
@@ -577,11 +577,11 @@ class TestPseudostableIntegrals:
 
 class TestPseudostableIdentities:
     """Two nonlinear pseudostable closed forms, observed through
-    ``expr_integral`` for g = 2..7 and g = 2..6, not derived.  Each
-    checks the whole ps pipeline, the g=5 strata products included,
-    against values that share no code with it."""
+    ``expr_integral`` for g = 2..7 and g = 2..10, not derived.  Each
+    checks the whole ps pipeline, the strata products up to g=7
+    included, against values that share no code with it."""
 
-    @pytest.mark.parametrize("g", [2, 3, 4, 5])
+    @pytest.mark.parametrize("g", range(2, 8))
     def test_lambda_g_squared(self, g):
         """``int_ps lambda_g^2 psi_1^{g-2} = 1/(24^g g!)``, while stably
         ``lambda_g^2 = 0`` (Mumford)."""
@@ -590,7 +590,7 @@ class TestPseudostableIdentities:
             Fraction(1, 24 ** g * factorial(g))
         assert expr_integral(g, 1, e, "stable") == 0
 
-    @pytest.mark.parametrize("g", [2, 3, 4, 5])
+    @pytest.mark.parametrize("g", range(2, 11))
     def test_lambda_g_lambda_1_excess(self, g):
         """``int_ps - int_stable`` of ``lambda_g lambda_1 psi_1^{2g-3}``
         is ``b_{g-1}/24``, with ``b_h = int lambda_h psi^{2h-2}`` over
@@ -773,6 +773,8 @@ class TestNormalFormEvaluation:
         assert (3, 1, (1, 1), False) in strata._PRODUCTS  # its prefix
         assert (3, 1, (1, 1, 2), False) not in strata._PRODUCTS
         assert strata._RESTRICTIONS
+        # the bare tails of the two lambda_1 corrections met in lambda_1^2
+        assert (((0, 0),), ((0, 0),)) in strata._MATCHINGS
         assert hodge._HODGE_MEMO
         assert hodge._reduce(1, (0,), (1,)) == Fraction(1, 24)
         assert (1, (0,), (1,)) in hodge._CH_MEMO  # a (g, psi, ch) key
@@ -782,11 +784,14 @@ class TestNormalFormEvaluation:
         assert hodge._CH_MEMO == stored  # kappa elimination stores nothing
         strata.clear_caches()  # each module clears only its own memos
         assert not strata._PRODUCTS and not strata._RESTRICTIONS
+        assert not strata._MATCHINGS
         assert hodge._HODGE_MEMO and hodge._CH_MEMO
         assert expr_integral(3, 1, e, "ps") == first
+        assert strata._MATCHINGS
         pshodge.clear_caches()
         assert not strata._PRODUCTS
         assert not strata._RESTRICTIONS
+        assert not strata._MATCHINGS
         assert not hodge._HODGE_MEMO and not hodge._CH_MEMO
         assert expr_integral(3, 1, e, "ps") == first
 
@@ -796,6 +801,8 @@ class TestNormalFormEvaluation:
 SWEEP = [(2, 1, 9), (2, 2, 9), (3, 1, 9), (3, 2, 9)]
 CUBES = [(4, "(1-lambda1+lambda2-lambda3+lambda4)^3*psi1^4"),
          (5, "(1-lambda1+lambda2-lambda3+lambda4-lambda5)^3*psi1^6")]
+# six identical bare tails on either side of the last product
+REPEATED_TAILS = [(6, "lambda6^2*psi1^4")]
 
 
 class TestIntegrableProducts:
@@ -827,7 +834,8 @@ class TestIntegrableProducts:
         """Differential oracle: the one term-product kernel, under both
         bullet sets, against the complete and the integrable kernels it
         replaced, on every ordered term pair that ``class_multiply`` meets
-        while the monomial sweep to genus 3 and the g=4, 5 cubes run."""
+        while the monomial sweep to genus 3, the g=4, 5 cubes and ps
+        ``lambda_6^2`` run."""
         kernel = strata._term_product
         met = set()
 
@@ -841,7 +849,7 @@ class TestIntegrableProducts:
             for g, n, max_lambdas in SWEEP:
                 for text in top_degree_monomials(g, n, max_lambdas):
                     expr_integral(g, n, parse_expression(text, g, n), "ps")
-            for g, text in CUBES:
+            for g, text in CUBES + REPEATED_TAILS:
                 expr_integral(g, 1, parse_expression(text, g, 1), "ps")
         finally:
             monkeypatch.undo()
@@ -922,3 +930,56 @@ class TestRestrictionTables:
                 restrictions_from_scratch(core, new_tails), core
             assert strata._RESTRICTIONS[core, new_tails] is table
             assert strata._restrictions_by_bumps(core, new_tails) is table
+
+
+def labelled_matchings(t_tails, u_tails, m):
+    """Every labelled matching of m tails of ``t_tails`` with m tails of
+    ``u_tails``, listed as ``combinations x permutations``: a Counter of
+    the sorted matched type pairs and the unmatched tails of either side."""
+    out = Counter()
+    i, ip = len(t_tails), len(u_tails)
+    for tsel in combinations(range(i), m):
+        for usel in permutations(range(ip), m):
+            pairs = tuple(sorted((t_tails[x], u_tails[y])
+                                 for x, y in zip(tsel, usel)))
+            t_rest = tuple(t_tails[x] for x in range(i) if x not in tsel)
+            u_rest = tuple(u_tails[y] for y in range(ip) if y not in usel)
+            out[pairs, t_rest, u_rest] += 1
+    return out
+
+
+def tail_multiset_pairs():
+    """Equal runs of bare tails up to six a side, then random sorted
+    multisets of up to five tails drawn from few types, so that most
+    repeat a type."""
+    for k in range(7):
+        yield ((0, 0),) * k, ((0, 0),) * k
+    types = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]
+    rng = random.Random(2022)
+    for _ in range(60):
+        yield tuple(tuple(sorted(rng.choices(types, k=rng.randint(0, 5))))
+                    for _ in range(2))
+
+
+class TestMatchingTables:
+    def test_weights_count_labelled_matchings(self):
+        """For every m the weights sum to ``C(i, m) ip!/(ip - m)!``, each
+        table uses up both multisets, and each weight is the number of
+        labelled matchings with that table."""
+        for t_tails, u_tails in tail_multiset_pairs():
+            i, ip = len(t_tails), len(u_tails)
+            tables = strata._matchings(t_tails, u_tails)
+            assert len(tables) == min(i, ip) + 1
+            for m, entries in enumerate(tables):
+                assert sum(weight for weight, *_ in entries) == \
+                    comb(i, m) * perm(ip, m), (t_tails, u_tails, m)
+                found = Counter()
+                for weight, pairs, t_rest, u_rest in entries:
+                    assert len(pairs) == m
+                    assert Counter(T for T, _ in pairs) + Counter(t_rest) \
+                        == Counter(t_tails)
+                    assert Counter(U for _, U in pairs) + Counter(u_rest) \
+                        == Counter(u_tails)
+                    found[tuple(sorted(pairs)), t_rest, u_rest] += weight
+                assert found == labelled_matchings(t_tails, u_tails, m)
+            assert strata._matchings(t_tails, u_tails) is tables
