@@ -46,7 +46,7 @@ strata).  Integration factorises: the core integral is a Hodge integral
 and every tail contributes ``1/24`` per ``psi_bullet`` (and 0 without
 one).
 
-:func:`expr_integral` evaluates a polynomial in four steps:
+:func:`expr_integral` evaluates a polynomial in three steps:
 
 1. expand the expression once into a sparse polynomial in the lambda
    and psi classes (key: the multiset of symbol indices, ``lambda_j``
@@ -55,8 +55,8 @@ one).
    The same walk checks every symbol index and exponent of the tree.
    Coefficients stay plain ``int`` while they are integral and become
    ``Fraction`` only in that last filter; a power of a single monomial
-   is formed directly, and square-and-multiply is left to powers of
-   sums;
+   and a product of two single monomials are formed directly, and the
+   general product and square-and-multiply are left to sums;
 2. for each lambda multiset that occurs, form the product of the
    ``j! * hat_lambda_j``, whose coefficients ``j!/i!`` are integers, so
    the products keep plain ``int`` coefficients and the monomial's
@@ -79,10 +79,17 @@ one).
    tables where they have ``sum_m C(i, m)^2 m!`` labelled matchings.
    Stably, each monomial is a Hodge integral and no strata class is
    formed;
-3. attach the monomial's psi part to every integrable term of that
-   product by adding exponents to ``core_psi``, since psi classes pull
-   back unchanged and leave the tails as they are;
-4. integrate the resulting class.
+3. integrate each integrable term of that product against the
+   monomial's psi part at once.  Psi classes pull back unchanged and
+   no product term carries core psi, so a term with i tails
+   ``(a_k, 1)``, core lambda monomial ``lam`` and coefficient c gives
+   ``c / 24^i`` times the stable Hodge integral over Mbar_{g-i,n+i} of
+   ``lam`` with the monomial's psi exponents at the original markings
+   and the ``a_k`` at the attaching ones.  Every term has the
+   monomial's degree and a ``psi_bullet`` on every tail, so nothing is
+   checked or skipped; the terms of one monomial are summed as an
+   integer numerator over a running denominator, and no strata class
+   is formed for the sum.
 
 Each ``hat_lambda_j`` is homogeneous of degree j, so no product needs
 truncating.
@@ -100,7 +107,7 @@ from operator import add
 
 from . import expr as expr_mod
 from .hodge import HodgeMonomial, ch_in_lambda, hodge_integral
-from .multiset import accumulate, counts, multiply
+from .multiset import accumulate, add_term, counts, multiply
 from .wk import is_stable, psi_exponents
 
 __all__ = [
@@ -484,6 +491,10 @@ def class_integrate(cls):
     Per term: zero unless the total degree matches the dimension;
     otherwise the core Hodge integral times ``1/24`` per tail carrying a
     tail psi factor (a bare tail integrates to zero by dimension).
+
+    :func:`expr_integral` no longer calls it: its integrable products
+    pass both checks by construction, so it integrates their terms
+    directly.
     """
     g, n = cls.g, cls.n
     if not is_stable(g, n):
@@ -570,8 +581,10 @@ def _expand(node, g, n, dim):
     ``psi_i`` as ``g + i``, so its lambda part comes first.  Monomials of
     degree above ``dim`` integrate to zero and are dropped as soon as
     they arise.  Coefficients stay plain ``int`` while they are integral
-    and become :class:`~fractions.Fraction` once, in the final filter,
-    and the power of a single monomial is formed in one step.
+    and become :class:`~fractions.Fraction` once, in the final filter.
+    A power of a single monomial, and a product of two single monomials,
+    is formed in one step: one key, one coefficient and one degree check
+    against ``dim``; :func:`~pshodge.multiset.multiply` is left to sums.
 
     The walk is the tree's only check: a bad symbol index, a negative
     exponent, a power of a constant too long to print
@@ -600,7 +613,14 @@ def _expand(node, g, n, dim):
         if isinstance(node, expr_mod.Diff):
             return accumulate(walk(node.left), walk(node.right).items(), -1)
         if isinstance(node, expr_mod.Prod):
-            return multiply(walk(node.left), walk(node.right), degree, dim)
+            left, right = walk(node.left), walk(node.right)
+            if len(left) == len(right) == 1:
+                (a, c), = left.items()
+                (b, d), = right.items()
+                if degree(a) + degree(b) > dim:
+                    return {}
+                return {tuple(sorted(a + b)): c * d}
+            return multiply(left, right, degree, dim)
         if isinstance(node, expr_mod.Pow):
             # checked before the base: a negative exponent would give a
             # float, or never end the square-and-multiply loop
@@ -689,10 +709,12 @@ def expr_integral(g, n, expression, space="stable"):
     """Integrate a lambda/psi polynomial over the chosen moduli space.
 
     ``space`` is ``"stable"`` or ``"ps"``; empty ambient moduli raise
-    :class:`EmptyModuliError`.  Evaluation takes the four steps set out
-    in the module docstring; the first expands the expression with
-    integer coefficients while they stay integral, and forms the power
-    of a single monomial in one step.  A tree built in code is checked
+    :class:`EmptyModuliError`.  Evaluation takes the three steps set out
+    in the module docstring: the expression is expanded into top-degree
+    monomials, and for ps each monomial's value is summed straight from
+    the terms of its integrable ``hat_lambda`` product, one stable Hodge
+    integral per term, without forming a strata class or calling
+    :func:`class_integrate`.  A tree built in code is checked
     while it is expanded, and raises the parser's
     :class:`~pshodge.expr.SymbolRangeError` on an out-of-range symbol.
 
@@ -709,12 +731,18 @@ def expr_integral(g, n, expression, space="stable"):
             total += coeff * hodge_integral(
                 HodgeMonomial(g, n, tuple(counts(lams).items()), psi))
         return total
-    terms = {}
+    total = _ZERO
     for key, coeff in poly.items():
         lams, psi = _split(key, g, n)
-        accumulate(terms, (
-            ((tails, lam, tuple(map(add, core_psi, psi))), c)
-            for (tails, lam, core_psi), c
-            in _lambda_product(g, n, lams, integrable=True).terms.items()),
-            coeff / prod(map(factorial, lams)))
-    return class_integrate(TautClass(g, n, terms))
+        num, den = 0, 1
+        for (tails, lam, _), c in _lambda_product(
+                g, n, lams, integrable=True).terms.items():
+            i = len(tails)
+            value = hodge_integral(HodgeMonomial(
+                g - i, n + i, tuple(counts(lam).items()),
+                tuple(sorted(psi + tuple(a for a, _ in tails)))))
+            if value:
+                num, den = add_term(num, den, c * value.numerator,
+                                    value.denominator * 24 ** i)
+        total += coeff * Fraction(num, den * prod(map(factorial, lams)))
+    return total

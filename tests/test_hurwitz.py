@@ -10,6 +10,7 @@ from math import factorial, prod
 import pytest
 
 from pshodge.expr import parse_expression
+from pshodge.hodge import HodgeMonomial, hodge_integral
 from pshodge.hurwitz import (ENUMERATION_D_MAX, ENUMERATION_M_MAX,
                              EnumerationBoundError, HurwitzInstance,
                              _character, _dimension, count_factorizations,
@@ -445,3 +446,47 @@ class TestPseudostableTargetCurves:
                         (g, mu, ps, stable, brute)
                     checked += 1
         assert checked == 32
+
+
+def solve_exactly(matrix, rhs):
+    """The solution of a nonsingular square system, by Gauss--Jordan
+    elimination over ``Fraction``s."""
+    rows = [[Fraction(x) for x in row] + [Fraction(b)]
+            for row, b in zip(matrix, rhs)]
+    for col in range(len(rows)):
+        pivot = next(r for r in range(col, len(rows)) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        rows[col] = [x / lead for x in rows[col]]
+        for r, row in enumerate(rows):
+            if r != col and row[col]:
+                factor = row[col]
+                rows[r] = [x - factor * y for x, y in zip(row, rows[col])]
+    return [row[-1] for row in rows]
+
+
+class TestInverseELSV:
+    """Linear Hodge integrals from Hurwitz counts alone.  By ELSV with
+    mu = (d), the count ``h_{(d)}`` over ``m! d^{d+1}/d!`` is
+    ``sum_j (-1)^j d^{3g-2-j} <lambda_j tau_{3g-2-j}>_g``; the g + 1
+    counts at d = 1..g+1 fix the g + 1 unknowns.  No GRR, WK or strata
+    code takes part in the solve."""
+
+    @pytest.mark.parametrize("g", range(2, 7))
+    def test_one_point_integrals_from_counts(self, g):
+        top = 3 * g - 2
+        matrix, rhs = [], []
+        for d in range(1, g + 2):
+            m = 2 * g - 1 + d
+            count = hurwitz_brute(HurwitzInstance.of((d,), m))
+            rhs.append(Fraction(count * factorial(d),
+                                factorial(m) * d ** (d + 1)))
+            matrix.append([(-1) ** j * d ** (top - j) for j in range(g + 1)])
+        for j, value in enumerate(solve_exactly(matrix, rhs)):
+            assert value, (g, j)
+            assert value == hodge_integral(HodgeMonomial.of(
+                g, 1, {j: 1} if j else None, [top - j])), (g, j)
+            # the paper's linear theorem: the ps integral is the same
+            text = f"lambda{j}*psi1^{top - j}" if j else f"psi1^{top}"
+            assert expr_integral(g, 1, parse_expression(text, g, 1),
+                                 "ps") == value, (g, j)

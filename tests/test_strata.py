@@ -725,7 +725,9 @@ class TestNormalFormEvaluation:
         """Differential oracle: the integer expander against the Fraction
         one it replaced, at every dimension up to the top one, so that
         terms above the dimension are dropped on the way; equal dicts
-        whose values are all ``Fraction``."""
+        whose values are all ``Fraction``.  Products whose two sides
+        expand to one monomial each, within the dimension and beyond it,
+        are counted from the reference expansions of the sides."""
         rng = random.Random(1729)
         ambients = [(0, 3)] + [(g, n) for g in range(1, 5) for n in range(4)
                                if is_stable(g, n)]
@@ -733,13 +735,25 @@ class TestNormalFormEvaluation:
         for _ in range(1000):
             g, n = rng.choice(ambients)
             node = random_expand_tree(rng, g, n, rng.randint(0, 5))
-            for dim in range(3 * g - 3 + n + 1):
+            top = 3 * g - 3 + n
+            for dim in range(top + 1):
                 got = strata._expand(node, g, n, dim)
                 assert got == reference_expand(node, g, n, dim), \
                     (g, n, dim, E.to_text(node))
                 assert all(type(c) is Fraction for c in got.values())
                 seen["nonzero"] += bool(got)
             for sub in tree_nodes(node):
+                if isinstance(sub, E.Prod):
+                    # a side truncated at dim keeps its degrees <= dim
+                    sizes = [[len(reference_expand(side, g, n, d))
+                              for d in range(top + 1)]
+                             for side in (sub.left, sub.right)]
+                    for dim in range(top + 1):
+                        kept = [s[:dim + 1] for s in sizes]
+                        if all(sum(k) == 1 for k in kept):
+                            seen["product of monomials"] += 1
+                            seen["product of monomials above dim"] += sum(
+                                k.index(1) for k in kept) > dim
                 if isinstance(sub, E.Lit):
                     seen["zero" if sub.value == 0 else
                          "negative" if sub.value < 0 else
@@ -749,7 +763,7 @@ class TestNormalFormEvaluation:
                     seen[f"exponent {sub.exponent}"] += 1
                     seen["power of a sum"] += isinstance(sub.base,
                                                          (E.Sum, E.Diff))
-        assert len(seen) == 11 and min(seen.values()) >= 50, seen
+        assert len(seen) == 13 and min(seen.values()) >= 50, seen
 
     @pytest.mark.parametrize("g, n, text", [
         (2, 1, "2*psi1^4"), (2, 2, "lambda1^2*lambda2*psi1")])
@@ -820,6 +834,46 @@ class TestIntegrableProducts:
     def test_cubes_match_complete_products(self, g, text):
         e = parse_expression(text, g, 1)
         assert expr_integral(g, 1, e, "ps") == product_route_integral(g, 1, e)
+
+    def test_products_carry_no_core_psi(self):
+        """Every term of every memoised product has no core psi after the
+        monomial sweep to genus 3, so ``expr_integral`` takes the psi part
+        of a core integral from the monomial alone."""
+        pshodge.clear_caches()
+        for g, n, max_lambdas in SWEEP:
+            for text in top_degree_monomials(g, n, max_lambdas):
+                expr_integral(g, n, parse_expression(text, g, n), "ps")
+        assert {key[3] for key in strata._PRODUCTS} == {False, True}
+        for (g, n, _, _), cls in strata._PRODUCTS.items():
+            assert all(core_psi == (0,) * n for _, _, core_psi in cls.terms)
+
+    @pytest.mark.parametrize("g, n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_values_symmetric_in_the_markings(self, g, n):
+        """A top-degree monomial with up to three lambda factors keeps its
+        ps value under every permutation of its psi exponents."""
+        dim = 3 * g - 3 + n
+        permuted = nonzero = 0
+        for w in range(dim + 1):
+            for lams in partitions(w, g):
+                if len(lams) > 3:
+                    continue
+                for exps in partitions(dim - w):
+                    if len(exps) > n:
+                        continue
+                    orders = set(permutations(exps + (0,) * (n - len(exps))))
+                    if len(orders) < 2:
+                        continue
+                    values = set()
+                    for order in orders:
+                        factors = [f"lambda{j}" for j in lams]
+                        factors += [f"psi{i}^{e}"
+                                    for i, e in enumerate(order, 1) if e]
+                        values.add(expr_integral(g, n, parse_expression(
+                            "*".join(factors), g, n), "ps"))
+                    assert len(values) == 1, (lams, exps)
+                    permuted += 1
+                    nonzero += values != {0}
+        assert permuted >= 10 and nonzero >= 10, (permuted, nonzero)
 
     def test_every_tail_carries_psi_bullet(self):
         full = complete_product(4, 1, (1, 1, 2))
