@@ -6,66 +6,41 @@ Subcommands::
     series     tabulate the pseudostable failure of the degree-two
                Chern-class relation against its closed-form coefficients
     selfcheck  run the consistency suites
-    cache      store / load / verify the psi-correlator memo table
 
-Batch lines are evaluated in order, one at a time.  ``--cache PATH``
-loads the psi memo table before the work and stores it after (a missing
-file starts an empty table); a cache file that cannot be read, parsed
-or written is an error, reported like an unreadable ``--batch`` file.
-``cache load`` and ``cache verify`` refuse a missing file.
+Batch lines are evaluated in order, one at a time.
 
 Exit status: 0 on success, 1 on an evaluation or user error (usage errors
-and unusable batch or cache files included), 2 on a selfcheck failure.
+and unusable batch files included), 2 on a selfcheck failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from .cache import CacheFormatError, cache_load, cache_store, cache_verify
 from .expr import ParseError, SymbolRangeError, parse_expression
-from .multiset import partitions
 from .strata import EmptyModuliError, check_ambient, expr_integral
-from .wk import default_table, is_stable
 
 __all__ = ["main"]
 
-# what reading, parsing or writing a cache file can raise
-_CACHE_ERRORS = (OSError, UnicodeDecodeError, CacheFormatError)
 # what evaluating one expression reports as a user error
 _EVAL_ERRORS = (ParseError, SymbolRangeError, EmptyModuliError, ValueError)
 
 
-def _file_error(args, option, message):
-    """Report the unusable file named by ``args.<option>``; returns status 1.
+def _file_error(args, message):
+    """Report the unusable ``--batch`` file; returns status 1.
 
     Under ``--json`` the report is one JSON object on stdout."""
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps({"g": args.g, "n": args.n, "space": args.space,
-                          option: getattr(args, option), "error": message}))
+                          "batch": args.batch, "error": message}))
     else:
         print(f"error: {message}", file=sys.stderr)
     return 1
-
-
-def _cache_ok(args, action):
-    """Apply ``cache_load`` or ``cache_store`` to ``args.cache`` with the
-    default table; False once an unusable file has been reported."""
-    if not args.cache:
-        return True
-    try:
-        action(args.cache, table=default_table())
-    except _CACHE_ERRORS as exc:
-        verb = "load" if action is cache_load else "store"
-        _file_error(args, "cache", f"cannot {verb} cache file: {exc}")
-        return False
-    return True
 
 
 def _eval_one(text, g, n, space):
@@ -128,23 +103,17 @@ def _cmd_eval(args):
         print("eval: provide exactly one of EXPR or --batch FILE",
               file=sys.stderr)
         return 1
-    if not _cache_ok(args, cache_load):
-        return 1
-    status = 0
     if args.expr is not None:
-        if _report(args, args.expr):
-            return 1
-    else:
-        try:
-            with open(args.batch, "r", encoding="utf-8") as fh:
-                lines = [line.strip() for line in fh]
-        except (OSError, UnicodeDecodeError) as exc:
-            return _file_error(args, "batch", f"cannot read batch file: {exc}")
-        for lineno, line in enumerate(lines, start=1):
-            if line:
-                status |= _report(args, line, lineno)
-    if not _cache_ok(args, cache_store):
-        return 1
+        return _report(args, args.expr)
+    try:
+        with open(args.batch, "r", encoding="utf-8") as fh:
+            lines = [line.strip() for line in fh]
+    except (OSError, UnicodeDecodeError) as exc:
+        return _file_error(args, f"cannot read batch file: {exc}")
+    status = 0
+    for lineno, line in enumerate(lines, start=1):
+        if line:
+            status |= _report(args, line, lineno)
     return status
 
 
@@ -154,8 +123,6 @@ def _cmd_series(args):
         return 1
     if not 2 <= args.gmax <= 6:
         print("series: --gmax must be between 2 and 6", file=sys.stderr)
-        return 1
-    if not _cache_ok(args, cache_load):
         return 1
     n = args.n
     print(f"{'g':>2}  {'integral':>16}  {'series coeff':>16}  result")
@@ -174,8 +141,6 @@ def _cmd_series(args):
             status = 1
         print(f"{g:>2}  {str(value):>16}  {str(coeff):>16}  "
               f"{'PASS' if ok else 'FAIL'}")
-    if not _cache_ok(args, cache_store):
-        return 1
     return status
 
 
@@ -183,8 +148,6 @@ def _cmd_selfcheck(args):
     # imported here: eval and series never need the suites' code
     from .selfcheck import run_all
 
-    if not _cache_ok(args, cache_load):
-        return 1
     failed = False
     for result in run_all():
         if result.passed:
@@ -192,55 +155,7 @@ def _cmd_selfcheck(args):
         else:
             failed = True
             print(f"FAIL  {result.name}: {result.detail}")
-    if not _cache_ok(args, cache_store):
-        return 1
     return 2 if failed else 0
-
-
-def _cmd_cache(args):
-    try:
-        return _cache_action(args)
-    except _CACHE_ERRORS as exc:
-        print(f"error: cannot {args.action} cache file: {exc}", file=sys.stderr)
-        return 1
-
-
-def _cache_action(args):
-    if args.action == "store":
-        table = default_table()
-        for g in range(0, args.gmax + 1):
-            for n in range(1, args.dim_max + 4):
-                dim = 3 * g - 3 + n
-                if dim < 0 or dim > args.dim_max or not is_stable(g, n):
-                    continue
-                # correlators are symmetric: one sorted key per multiset
-                for part in partitions(dim):
-                    if len(part) <= n:
-                        table.integral(g, part + (0,) * (n - len(part)))
-        count = cache_store(args.path, table)
-        print(f"stored {count} entries to {args.path}")
-        return 0
-    if args.action == "verify" and args.sample < 0:
-        print("cache: --sample must be non-negative", file=sys.stderr)
-        return 1
-    # cache_load reads a missing file as empty, which would pass unnoticed
-    if not os.path.exists(args.path):
-        print(f"error: cannot {args.action} cache file: {args.path} does "
-              f"not exist", file=sys.stderr)
-        return 1
-    if args.action == "load":
-        table = cache_load(args.path)
-        print(f"loaded {len(table)} entries from {args.path}")
-        return 0
-    checked, mismatches = cache_verify(args.path, sample=args.sample)
-    if mismatches:
-        for g, d, stored, again in mismatches:
-            print(f"MISMATCH g={g} d={list(d)}: stored {stored}, "
-                  f"recomputed {again}")
-        print(f"verified {checked} sampled entries, {len(mismatches)} mismatches")
-        return 1
-    print(f"verified {checked} sampled entries, 0 mismatches")
-    return 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -273,8 +188,6 @@ def _build_parser():
                         help="moduli space to integrate over")
     p_eval.add_argument("--json", action="store_true",
                         help="emit one JSON object per result")
-    p_eval.add_argument("--cache", metavar="PATH", default=None,
-                        help="load/store the psi memo table at PATH")
     p_eval.add_argument("--batch", metavar="FILE", default=None,
                         help="evaluate one expression per line of FILE")
     p_eval.set_defaults(func=_cmd_eval)
@@ -285,23 +198,10 @@ def _build_parser():
              "against -1/(24^g (g-1)!)")
     p_series.add_argument("--n", type=int, default=1)
     p_series.add_argument("--gmax", type=int, default=3)
-    p_series.add_argument("--cache", metavar="PATH", default=None)
     p_series.set_defaults(func=_cmd_series)
 
     p_check = sub.add_parser("selfcheck", help="run the consistency suites")
-    p_check.add_argument("--cache", metavar="PATH", default=None)
     p_check.set_defaults(func=_cmd_selfcheck)
-
-    p_cache = sub.add_parser("cache", help="manage the psi memo table file")
-    p_cache.add_argument("action", choices=("store", "load", "verify"))
-    p_cache.add_argument("path")
-    p_cache.add_argument("--dim-max", type=int, default=9,
-                         help="store: precompute all keys up to this dimension")
-    p_cache.add_argument("--gmax", type=int, default=4,
-                         help="store: largest genus to precompute")
-    p_cache.add_argument("--sample", type=int, default=25,
-                         help="verify: number of sampled entries")
-    p_cache.set_defaults(func=_cmd_cache)
 
     return parser
 

@@ -10,7 +10,7 @@ the lambda-linear range, two observed nonlinear pseudostable identities,
 agreement of the transposition-factorization counts with their
 Hodge-integral evaluation, and the ring axioms of the strata algebra.
 All checks are exact; the random instances are drawn from a fixed seed
-so that reports are reproducible and independent of any warm cache.
+so that reports are reproducible and independent of any warm memo.
 """
 
 from __future__ import annotations

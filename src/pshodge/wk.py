@@ -52,9 +52,8 @@ even.  If ``rest`` is empty, the only unpaired term has ``a = b`` and
 ``g1 = g/2``; it carries ``C(g, g/2)``, which is even.
 
 All values are memoised in one plain dict, and every value is a pure
-function of its key.  The table can be persisted in a plain text format
-(see :mod:`pshodge.cache`), and :func:`pshodge.clear_caches` leaves it
-as it is.
+function of its key; :func:`pshodge.clear_caches` leaves the table as it
+is.
 """
 
 from __future__ import annotations
@@ -144,10 +143,9 @@ class WKTable:
     """Memo table of correlators.
 
     The psi memo maps a sorted key ``(g, d)`` to the integer ``A(g, d)``
-    (see the module docstring); every public method converts it back to
-    the rational correlator.  Every stored value is a pure function of its
-    key; :mod:`pshodge.cache` saves and loads the memo, and
-    :func:`pshodge.clear_caches` does not empty it.
+    (see the module docstring); :meth:`integral` converts it back to the
+    rational correlator.  Every stored value is a pure function of its
+    key, and :func:`pshodge.clear_caches` does not empty the memo.
     """
 
     def __init__(self):
@@ -155,30 +153,6 @@ class WKTable:
 
     def __len__(self):
         return len(self._psi)
-
-    def psi_items(self):
-        """Stored pure-psi values as ``((g, d), value)`` pairs, sorted."""
-        return sorted((key, Fraction(a, _scale(*key)))
-                      for key, a in self._psi.items())
-
-    def lookup(self, g, d):
-        key = (g, tuple(sorted(d)))
-        a = self._psi.get(key)
-        return None if a is None else Fraction(a, _scale(*key))
-
-    def preload(self, entries):
-        """Bulk-insert ``((g, d), value)`` pairs (used by the cache loader).
-
-        A value whose scaled form is not an integer cannot be a correlator;
-        it is kept as a ``Fraction`` so that :func:`~pshodge.cache.cache_verify`
-        still reports it.
-        """
-        for (g, d), value in entries:
-            key = (int(g), tuple(sorted(d)))
-            a = Fraction(value) * _scale(*key)
-            self._psi[key] = a.numerator if a.denominator == 1 else a
-
-    # -- pure psi correlators -------------------------------------------
 
     def integral(self, g, d=()):
         """``<tau_{d_1} ... tau_{d_n}>_g`` for any iterable of exponents.

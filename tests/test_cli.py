@@ -1,5 +1,6 @@
-"""Command-line front end: output formats, exit codes, batch and cache flags."""
+"""Command-line front end: output formats, exit codes and the batch flag."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -10,10 +11,7 @@ from pathlib import Path
 import pytest
 
 from pshodge import cli
-from pshodge.cache import cache_load
 from pshodge.cli import main
-from pshodge.multiset import compositions
-from pshodge.wk import WKTable, is_stable
 
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
@@ -207,44 +205,6 @@ class TestEval:
         assert lines[1].startswith("line 2: error:")
         assert lines[2] == "1/1152"
 
-    def test_cache_flag_round_trip(self, capsys, tmp_path):
-        path = tmp_path / "wk.cache"
-        code, out1, _ = run(capsys, "eval", "--g", "2", "--n", "1",
-                            "--cache", str(path), "psi1^4")
-        assert code == 0 and path.exists()
-        code, out2, _ = run(capsys, "eval", "--g", "2", "--n", "1",
-                            "--cache", str(path), "psi1^4")
-        assert code == 0
-        assert out1 == out2 == "1/1152\n"
-
-    def test_cache_bad_header(self, capsys, tmp_path):
-        path = tmp_path / "wk.cache"
-        path.write_text("nonsense\n")
-        code, out, err = run(capsys, "eval", "--g", "2", "--n", "1",
-                             "--cache", str(path), "psi1^4")
-        assert (code, out) == (1, "")
-        assert err.startswith("error: cannot load cache file: bad header")
-        code, out, _ = run(capsys, "eval", "--g", "2", "--n", "1", "--json",
-                           "--cache", str(path), "psi1^4")
-        assert code == 1
-        payload = json.loads(out)
-        assert payload["cache"] == str(path)
-        assert payload["error"].startswith("cannot load cache file")
-
-    def test_cache_store_into_missing_directory(self, capsys, tmp_path):
-        path = str(tmp_path / "missing" / "wk.cache")
-        code, out, err = run(capsys, "eval", "--g", "2", "--n", "1",
-                             "--cache", path, "psi1^4")
-        assert (code, out) == (1, "1/1152\n")
-        assert err.startswith("error: cannot store cache file")
-        code, out, _ = run(capsys, "eval", "--g", "2", "--n", "1", "--json",
-                           "--cache", path, "psi1^4")
-        assert code == 1
-        value, failure = map(json.loads, out.splitlines())
-        assert value["value"] == "1/1152"
-        assert failure["cache"] == path
-        assert failure["error"].startswith("cannot store cache file")
-
 
 class TestTooLargeToPrint:
     """A value with more digits than Python prints is a per-line error.
@@ -395,22 +355,19 @@ class TestInProcessCalls:
     def test_no_option_leaks_between_calls(self, capsys, tmp_path):
         """Several calls in one process, each with other options, give
         what a fresh process gives."""
-        path = tmp_path / "wk.cache"
         mumford = "(2*lambda2 - lambda1^2)*psi1^2"
+        batch = tmp_path / "exprs.txt"
+        batch.write_text(mumford + "\n")
         calls = [
             ("eval", "--g", "2", "--n", "1", "--space", "ps", "--json",
-             "--cache", str(path), mumford),
+             "--batch", str(batch)),
             ("eval", "--g", "2", "--n", "1", mumford),
             ("series", "--gmax", "2"),
         ]
-        in_process = []
-        for index, argv in enumerate(calls):
-            in_process.append(run(capsys, *argv))
-            # only the first call names the cache file
-            assert path.exists() == (index == 0)
-            if index == 0:
-                path.unlink()
+        in_process = [run(capsys, *argv) for argv in calls]
         assert json.loads(in_process[0][1])["value"] == "-1/576"
+        # only the first call names the batch file: an inherited --batch
+        # next to EXPR would be refused with status 1
         assert in_process[1] == (0, "0\n", "")
         assert [run_fresh("-m", "pshodge.cli", *argv)
                 for argv in calls] == in_process
@@ -434,13 +391,6 @@ class TestSeries:
         assert code == 1
         assert "gmax" in err
 
-    def test_cache_bad_header(self, capsys, tmp_path):
-        path = tmp_path / "wk.cache"
-        path.write_text("nonsense\n")
-        code, out, err = run(capsys, "series", "--cache", str(path))
-        assert (code, out) == (1, "")
-        assert err.startswith("error: cannot load cache file: bad header")
-
 
 class TestSelfcheck:
     def test_all_suites_pass(self, capsys):
@@ -449,96 +399,33 @@ class TestSelfcheck:
         assert "FAIL" not in out
         assert out.count("PASS") >= 8
 
-    def test_cache_transparency(self, capsys, tmp_path):
+
+class TestRemovedCacheInterface:
+    """``pshodge cache`` and the ``--cache`` options were removed: each
+    is an argparse usage error, and no file is written."""
+
+    @pytest.mark.parametrize("argv", [
+        ("cache", "store", "{path}"),
+        ("cache", "load", "{path}"),
+        ("eval", "--g", "2", "--n", "1", "--cache", "{path}", "psi1^4"),
+        ("eval", "--g", "2", "--n", "1", "--cache={path}", "psi1^4"),
+        ("series", "--cache", "{path}"),
+        ("selfcheck", "--cache", "{path}"),
+    ], ids=["cache-store", "cache-load", "eval-cache", "eval-cache=",
+            "series-cache", "selfcheck-cache"])
+    def test_usage_error(self, capsys, tmp_path, argv):
         path = tmp_path / "wk.cache"
-        _, cold, _ = run(capsys, "selfcheck", "--cache", str(path))
-        _, warm, _ = run(capsys, "selfcheck", "--cache", str(path))
-        assert cold == warm
-
-
-class TestCacheCommand:
-    def test_store_load_verify(self, capsys, tmp_path):
-        path = tmp_path / "wk.cache"
-        code, out, _ = run(capsys, "cache", "store", str(path),
-                           "--dim-max", "5", "--gmax", "2")
-        assert code == 0 and "stored" in out
-        code, out, _ = run(capsys, "cache", "load", str(path))
-        assert code == 0 and "loaded" in out
-        code, out, _ = run(capsys, "cache", "verify", str(path),
-                           "--sample", "8")
-        assert code == 0
-        assert "0 mismatches" in out
-
-    def test_verify_detects_tampering(self, capsys, tmp_path):
-        path = tmp_path / "wk.cache"
-        run(capsys, "cache", "store", str(path), "--dim-max", "4",
-            "--gmax", "1")
-        lines = path.read_text().splitlines()
-        head, first, rest = lines[0], lines[1], lines[2:]
-        fields = first.split("\t")
-        fields[3] = str(int(fields[3]) + 1)
-        tampered = "\t".join(fields)
-        path.write_text("\n".join([head, tampered] + rest) + "\n")
-        code, out, _ = run(capsys, "cache", "verify", str(path),
-                           "--sample", "1000")
-        assert code == 1
-        assert "MISMATCH" in out
-
-    def test_load_refuses_bad_header(self, capsys, tmp_path):
-        path = tmp_path / "wk.cache"
-        path.write_text("nonsense\n")
-        code, _, err = run(capsys, "cache", "load", str(path))
-        assert code == 1
-        assert "header" in err
-
-    def test_load_directory(self, capsys, tmp_path):
-        code, out, err = run(capsys, "cache", "load", str(tmp_path))
+        argv = [arg.format(path=path) for arg in argv]
+        code, out, err = run_fresh("-m", "pshodge.cli", *argv)
         assert (code, out) == (1, "")
-        assert err.startswith("error: cannot load cache file")
+        assert err.startswith("usage: pshodge")
+        assert "Traceback" not in err
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert capsys.readouterr() == ("", err)
+        assert not path.exists()
 
-    @pytest.mark.parametrize("action", ["load", "verify"])
-    def test_missing_file(self, capsys, tmp_path, action):
-        path = str(tmp_path / "missing.cache")
-        code, out, err = run(capsys, "cache", action, path)
-        assert (code, out) == (1, "")
-        assert err == (f"error: cannot {action} cache file: {path} "
-                       f"does not exist\n")
-        assert not os.path.exists(path)
-
-    def test_store_into_missing_directory(self, capsys, tmp_path):
-        path = tmp_path / "missing" / "wk.cache"
-        code, out, err = run(capsys, "cache", "store", str(path),
-                             "--dim-max", "2", "--gmax", "1")
-        assert (code, out) == (1, "")
-        assert err.startswith("error: cannot store cache file")
-
-    def test_verify_negative_sample(self, capsys, tmp_path):
-        path = tmp_path / "wk.cache"
-        run(capsys, "cache", "store", str(path), "--dim-max", "3",
-            "--gmax", "1")
-        code, out, err = run(capsys, "cache", "verify", str(path),
-                             "--sample", "-1")
-        assert (code, out) == (1, "")
-        assert err == "cache: --sample must be non-negative\n"
-
-    def test_verify_non_utf8(self, capsys, tmp_path):
-        path = tmp_path / "wk.cache"
-        path.write_bytes(b"\xff\xfe\x00PSHODGE-WKCACHE v1\n")
-        code, out, err = run(capsys, "cache", "verify", str(path))
-        assert (code, out) == (1, "")
-        assert err.startswith("error: cannot verify cache file")
-
-    def test_store_keys_are_the_sorted_compositions(self, capsys, tmp_path,
-                                                    monkeypatch):
-        # a fresh table, so that only the keys the store walk reaches count
-        table = WKTable()
-        monkeypatch.setattr(cli, "default_table", lambda: table)
-        path = tmp_path / "wk.cache"
-        run(capsys, "cache", "store", str(path), "--dim-max", "5",
-            "--gmax", "2")
-        stored = {key for key, _ in cache_load(str(path)).psi_items()}
-        walked = {(g, tuple(sorted(d)))
-                  for g in range(3) for n in range(1, 9)
-                  if is_stable(g, n) and 0 <= 3 * g - 3 + n <= 5
-                  for d in compositions(3 * g - 3 + n, n)}
-        assert stored == walked
+    def test_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("pshodge.cache")
