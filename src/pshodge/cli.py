@@ -22,13 +22,10 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from .expr import ParseError, SymbolRangeError, parse_expression
-from .strata import EmptyModuliError, check_ambient, expr_integral
+from .expr import parse_expression
+from .strata import check_ambient, expr_integral
 
 __all__ = ["main"]
-
-# what evaluating one expression reports as a user error
-_EVAL_ERRORS = (ParseError, SymbolRangeError, EmptyModuliError, ValueError)
 
 
 def _file_error(args, message):
@@ -81,11 +78,12 @@ def _format_json(g, n, space, text, value=None, error=None):
 def _report(args, text, lineno=None):
     """Evaluate ``text`` and print the result; returns the status, 0 or 1.
     Without ``--json`` an error goes to stderr for EXPR, and to stdout as
-    ``line N: error: ...`` for batch line N."""
+    ``line N: error: ...`` for batch line N.  Every user error is a
+    ValueError: a parse, symbol-range or empty-moduli error included."""
     value = error = None
     try:
         value = _value_text(_eval_one(text, args.g, args.n, args.space))
-    except _EVAL_ERRORS as exc:
+    except ValueError as exc:
         error = str(exc)
     if args.json:
         print(_format_json(args.g, args.n, args.space, text, value, error))

@@ -491,10 +491,6 @@ def class_integrate(cls):
     Per term: zero unless the total degree matches the dimension;
     otherwise the core Hodge integral times ``1/24`` per tail carrying a
     tail psi factor (a bare tail integrates to zero by dimension).
-
-    :func:`expr_integral` no longer calls it: its integrable products
-    pass both checks by construction, so it integrates their terms
-    directly.
     """
     g, n = cls.g, cls.n
     if not is_stable(g, n):

@@ -394,10 +394,14 @@ class TestSeries:
 
 class TestSelfcheck:
     def test_all_suites_pass(self, capsys):
+        """Every suite, and so every exit criterion, passes, in order."""
         code, out, _ = run(capsys, "selfcheck")
         assert code == 0
-        assert "FAIL" not in out
-        assert out.count("PASS") >= 8
+        assert out == "".join(f"PASS  {name}\n" for name in (
+            "wk-properties", "kappa-order-independence", "mumford-relations",
+            "hodge-closed-forms", "linear-hodge-equality", "ps-nonlinear",
+            "elsv-agreement", "algebra-properties", "hat-lambda-square",
+            "bell-consistency", "psi-pullback-triviality"))
 
 
 class TestRemovedCacheInterface:

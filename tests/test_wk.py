@@ -11,10 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pshodge
-from pshodge.hodge import (HodgeMonomial, bernoulli, hodge_integral,
-                           kappa_integral)
+from pshodge.hodge import HodgeMonomial, hodge_integral, kappa_integral
 from pshodge.multiset import compositions, counts, replace_one, sub_multisets
-from pshodge.selfcheck import kappa_random_order
+from pshodge.selfcheck import _bernoulli_numbers
 from pshodge.wk import WKTable, is_stable, odd_double_factorial, wk_integral
 
 
@@ -365,42 +364,12 @@ class TestKappa:
         assert kappa_integral(1, 3, {2: 1}, [1, 1]) == \
             kappa_integral(1, 3, [0, 1, 0], [1, 1]) == want != 0
 
-    def test_order_independence_randomised(self):
-        rng = random.Random(1234)
-        done = 0
-        while done < 50:
-            g = rng.randint(0, 2)
-            n = rng.randint(1, 3)
-            if not is_stable(g, n):
-                continue
-            dim = 3 * g - 3 + n
-            if not 1 <= dim <= 8:
-                continue
-            kap = []
-            left = dim
-            for _ in range(rng.randint(1, 3)):
-                if left <= 0:
-                    break
-                a = rng.randint(1, left)
-                kap.append(a)
-                left -= a
-            if not kap:
-                continue
-            psi = [0] * n
-            for _ in range(left):
-                psi[rng.randrange(n)] += 1
-            want = kappa_integral(g, n, psi, kap)
-            for _ in range(3):
-                again = kappa_random_order(
-                    g, tuple(sorted(psi)), tuple(sorted(kap)), rng)
-                assert want == again, (g, n, psi, kap)
-            done += 1
-
 
 def faber_top_lambdas(g):
     """Faber's closed form for the integral of lambda_g lambda_{g-1}
     lambda_{g-2} over Mbar_g."""
-    return (abs(bernoulli(2 * g - 2)) * abs(bernoulli(2 * g))
+    bern = [abs(b) for b in _bernoulli_numbers(2 * g + 1)]
+    return (bern[2 * g - 2] * bern[2 * g]
             / (2 * factorial(2 * g - 2) * (2 * g - 2) * (2 * g)))
 
 
