@@ -11,7 +11,9 @@ steps:
    one into the other.  Polynomials are plain dicts keyed by the sorted
    tuple of symbol indices (see :mod:`pshodge.multiset`).  Even Chern
    characters of the Hodge bundle vanish, so only the odd-ch part of
-   each lambda factor is multiplied out;
+   each lambda factor is multiplied out.  A monomial carrying ``lambda_g``
+   keeps one ``lambda_g`` factor out of the expansion and reduces on keys
+   that mean ``lambda_g`` times psi and ch factors (see step 2);
 2. a marking with ``psi^0`` or ``psi^1`` is forgotten first, by the
    string and dilaton equations: ch(E) is pulled back under the map that
    forgets a point, so they hold with no correction term (no
@@ -30,11 +32,19 @@ steps:
    ``a`` that give both sides a stable genus; sides known to vanish
    (unstable, or genus 0 with a ch factor) are skipped without recursing,
    and a term and its mirror image (sides swapped, ``a`` and ``b``
-   exchanged) are visited once.  Each memo entry is summed as an integer
-   numerator over the running common denominator of its terms and stored
-   as one ``Fraction``;
+   exchanged) are visited once.  On the ``lambda_g`` keys the
+   genus-lowering term drops out, since ``lambda_g`` vanishes on the
+   non-separating divisor, and each side of a split keeps its own top
+   lambda, since ``lambda_g`` restricts to ``lambda_h lambda_{g-h}``
+   there.  Each memo entry is summed as an integer numerator over the
+   running common denominator of its terms and stored as one
+   ``Fraction``;
 3. what remains are pure psi correlators, read from :mod:`pshodge.wk`
-   once each and kept in the GRR memo as ``Fraction``s.
+   once each, or on the ``lambda_g`` keys the lambda_g formula
+   ``int psi^d lambda_g = binom(2g-3+n; d) b_g`` with the one-point
+   number ``b_g`` memoised per genus (Faber--Pandharipande, "Hodge
+   integrals, partition matrices, and the lambda_g conjecture"), and
+   kept in the GRR memo as ``Fraction``s.
    Integrals with kappa classes enter through :func:`kappa_integral`,
    which eliminates them at entry: with the pointed convention
    ``kappa_a = pi_*(psi^{a+1})`` each kappa factor becomes a fresh point,
@@ -200,50 +210,82 @@ def clear_caches():
     _HODGE_MEMO.clear()
 
 
-def _reduce(g, psi, ch):
+@lru_cache(maxsize=None)
+def _lambda_g_point(g):
+    """Faber--Pandharipande's ``b_g = int_{Mbar_{g,1}} psi^{2g-2} lambda_g
+    = (2^{2g-1} - 1)/2^{2g-1} * |B_{2g}|/(2g)!``, with ``b_0 = 1``."""
+    if not g:
+        return _ONE
+    half = 2 ** (2 * g - 1)
+    b = abs(bernoulli(2 * g))
+    return Fraction((half - 1) * b.numerator,
+                    half * b.denominator * factorial(2 * g))
+
+
+def _reduce(g, psi, ch, top=False):
     """Integral over Mbar_{g,n} of ``prod ch_l prod psi_i^{e_i}`` for sorted
-    tuples.  Factors are eliminated from the largest ``ch_l`` down; an
-    even l gives 0 at once, since its prefactor ``B_{l+1}`` vanishes, and a
-    ch-free integral (a leaf) is read from the WK table once and memoised
-    as a ``Fraction`` under ``(g, psi, ())``.  The memo is read before
-    any stability or degree check.  A ``psi^0`` or ``psi^1`` marking whose
-    removal leaves a stable space is forgotten (:func:`_forget_marking`)
-    instead of expanding ``ch_l``.
+    tuples, times ``lambda_g`` when ``top`` is set.  Factors are eliminated
+    from the largest ``ch_l`` down; an even l gives 0 at once, since its
+    prefactor ``B_{l+1}`` vanishes.  A ch-free integral (a leaf) is a psi
+    correlator read from the WK table, or with ``top`` the lambda_g
+    formula ``int psi^d lambda_g = binom(2g-3+n; d) b_g``
+    (Faber--Pandharipande; ``b_0 = 1`` is the genus-0 closed form), and is
+    memoised as a ``Fraction`` under ``(g, psi, (), top)``.  The memo is
+    read before any stability or degree check.  A ``psi^0`` or ``psi^1``
+    marking whose removal leaves a stable space is forgotten
+    (:func:`_forget_marking`) instead of expanding ``ch_l``.
 
     Mumford's kappa term of ``ch_l`` becomes a new marking: for the rest
     X of the integrand, ``kappa_l X = pi_*(psi_{n+1}^{l+1} pi^* X)``, where
-    pi forgets the new point, ch(E) pulls back under pi and
+    pi forgets the new point, ch(E) and lambda_g pull back under pi and
     ``psi_{n+1} D_{i,n+1} = 0`` (Faber--Pandharipande).  So the term is the
     same integral on Mbar_{g,n+1} with the new marking carrying
     ``psi^{l+1}``, and no key holds a kappa class.
+
+    ``lambda_g`` vanishes on the non-separating divisor and restricts to
+    ``lambda_h lambda_{g-h}`` on a separating one, so with ``top`` the
+    genus-reduction term is skipped and each side of a split keeps its own
+    top lambda.
 
     The separating terms of ``ch_l`` run over splits ``(psi1, ch1)`` of the
     factors and node branches ``a + b = l - 1``.  The side holding
     ``psi1`` and ``psi^a`` has ``n1 = len(psi1) + 1`` points and degree
     ``w_psi + sum(ch1) + a`` with ``w_psi = sum(psi1) + 3 - n1``, which
-    forces its genus to ``h = (t + a) / 3`` with ``t = w_psi + sum(ch1)``.
-    The ch splits are bucketed once per call by ``sum(ch1)``; each psi
-    split walks the buckets, and in each it steps ``a`` by 3 from the least
-    ``a = -t (mod 3)`` whose side is stable, so ``h`` grows by one per step,
-    until the other side, of genus ``g - h``, would be unstable.  A side of
-    genus 0 with a ch factor (the Hodge bundle has rank 0 there) is
-    skipped.  Swapping the two sides maps the split at ``a`` to a split at
-    ``b`` with the same term, so only ``a <= b`` is visited, counted twice.
+    forces its genus to ``h = (t + a) / 3`` with ``t = w_psi + sum(ch1)``,
+    or to ``h = (t + a) / 2`` with ``top``, where ``lambda_h`` adds h to
+    the degree.  The ch splits are bucketed once per call by
+    ``sum(ch1)``; each psi split walks the buckets, and in each it steps
+    ``a`` by 3 (by 2 with ``top``) from the least ``a`` whose side is
+    stable, so ``h`` grows by one per step, until the other side, of
+    genus ``g - h``, would be unstable.  A side of genus 0 with a ch
+    factor (the Hodge bundle has rank 0 there) is skipped.  Swapping the
+    two sides maps the split at ``a`` to a split at ``b`` with the same
+    term, so only ``a <= b`` is visited, counted twice.
 
     The sum is kept as an integer numerator over the running least common
     multiple of the terms' denominators (:func:`~pshodge.multiset.add_term`),
     and one ``Fraction`` is built for the memo entry."""
-    key = (g, psi, ch)
+    key = (g, psi, ch, top)
     hit = _CH_MEMO.get(key)
     if hit is not None:
         return hit
     if not ch:
-        value = _CH_MEMO[key] = default_table()._psi_eval(g, psi)
+        if not top:
+            value = _CH_MEMO[key] = default_table()._psi_eval(g, psi)
+            return value
+        # 2g - 3 + n < 0 on every unstable (g, n)
+        m = 2 * g - 3 + len(psi)
+        if sum(psi) != m:
+            return _ZERO
+        multinomial = factorial(m)
+        for e in psi:
+            multinomial //= factorial(e)
+        value = _CH_MEMO[key] = multinomial * _lambda_g_point(g)
         return value
     n = len(psi)
     if not is_stable(g, n):
         return _ZERO
-    if sum(psi) + sum(ch) != 3 * g - 3 + n:
+    if sum(psi) + sum(ch) + (g if top else 0) != 3 * g - 3 + n:
         return _ZERO
     if g == 0:  # rank-zero Hodge bundle
         return _ZERO
@@ -251,7 +293,7 @@ def _reduce(g, psi, ch):
     if not l % 2:
         return _ZERO
     if psi and psi[0] <= 1 and is_stable(g, n - 1):
-        value = _forget_marking(g, psi, ch)
+        value = _forget_marking(g, psi, ch, top)
         _CH_MEMO[key] = value
         return value
     rest = ch[:-1]
@@ -259,10 +301,10 @@ def _reduce(g, psi, ch):
     # num / den is twice the bracket that multiplies the prefactor
     # Bern_{l+1} / (l+1)!: the separating terms enter at weight 1 instead
     # of 1/2, every other term at weight 2
-    x = _reduce(g, tuple(sorted(psi + (l + 1,))), rest)
+    x = _reduce(g, tuple(sorted(psi + (l + 1,))), rest, top)
     num, den = 2 * x.numerator, x.denominator
     for v, c in counts(psi).items():
-        x = _reduce(g, replace_one(psi, v, v + l), rest)
+        x = _reduce(g, replace_one(psi, v, v + l), rest, top)
         num, den = add_term(num, den, -2 * c * x.numerator, x.denominator)
 
     # the terms with node branches (a, b) and (b, a) are equal, the sides
@@ -270,11 +312,14 @@ def _reduce(g, psi, ch):
     # agree.  Each pair is visited once, at a <= b, and counted twice; at
     # a = b the lesser of two mirror splits stands for both.
     half = (l - 1) // 2
-    for a in range(half + 1):
-        twice = 1 if a == half else 2
-        x = _reduce(g - 1, tuple(sorted(psi + (a, l - 1 - a))), rest)
-        num, den = add_term(num, den, (-twice if a % 2 else twice)
-                            * x.numerator, x.denominator)
+    if not top:
+        for a in range(half + 1):
+            twice = 1 if a == half else 2
+            x = _reduce(g - 1, tuple(sorted(psi + (a, l - 1 - a))), rest)
+            num, den = add_term(num, den, (-twice if a % 2 else twice)
+                                * x.numerator, x.denominator)
+    # the side of genus h has degree 3h - 3 + n1, less h with top
+    step = 2 if top else 3
     buckets = {}
     for ch1, ch2, mch in sub_multisets(rest):
         buckets.setdefault(sum(ch1), []).append((ch1, ch2, mch))
@@ -290,11 +335,12 @@ def _reduce(g, psi, ch):
         h_min = 0 if n1 > 2 else 1
         h_max = g if n2 > 2 else g - 1
         for s, pairs in buckets.items():
-            # 3h = t + a: start at the least a = -t (mod 3) with h >= h_min;
-            # h grows by one per step
+            # step * h = t + a: start at the least a = -t (mod step) with
+            # h >= h_min; h grows by one per step
             t = w_psi + s
-            for a in range(max(-t % 3, 3 * h_min - t), last + 1, 3):
-                h = (t + a) // 3
+            for a in range(max(-t % step, step * h_min - t), last + 1,
+                           step):
+                h = (t + a) // step
                 if h > h_max:
                     break
                 side1 = tuple(sorted(psi1 + (a,)))
@@ -309,8 +355,8 @@ def _reduce(g, psi, ch):
                             continue
                         if ch1 == ch2:
                             m //= 2
-                    left = _reduce(h, side1, ch1)
-                    right = _reduce(g - h, side2, ch2)
+                    left = _reduce(h, side1, ch1, top)
+                    right = _reduce(g - h, side2, ch2, top)
                     if left and right:
                         num, den = add_term(
                             num, den, m * left.numerator * right.numerator,
@@ -322,21 +368,22 @@ def _reduce(g, psi, ch):
     return value
 
 
-def _forget_marking(g, psi, ch):
+def _forget_marking(g, psi, ch, top=False):
     """:func:`_reduce` with ``psi[0] <= 1`` by forgetting that marking.
 
-    ch(E) is pulled back under the map that forgets a point, so with
-    ``d = psi[1:]`` on ``m = len(d)`` points the string (``psi^0``) and
-    dilaton (``psi^1``) equations hold as for pure psi integrals, with no
-    correction term: ``psi^0`` lowers one positive exponent of ``d``, and
-    ``psi^1`` multiplies the integral over ``d`` by ``2g - 2 + m``."""
+    ch(E) and lambda_g are pulled back under the map that forgets a point,
+    so with ``d = psi[1:]`` on ``m = len(d)`` points the string
+    (``psi^0``) and dilaton (``psi^1``) equations hold as for pure psi
+    integrals, with no correction term: ``psi^0`` lowers one positive
+    exponent of ``d``, and ``psi^1`` multiplies the integral over ``d`` by
+    ``2g - 2 + m``."""
     e, d = psi[0], psi[1:]
     if e:
-        return (2 * g - 2 + len(d)) * _reduce(g, d, ch)
+        return (2 * g - 2 + len(d)) * _reduce(g, d, ch, top)
     num, den = 0, 1
     for v, c in counts(d).items():
         if v:
-            x = _reduce(g, replace_one(d, v, v - 1), ch)
+            x = _reduce(g, replace_one(d, v, v - 1), ch, top)
             num, den = add_term(num, den, c * x.numerator, x.denominator)
     return Fraction(num, den)
 
@@ -391,6 +438,19 @@ def kappa_integral(g, n, psi, kappa):
                             {})
 
 
+def _odd_ch_product(g, lambda_exp):
+    """The product of ``lambda_j^e`` over the ``(j, e)`` pairs of
+    ``lambda_exp`` in rank g, as a polynomial in the odd Chern characters
+    alone (the even ones of the Hodge bundle vanish)."""
+    poly = {(): _ONE}
+    for j, e in lambda_exp:
+        odd = {mono: c for mono, c in lambda_to_ch(j, g).items()
+               if all(l % 2 for l in mono)}
+        for _ in range(e):
+            poly = multiply(poly, odd)
+    return poly
+
+
 def hodge_integral(monomial):
     """Exact integral of a :class:`HodgeMonomial` over Mbar_{g,n}.
 
@@ -415,14 +475,14 @@ def hodge_integral(monomial):
     hit = _HODGE_MEMO.get(key)
     if hit is not None:
         return hit
-    poly = {(): _ONE}
-    for j, e in monomial.lambda_exp:
-        odd = {mono: c for mono, c in lambda_to_ch(j, g).items()
-               if all(l % 2 for l in mono)}
-        for _ in range(e):
-            poly = multiply(poly, odd)
+    # one lambda_g factor is kept out of the ch expansion and carried
+    # through the reduction (the ``top`` flag of :func:`_reduce`)
+    lams = monomial.lambda_exp
+    top = lams[-1][0] == g
+    if top:
+        lams = lams[:-1] + ((g, lams[-1][1] - 1),)
     value = _ZERO
-    for mono, coeff in poly.items():
-        value += coeff * _reduce(g, psi, mono)
+    for mono, coeff in _odd_ch_product(g, lams).items():
+        value += coeff * _reduce(g, psi, mono, top)
     _HODGE_MEMO[key] = value
     return value

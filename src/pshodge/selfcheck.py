@@ -26,8 +26,8 @@ are reproducible and independent of any warm memo.  The suites, in
     pseudostable equals stable for every ``lambda_j psi`` monomial on
     the pseudostable ambients with g = 1..4, n = 1..3.
 ``ps-nonlinear``
-    two observed nonlinear pseudostable identities on Mbar^ps_{g,1},
-    g = 2..5.
+    three nonlinear pseudostable identities on Mbar^ps_{g,1}, g = 2..5,
+    each derived from the integrable terms of its product.
 ``elsv-agreement``
     transposition counts against ELSV for |mu| <= 7, g <= 4 and at most
     13 transpositions (149 instances).
@@ -55,6 +55,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 from .expr import parse_expression
+from . import hodge
 from .hodge import (HodgeMonomial, bell_polynomial, hodge_integral,
                     kappa_integral)
 from .hurwitz import HurwitzInstance, elsv_value, hurwitz_brute, riemann_hurwitz_m
@@ -255,10 +256,25 @@ def _lambda_g_one_point(h, bern):
             * bern[2 * h] / factorial(2 * h))
 
 
+def _ch_route_integral(mono):
+    """:func:`~pshodge.hodge.hodge_integral` on the general ch route: every
+    lambda factor, a top ``lambda_g`` too, is expanded into odd Chern
+    characters and summed over ``hodge._reduce`` with its ``top`` flag
+    off, so no lambda_g formula leaf and no theorem about ``lambda_g`` is
+    used."""
+    psi = tuple(sorted(mono.psi_exp))
+    return sum((c * hodge._reduce(mono.g, psi, key) for key, c
+                in hodge._odd_ch_product(mono.g, mono.lambda_exp).items()),
+               Fraction(0))
+
+
 def suite_hodge_closed_forms():
     """Closed forms for lambda_g psi (Faber--Pandharipande and the lambda_g
     formula, n <= 3), lambda_g lambda_{g-1} psi (n <= 2, g >= 2) and
-    Faber's lambda_g lambda_{g-1} lambda_{g-2}, for g <= 5."""
+    Faber's lambda_g lambda_{g-1} lambda_{g-2}, for g <= 5.  Each integral
+    is taken on the ch route (:func:`_ch_route_integral`): the engine's
+    lambda_g branch reads the lambda_g formula at its leaves, and would
+    check that formula against itself."""
     result = SuiteResult("hodge-closed-forms", True)
     bern = [abs(b) for b in _bernoulli_numbers(11)]
     for g in range(1, 6):
@@ -269,8 +285,9 @@ def suite_hodge_closed_forms():
             for d in compositions(2 * g - 3 + n, n):
                 closed = (factorial(2 * g - 3 + n) * b_g
                           / prod(factorial(x) for x in d))
-                result.record(hodge_integral(HodgeMonomial.of(g, n, {g: 1}, d))
-                              == closed, ("lambda_g", g, d))
+                mono = HodgeMonomial.of(g, n, {g: 1}, d)
+                result.record(_ch_route_integral(mono) == closed,
+                              ("lambda_g", g, d))
         if g < 2:
             continue
         # int psi^d lambda_g lambda_{g-1}
@@ -281,14 +298,14 @@ def suite_hodge_closed_forms():
                     2 ** (2 * g - 1) * factorial(2 * g)
                     * prod(prod(range(1, 2 * x, 2)) for x in d))
                 mono = HodgeMonomial.of(g, n, {g: 1, g - 1: 1}, d)
-                result.record(hodge_integral(mono) == closed,
+                result.record(_ch_route_integral(mono) == closed,
                               ("lambda_g lambda_g-1", g, d))
         # Faber: int_{Mbar_g} lambda_g lambda_{g-1} lambda_{g-2}
         closed = (bern[2 * g - 2] * bern[2 * g]
                   / (2 * factorial(2 * g - 2) * (2 * g - 2) * (2 * g)))
         lam = {j: 1 for j in (g, g - 1, g - 2) if j}
-        result.record(hodge_integral(HodgeMonomial.of(g, 0, lam)) == closed,
-                      ("faber", g))
+        result.record(_ch_route_integral(HodgeMonomial.of(g, 0, lam))
+                      == closed, ("faber", g))
     return result
 
 
@@ -311,13 +328,48 @@ def suite_linear_hodge():
 
 
 def suite_ps_nonlinear():
-    """Two nonlinear pseudostable identities on Mbar^ps_{g,1}, g = 2..5.
-    Both are observed in the engine's values, not derived:
-    ``int_ps lambda_g^2 psi_1^{g-2} = 1/(24^g g!)``, while stably
-    ``lambda_g^2 = 0`` (Mumford), and ``int_ps - int_stable`` of
-    ``lambda_g lambda_1 psi_1^{2g-3}`` is ``b_{g-1}/24``."""
+    r"""Three nonlinear pseudostable identities on Mbar^ps_{g,1}, g = 2..5.
+
+    Each follows from the integrable terms of the ``hat_lambda`` product,
+    those with ``psi_bullet`` on every tail.  For the three products below
+    the i-tail integrable term has coefficient ``1/i!``, every tail
+    decorated ``psi_bullet`` alone (a factor ``1/24`` each), and core
+    ``lambda_{a-i} lambda_{b-i}`` on Mbar_{g-i,1+i} for
+    ``hat_lambda_a hat_lambda_b``, with ``lambda_0 = 1`` (term lists
+    inspected for g = 2..9).  The attaching markings carry no psi class,
+    and the i = 0 term is the stable integral.
+
+    * ``int_ps lambda_g^2 psi_1^{g-2} = 1/(24^g g!)``, while stably
+      ``lambda_g^2 = 0``: the core of every term with i < g tails is
+      ``lambda_{g-i}^2 = 0`` (Mumford), and the all-tail term is
+      ``1/(g! 24^g)`` times ``int_{Mbar_{0,g+1}} psi_1^{g-2} = 1``.
+    * ``int_ps - int_stable`` of ``lambda_g lambda_1 psi_1^{2g-3}`` is
+      ``b_{g-1}/24``: the one correction term has one tail and core
+      ``lambda_{g-1}`` on Mbar_{g-1,2}, and the lambda_g formula gives
+      ``int lambda_{g-1} psi_1^{2g-3} = b_{g-1}``.
+    * ``int_ps - int_stable`` of ``lambda_g lambda_{g-1} psi_1^{g-1}`` is
+      ``sum_{i=1}^{g-1} c_{g-i} / (i! 24^i)``: the i-tail term has core
+      ``lambda_h lambda_{h-1}`` with h = g - i, and the string equation
+      takes its i bare attaching markings away, leaving the one-point
+      value ``c_h = int_{Mbar_{h,1}} lambda_h lambda_{h-1} psi^{h-1}
+      = (2h-2)! |B_{2h}| / (2^{2h-1} (2h)! (2h-3)!!)``
+      (Getzler--Pandharipande, with ``(-1)!! = 1``).
+
+    The closed forms take their Bernoulli numbers from
+    :func:`_bernoulli_numbers`, not from the engine."""
     result = SuiteResult("ps-nonlinear", True)
     bern = [abs(b) for b in _bernoulli_numbers(9)]
+
+    def top_two(h):  # c_h above
+        return (factorial(2 * h - 2) * bern[2 * h]
+                / (2 ** (2 * h - 1) * factorial(2 * h)
+                   * prod(range(1, 2 * h - 2, 2))))
+
+    def excess(text, g):
+        mono = parse_expression(text, g, 1)
+        return (expr_integral(g, 1, mono, "ps")
+                - expr_integral(g, 1, mono, "stable"))
+
     for g in range(2, 6):
         square = parse_expression(f"lambda{g}^2*psi1^{g - 2}", g, 1)
         result.record(expr_integral(g, 1, square, "ps")
@@ -325,11 +377,13 @@ def suite_ps_nonlinear():
                       ("lambda_g^2 ps", g))
         result.record(expr_integral(g, 1, square, "stable") == 0,
                       ("lambda_g^2 stable", g))
-        mixed = parse_expression(f"lambda{g}*lambda1*psi1^{2 * g - 3}", g, 1)
-        excess = (expr_integral(g, 1, mixed, "ps")
-                  - expr_integral(g, 1, mixed, "stable"))
-        result.record(excess == _lambda_g_one_point(g - 1, bern) / 24,
+        result.record(excess(f"lambda{g}*lambda1*psi1^{2 * g - 3}", g)
+                      == _lambda_g_one_point(g - 1, bern) / 24,
                       ("lambda_g lambda_1 excess", g))
+        result.record(excess(f"lambda{g}*lambda{g - 1}*psi1^{g - 1}", g)
+                      == sum(top_two(g - i) / (factorial(i) * 24 ** i)
+                             for i in range(1, g)),
+                      ("lambda_g lambda_g-1 excess", g))
     return result
 
 

@@ -13,8 +13,9 @@ from pshodge.hodge import (HodgeMonomial, _reduce, bell_polynomial, bernoulli,
                            kappa_integral, lambda_to_ch)
 from pshodge.multiset import (accumulate, compositions, counts, multiply,
                               partitions, replace_one, sub_multisets)
-from pshodge.selfcheck import (_bernoulli_numbers, _lambda_g_one_point,
-                               mumford_relation_terms)
+from pshodge.selfcheck import (_bernoulli_numbers, _ch_route_integral,
+                               _lambda_g_one_point, mumford_relation_terms,
+                               suite_hodge_closed_forms)
 from pshodge.wk import is_stable, wk_integral
 
 
@@ -244,8 +245,11 @@ def faber_pandharipande(g):
 
 
 class TestClosedForms:
-    """Closed forms from the literature that pin the lambda -> ch path
-    beyond the genera the Mumford relations reach."""
+    """Closed forms from the literature that pin the lambda_g branch beyond
+    the genera the Mumford relations reach.  A lambda_g psi monomial is a
+    lambda_g formula leaf of the branch, so the first two tests pin that
+    leaf against Bernoulli numbers from another route; the
+    ``hodge-closed-forms`` suite checks the same forms on the ch route."""
 
     @pytest.mark.parametrize("g", range(1, 7))
     def test_faber_pandharipande_lambda_g(self, g):
@@ -266,6 +270,16 @@ class TestClosedForms:
             mono = HodgeMonomial.of(g, n, {g: 1}, d)
             assert hodge_integral(mono) == \
                 multinomial * faber_pandharipande(g), (g, d)
+
+    def test_suite_takes_the_ch_route(self):
+        """The ``hodge-closed-forms`` suite passes without a key of the
+        lambda_g branch: it does not check the lambda_g formula against
+        itself."""
+        clear_caches()
+        result = suite_hodge_closed_forms()
+        assert (result.passed, result.failures) == (True, [])
+        assert hodge._CH_MEMO
+        assert not any(key[3] for key in hodge._CH_MEMO)
 
     @pytest.mark.parametrize("g", range(2, 8))
     def test_faber_top_lambdas(self, g):
@@ -374,6 +388,28 @@ def reference_hodge_integral(mono, memo):
                 for key, c in poly.items()), Fraction(0))
 
 
+def reference_top(g, psi, ch, memo):
+    """``lambda_g`` times a ch/psi integrand by the triple loop, with
+    ``lambda_g`` expanded into its odd Chern characters: the value of the
+    ``_CH_MEMO`` key ``(g, psi, ch, True)``."""
+    return sum((c * reference_reduce(g, psi, (), tuple(sorted(ch + key)),
+                                     memo)
+                for key, c in lambda_to_ch(g, g).items()
+                if all(l % 2 for l in key)), Fraction(0))
+
+
+def lambda_g_formula(g, psi):
+    """``int psi^d lambda_g = binom(2g-3+n; d) b_g`` over Mbar_{g,n}, with
+    ``b_0 = 1``, and 0 off that degree."""
+    total = 2 * g - 3 + len(psi)
+    if sum(psi) != total:
+        return Fraction(0)
+    multinomial = factorial(total)
+    for e in psi:
+        multinomial //= factorial(e)
+    return multinomial * (faber_pandharipande(g) if g else 1)
+
+
 def grr_monomials(seed=8):
     """Monomials like the benchmark's GRR pool, at g <= 4 and n <= 3:
     lambda_g and lambda_g lambda_{g-1} against psi, Faber's top product,
@@ -419,12 +455,14 @@ def psi_tuples(n, deg):
 class TestReductionOracle:
     def test_memo_matches_triple_loop(self):
         """After a cold run the integrals agree, and every ``_CH_MEMO``
-        entry ``(g, psi, ch)`` equals the triple loop at its key.  It holds
+        entry ``(g, psi, ch, top)`` equals the triple loop at its key, on
+        the ch expansion of ``lambda_g`` where ``top`` is set.  It holds
         fewer keys than the triple loop's memo holds keys with a ch factor:
         a psi^0 or psi^1 marking is forgotten instead of expanding a Chern
-        character, and the kappa term is a new marking, not a kappa key.
-        The ch-free keys are the WK leaves, each stored once as the
-        correlator itself."""
+        character, the kappa term is a new marking, not a kappa key, and
+        a ``lambda_g`` is carried as a flag, not as Chern characters.  The
+        ch-free keys are the leaves, each stored once as its value: the WK
+        correlator, or with ``top`` the lambda_g formula."""
         monomials = grr_monomials()
         clear_caches()
         values = [hodge_integral(mono) for mono in monomials]
@@ -434,15 +472,48 @@ class TestReductionOracle:
         assert len(memo) > 100
         assert sum(1 for key in hodge._CH_MEMO if key[2]) < \
             sum(1 for key in memo if key[3])
-        leaves = 0
+        leaves, top_entries, top_leaves = 0, 0, 0
         for key, value in hodge._CH_MEMO.items():
-            g, psi, ch = key
+            g, psi, ch, top = key
             assert type(value) is Fraction, key
-            assert reference_reduce(g, psi, (), ch, memo) == value, key
+            if top:
+                assert reference_top(g, psi, ch, memo) == value, key
+                top_entries += 1
+            else:
+                assert reference_reduce(g, psi, (), ch, memo) == value, key
             if not ch:
-                assert value == wk_integral(g, psi), key
+                assert value == (lambda_g_formula(g, psi) if top
+                                 else wk_integral(g, psi)), key
                 leaves += 1
+                top_leaves += top
         assert leaves > 100
+        assert top_entries > 50 and top_leaves > 20
+
+    def test_lambda_g_branch_matches_ch_route(self):
+        """Every monomial carrying ``lambda_g`` at g <= 6, n <= 3, with any
+        lambda factors of index at most g and sorted psi exponents: the
+        lambda_g branch (one ``lambda_g`` kept as a flag, lambda_g formula
+        leaves) against the ch route, which expands every lambda factor
+        into Chern characters and reduces with the flag off.  The two
+        share no memo entry."""
+        clear_caches()
+        checked = nonzero = 0
+        for g, n in product(range(1, 7), range(4)):
+            if not is_stable(g, n):
+                continue
+            dim = 3 * g - 3 + n
+            for k in range(g, dim + 1):
+                for lam in partitions(k):
+                    if max(lam) != g:
+                        continue
+                    for psi in psi_tuples(n, dim - k):
+                        mono = HodgeMonomial.of(g, n, counts(lam), psi)
+                        want = _ch_route_integral(mono)
+                        assert hodge_integral(mono) == want, (g, lam, psi)
+                        checked += 1
+                        nonzero += bool(want)
+        assert (checked, nonzero) == (2049, 1385)
+        assert any(key[3] for key in hodge._CH_MEMO)
 
     @pytest.mark.parametrize("g, n, lambdas, psis", [
         (5, 0, {5: 1, 4: 1, 3: 1}, None),
