@@ -312,7 +312,7 @@ def _reduce(g, psi, ch, top=False):
     # agree.  Each pair is visited once, at a <= b, and counted twice; at
     # a = b the lesser of two mirror splits stands for both.
     half = (l - 1) // 2
-    if not top:
+    if not top:  # lambda_g vanishes on the non-separating divisor
         for a in range(half + 1):
             twice = 1 if a == half else 2
             x = _reduce(g - 1, tuple(sorted(psi + (a, l - 1 - a))), rest)

@@ -21,7 +21,8 @@ are reproducible and independent of any warm memo.  The suites, in
 ``hodge-closed-forms``
     ``lambda_g psi`` (Faber--Pandharipande and the lambda_g formula,
     n = 1..3) for g = 1..5; ``lambda_g lambda_{g-1} psi`` (n = 1, 2) and
-    Faber's ``lambda_g lambda_{g-1} lambda_{g-2}`` for g = 2..5.
+    Faber's ``lambda_g lambda_{g-1} lambda_{g-2}`` for g = 2..5; each on
+    the ch route, with ``lambda_g`` expanded like every other factor.
 ``linear-hodge-equality``
     pseudostable equals stable for every ``lambda_j psi`` monomial on
     the pseudostable ambients with g = 1..4, n = 1..3.
@@ -54,8 +55,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, prod
 
-from .expr import parse_expression
 from . import hodge
+from .expr import parse_expression
 from .hodge import (HodgeMonomial, bell_polynomial, hodge_integral,
                     kappa_integral)
 from .hurwitz import HurwitzInstance, elsv_value, hurwitz_brute, riemann_hurwitz_m
@@ -328,7 +329,7 @@ def suite_linear_hodge():
 
 
 def suite_ps_nonlinear():
-    r"""Three nonlinear pseudostable identities on Mbar^ps_{g,1}, g = 2..5.
+    """Three nonlinear pseudostable identities on Mbar^ps_{g,1}, g = 2..5.
 
     Each follows from the integrable terms of the ``hat_lambda`` product,
     those with ``psi_bullet`` on every tail.  For the three products below
