@@ -15,8 +15,9 @@ Layers, bottom up:
 * :mod:`pshodge.hurwitz` -- Hurwitz numbers counted from the characters
   of S_d, against their linear-Hodge evaluation (ELSV), an independent
   end-to-end check;
-* :mod:`pshodge.expr`, :mod:`pshodge.cli` -- the expression parser and
-  the command-line front end.
+* :mod:`pshodge.expr`, :mod:`pshodge.cli` -- the parser, which reads an
+  expression straight into its top-degree lambda/psi monomials in one
+  pass, and the command-line front end.
 
 All arithmetic is exact (:class:`fractions.Fraction`); there is no
 floating-point mode.

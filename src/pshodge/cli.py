@@ -47,8 +47,8 @@ def _eval_one(text, g, n, space):
     space is reported as such whatever symbols the text names."""
     check_ambient(g, n, space)
     try:
-        expression = parse_expression(text, g, n)
-        return expr_integral(g, n, expression, space=space)
+        poly = parse_expression(text, g, n)
+        return expr_integral(g, n, poly, space=space)
     except RecursionError:
         raise ValueError(
             f"the evaluation recurses deeper than Python's limit of "

@@ -1,4 +1,5 @@
-r"""Expression trees for polynomials in lambda and psi classes.
+r"""Parse polynomials in lambda and psi classes straight into their
+top-degree monomials.
 
 Grammar (whitespace insignificant)::
 
@@ -9,65 +10,34 @@ Grammar (whitespace insignificant)::
     rational := ['-'] int ('/' posint)?
 
 Symbols are spelled ``lambda3``, ``psi1``.  Symbol indices are validated
-against the ambient ``(g, n)`` at parse time: ``1 <= j <= g`` for lambda,
-``1 <= i <= n`` for psi.  A tree built in code is checked against the
-same ranges by :func:`pshodge.strata.expr_integral` as it is expanded.
+against the ambient ``(g, n)`` as they are read: ``1 <= j <= g`` for
+lambda, ``1 <= i <= n`` for psi.
 
->>> parse_expression("lambda1*psi1^3", 2, 1)
-Prod(left=Lam(index=1), right=Pow(base=Psi(index=1), exponent=3))
+One recursive-descent pass turns the text into a sparse polynomial in
+the lambda and psi classes (key: the sorted multiset of symbol indices,
+``lambda_j`` as j and ``psi_i`` as ``g + i``), dropping monomials above
+the dimension ``3g - 3 + n`` as they arise and keeping only those of
+exactly top degree.  Coefficients stay plain ``int`` while they are
+integral and become ``Fraction`` only in that last filter; a power of a
+single monomial and a product of two single monomials are formed
+directly, and the general product and square-and-multiply are left to
+:func:`~pshodge.multiset.multiply`.  No tree is built.
+
+>>> parse_expression("lambda1*psi1^3 - 1/2*psi1^4 + lambda1", 2, 1)
+{(1, 3, 3, 3): Fraction(1, 1), (3, 3, 3, 3): Fraction(-1, 2)}
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from bisect import bisect_right
 from fractions import Fraction
+from math import log2
 
-__all__ = [
-    "Lit", "Lam", "Psi", "Sum", "Diff", "Prod", "Pow",
-    "ParseError", "SymbolRangeError",
-    "parse_expression", "to_text",
-]
+from .multiset import accumulate, multiply
 
-
-@dataclass(frozen=True)
-class Lit:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Lam:
-    index: int
-
-
-@dataclass(frozen=True)
-class Psi:
-    index: int
-
-
-@dataclass(frozen=True)
-class Sum:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Diff:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Prod:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
+__all__ = ["ParseError", "SymbolRangeError", "parse_expression"]
 
 
 class ParseError(ValueError):
@@ -95,6 +65,23 @@ class SymbolRangeError(ValueError):
 def _check_index(name, index, bound, label):
     if not 1 <= index <= bound:
         raise SymbolRangeError(name, index, bound, label)
+
+
+def _power_refusal(c, e):
+    """The error refusing ``c ** e`` for a constant ``c`` when it would have
+    more digits than Python converts to text (the limit that also governs
+    printing), or None.  A numerator or denominator of bit length ``b`` is
+    at least ``2^(b-1)``, so its power has more than ``(b-1) e log10(2)``
+    digits; the estimate is formed before the power, and ``c = +-1``
+    always passes."""
+    # 0, or a Python with no such limit: refuse nothing
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    bits = max(abs(c.numerator).bit_length(), c.denominator.bit_length()) - 1
+    # (b-1) e log10(2) >= limit; an int compares exactly with a float
+    if limit and bits * e >= limit * log2(10):
+        return ValueError(f"a power of a constant in the expression would "
+                          f"have more than {limit} digits")
+    return None
 
 
 # whitespace between tokens is skipped by the search; any other character
@@ -126,11 +113,26 @@ def _tokenize(text):
 
 
 class _Parser:
+    """Each grammar rule returns the sparse polynomial of the text it read,
+    truncated at ``dim``.
+
+    Syntax and symbol-range errors raise where they are met.  The first
+    power of a constant that :func:`_power_refusal` refuses is only kept,
+    and raised once the whole text has parsed, so that a syntax or
+    symbol-range error anywhere in the text is reported first; every
+    later power then reads as 0, since its value is never used."""
+
     def __init__(self, text, g, n):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.g = g
         self.n = n
+        self.dim = 3 * g - 3 + n
+        self.refused = None
+
+    def degree(self, key):
+        cut = bisect_right(key, self.g)  # the lambda part comes first
+        return sum(key[:cut]) + len(key) - cut
 
     def peek(self):
         return self.tokens[self.pos]
@@ -147,45 +149,76 @@ class _Parser:
         return value, at
 
     def parse(self):
-        node = self.expr()
+        poly = self.expr()
         kind, value, at = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected token {value!r}", at)
-        return node
+        if self.refused is not None:
+            raise self.refused
+        return {key: Fraction(c) for key, c in poly.items()
+                if self.degree(key) == self.dim}
 
     def expr(self):
-        node = self.term()
+        poly = self.term()
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
                 self.next()
-                rhs = self.term()
-                node = Sum(node, rhs) if value == "+" else Diff(node, rhs)
+                accumulate(poly, self.term().items(),
+                           1 if value == "+" else -1)
             else:
-                return node
+                return poly
 
     def term(self):
-        node = self.factor()
+        poly = self.factor()
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value == "*":
                 self.next()
-                node = Prod(node, self.factor())
+                poly = self.product(poly, self.factor())
             else:
-                return node
+                return poly
+
+    def product(self, left, right):
+        if len(left) == len(right) == 1:
+            (a, c), = left.items()
+            (b, d), = right.items()
+            if self.degree(a) + self.degree(b) > self.dim:
+                return {}
+            return {tuple(sorted(a + b)): c * d}
+        return multiply(left, right, self.degree, self.dim)
 
     def factor(self):
-        node = self.base()
+        poly = self.base()
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
             self.next()
             exponent, _ = self.expect_int("a non-negative integer exponent")
-            node = Pow(node, exponent)
-        return node
+            poly = self.power(poly, exponent)
+        return poly
 
-    def rational(self, sign, at):
-        kind, value, _ = self.next()
-        assert kind == "num"
+    def power(self, base, e):
+        if () in base and self.refused is None:  # its constant term is c ** e
+            self.refused = _power_refusal(base[()], e)
+        if self.refused is not None:
+            return {}
+        if len(base) == 1:
+            (key, c), = base.items()
+            if self.degree(key) * e > self.dim:
+                return {}
+            return {tuple(sorted(key * e)): c ** e}
+        # square and multiply: truncation commutes with the product
+        out = {(): 1}
+        while e:
+            if e & 1:
+                out = multiply(out, base, self.degree, self.dim)
+            e >>= 1
+            if e:
+                base = multiply(base, base, self.degree, self.dim)
+        return out
+
+    def rational(self, sign):
+        _, value, _ = self.next()
         num = sign * value
         kind, slash, _ = self.peek()
         if kind == "op" and slash == "/":
@@ -193,41 +226,50 @@ class _Parser:
             den, dat = self.expect_int("a positive denominator")
             if den == 0:
                 raise ParseError("zero denominator", dat)
-            return Lit(Fraction(num, den))
-        return Lit(Fraction(num))
+            value = Fraction(num, den)
+            num = value.numerator if value.denominator == 1 else value
+        return {(): num} if num else {}
 
     def base(self):
         kind, value, at = self.peek()
         if kind == "num":
-            return self.rational(1, at)
+            return self.rational(1)
         if kind == "op" and value == "-" and self.tokens[self.pos + 1][0] == "num":
             self.next()
-            return self.rational(-1, at)
+            return self.rational(-1)
         if kind == "name":
             self.next()
-            index, iat = self.expect_int(f"an index after '{value}'")
+            index, _ = self.expect_int(f"an index after '{value}'")
             if value == "lambda":
                 _check_index("lambda", index, self.g, "g")
-                return Lam(index)
+                return {(index,): 1}
             _check_index("psi", index, self.n, "n")
-            return Psi(index)
+            return {(self.g + index,): 1}
         if kind == "op" and value == "(":
             self.next()
-            node = self.expr()
+            poly = self.expr()
             kind, value, at = self.next()
             if kind != "op" or value != ")":
                 raise ParseError("expected ')'", at)
-            return node
+            return poly
         got = "end of input" if kind == "end" else repr(value)
         raise ParseError(f"expected a value, got {got}", at)
 
 
 def parse_expression(text, g, n):
-    """Parse ``text`` into an expression tree for the ambient ``(g, n)``.
+    """The top-degree part of ``text`` on Mbar_{g,n}, as a dict from a
+    sorted multiset of symbol indices (``lambda_j`` as j, ``psi_i`` as
+    ``g + i``) to its nonzero ``Fraction`` coefficient.
 
-    Raises :class:`ParseError` with a position on bad syntax and
-    :class:`SymbolRangeError` on out-of-range symbol indices.
+    The whole text is tokenized first, so a bad character or an over-long
+    integer literal is reported before anything else.  Then
+    :class:`ParseError` (with a position, on bad syntax) and
+    :class:`SymbolRangeError` (on an out-of-range symbol index) raise
+    left to right.  Last comes the ``ValueError`` for the first power of
+    a constant too long to print.
 
+    >>> parse_expression("(2*lambda2 - lambda1^2)*psi1^2", 2, 1)
+    {(2, 3, 3): Fraction(2, 1), (1, 1, 3, 3): Fraction(-1, 1)}
     >>> parse_expression("psi3", 2, 2)
     Traceback (most recent call last):
         ...
@@ -238,27 +280,3 @@ def parse_expression(text, g, n):
     pshodge.expr.SymbolRangeError: symbol lambda0 is out of range: g=2 allows lambda1..lambda2
     """
     return _Parser(text, g, n).parse()
-
-
-def to_text(node):
-    """Canonical text form; ``parse_expression`` recovers an equal tree.
-
-    >>> e = parse_expression("2*lambda2 - lambda1^2", 2, 1)
-    >>> parse_expression(to_text(e), 2, 1) == e
-    True
-    """
-    if isinstance(node, Lit):
-        return str(node.value)
-    if isinstance(node, Lam):
-        return f"lambda{node.index}"
-    if isinstance(node, Psi):
-        return f"psi{node.index}"
-    if isinstance(node, Sum):
-        return f"({to_text(node.left)} + {to_text(node.right)})"
-    if isinstance(node, Diff):
-        return f"({to_text(node.left)} - {to_text(node.right)})"
-    if isinstance(node, Prod):
-        return f"({to_text(node.left)} * {to_text(node.right)})"
-    if isinstance(node, Pow):
-        return f"({to_text(node.base)}^{node.exponent})"
-    raise TypeError(f"not an expression node: {node!r}")

@@ -46,18 +46,10 @@ strata).  Integration factorises: the core integral is a Hodge integral
 and every tail contributes ``1/24`` per ``psi_bullet`` (and 0 without
 one).
 
-:func:`expr_integral` evaluates a polynomial in three steps:
+:func:`expr_integral` evaluates the top-degree polynomial that
+:func:`pshodge.expr.parse_expression` reads from a text in two steps:
 
-1. expand the expression once into a sparse polynomial in the lambda
-   and psi classes (key: the multiset of symbol indices, ``lambda_j``
-   as j and ``psi_i`` as ``g + i``), dropping monomials above the
-   dimension as they arise and keeping only those of exactly top degree.
-   The same walk checks every symbol index and exponent of the tree.
-   Coefficients stay plain ``int`` while they are integral and become
-   ``Fraction`` only in that last filter; a power of a single monomial
-   and a product of two single monomials are formed directly, and the
-   general product and square-and-multiply are left to sums;
-2. for each lambda multiset that occurs, form the product of the
+1. for each lambda multiset that occurs, form the product of the
    ``j! * hat_lambda_j``, whose coefficients ``j!/i!`` are integers, so
    the products keep plain ``int`` coefficients and the monomial's
    coefficient is divided by ``prod j!`` once.  The product of all
@@ -97,15 +89,13 @@ truncating.
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iproduct
-from math import comb, factorial, log2, perm, prod
+from math import comb, factorial, perm, prod
 from operator import add
 
-from . import expr as expr_mod
 from .hodge import HodgeMonomial, ch_in_lambda, hodge_integral
 from .multiset import accumulate, add_term, counts, multiply
 from .wk import is_stable, psi_exponents
@@ -554,100 +544,9 @@ def t_pullback_ch(g, n, l):
     return TautClass.from_terms(g, n, terms)
 
 
-def _check_power(c, e):
-    """Refuse ``c ** e`` for a constant ``c`` when it would have more digits
-    than Python converts to text (the limit that also governs printing).
-    A numerator or denominator of bit length ``b`` is at least
-    ``2^(b-1)``, so its power has more than ``(b-1) e log10(2)`` digits;
-    the estimate is formed before the power, and ``c = +-1`` always
-    passes."""
-    # 0, or a Python with no such limit: refuse nothing
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    bits = max(abs(c.numerator).bit_length(), c.denominator.bit_length()) - 1
-    # (b-1) e log10(2) >= limit; an int compares exactly with a float
-    if limit and bits * e >= limit * log2(10):
-        raise ValueError(f"a power of a constant in the expression would "
-                         f"have more than {limit} digits")
-
-
-def _expand(node, g, n, dim):
-    """Expand an expression tree into a sparse polynomial of degree ``dim``.
-
-    A key is the sorted multiset of symbol indices, ``lambda_j`` as j and
-    ``psi_i`` as ``g + i``, so its lambda part comes first.  Monomials of
-    degree above ``dim`` integrate to zero and are dropped as soon as
-    they arise.  Coefficients stay plain ``int`` while they are integral
-    and become :class:`~fractions.Fraction` once, in the final filter.
-    A power of a single monomial, and a product of two single monomials,
-    is formed in one step: one key, one coefficient and one degree check
-    against ``dim``; :func:`~pshodge.multiset.multiply` is left to sums.
-
-    The walk is the tree's only check: a bad symbol index, a negative
-    exponent, a power of a constant too long to print
-    (:func:`_check_power`) or a non-node raises, the first met left to
-    right.
-    """
-
-    def degree(key):
-        cut = bisect_right(key, g)  # the lambda part, as in _split
-        return sum(key[:cut]) + len(key) - cut
-
-    def walk(node):
-        if isinstance(node, expr_mod.Lit):
-            value = Fraction(node.value)
-            if not value:
-                return {}
-            return {(): value.numerator if value.denominator == 1 else value}
-        if isinstance(node, expr_mod.Lam):
-            expr_mod._check_index("lambda", node.index, g, "g")
-            return {(node.index,): 1}
-        if isinstance(node, expr_mod.Psi):
-            expr_mod._check_index("psi", node.index, n, "n")
-            return {(g + node.index,): 1}
-        if isinstance(node, expr_mod.Sum):
-            return accumulate(walk(node.left), walk(node.right).items())
-        if isinstance(node, expr_mod.Diff):
-            return accumulate(walk(node.left), walk(node.right).items(), -1)
-        if isinstance(node, expr_mod.Prod):
-            left, right = walk(node.left), walk(node.right)
-            if len(left) == len(right) == 1:
-                (a, c), = left.items()
-                (b, d), = right.items()
-                if degree(a) + degree(b) > dim:
-                    return {}
-                return {tuple(sorted(a + b)): c * d}
-            return multiply(left, right, degree, dim)
-        if isinstance(node, expr_mod.Pow):
-            # checked before the base: a negative exponent would give a
-            # float, or never end the square-and-multiply loop
-            if node.exponent < 0:
-                raise ValueError("exponents must be non-negative")
-            base, e = walk(node.base), node.exponent
-            if () in base:  # the power's constant term is c ** e
-                _check_power(base[()], e)
-            if len(base) == 1:
-                (key, c), = base.items()
-                if degree(key) * e > dim:
-                    return {}
-                return {tuple(sorted(key * e)): c ** e}
-            # square and multiply: truncation commutes with the product
-            out = {(): 1}
-            while e:
-                if e & 1:
-                    out = multiply(out, base, degree, dim)
-                e >>= 1
-                if e:
-                    base = multiply(base, base, degree, dim)
-            return out
-        raise TypeError(f"not an expression node: {node!r}")
-
-    return {key: Fraction(c) for key, c in walk(node).items()
-            if degree(key) == dim}
-
-
 def _split(key, g, n):
     """The lambda multiset and the psi exponent vector of a key of
-    :func:`_expand`."""
+    :func:`~pshodge.expr.parse_expression`."""
     cut = bisect_right(key, g)
     psi = [0] * n
     for k in key[cut:]:
@@ -701,25 +600,24 @@ def _lambda_product(g, n, lams, integrable=False):
     return cls
 
 
-def expr_integral(g, n, expression, space="stable"):
+def expr_integral(g, n, poly, space="stable"):
     """Integrate a lambda/psi polynomial over the chosen moduli space.
 
+    ``poly`` is the top-degree polynomial that
+    :func:`~pshodge.expr.parse_expression` returns for ``(g, n)``.
     ``space`` is ``"stable"`` or ``"ps"``; empty ambient moduli raise
-    :class:`EmptyModuliError`.  Evaluation takes the three steps set out
-    in the module docstring: the expression is expanded into top-degree
-    monomials, and for ps each monomial's value is summed straight from
-    the terms of its integrable ``hat_lambda`` product, one stable Hodge
-    integral per term, without forming a strata class or calling
-    :func:`class_integrate`.  A tree built in code is checked
-    while it is expanded, and raises the parser's
-    :class:`~pshodge.expr.SymbolRangeError` on an out-of-range symbol.
+    :class:`EmptyModuliError`.  Evaluation takes the two steps set out
+    in the module docstring: for ps each monomial's value is summed
+    straight from the terms of its integrable ``hat_lambda`` product, one
+    stable Hodge integral per term, without forming a strata class or
+    calling :func:`class_integrate`.
 
-    >>> e = expr_mod.parse_expression("(2*lambda2 - lambda1^2)*psi1^2", 2, 1)
-    >>> expr_integral(2, 1, e, space="ps")
+    >>> from pshodge.expr import parse_expression
+    >>> poly = parse_expression("(2*lambda2 - lambda1^2)*psi1^2", 2, 1)
+    >>> expr_integral(2, 1, poly, space="ps")
     Fraction(-1, 576)
     """
     check_ambient(g, n, space)
-    poly = _expand(expression, g, n, 3 * g - 3 + n)
     if space == "stable":
         total = _ZERO
         for key, coeff in poly.items():

@@ -281,6 +281,18 @@ class TestHugeLiteralPower:
         assert (code, out, err) == (1, "",
                                     f"error: {self.message(digit_limit)}\n")
 
+    @pytest.mark.parametrize("expr, message", [
+        ("2^99999999*psi1^4 + )",
+         "expected a value, got ')' (at position 20)"),
+        ("psi1^4 + 2^99999999 * lambda3",
+         "symbol lambda3 is out of range: g=2 allows lambda1..lambda2"),
+        ("2^99999999*psi1^4 $", "unexpected character '$' (at position 18)"),
+    ], ids=["syntax", "symbol", "character"])
+    def test_any_other_error_comes_first(self, capsys, digit_limit, expr,
+                                         message):
+        code, out, err = run(capsys, "eval", "--g", "2", "--n", "1", expr)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestLongLiteral:
     """An integer literal with more digits than Python reads from text is
@@ -343,6 +355,28 @@ class TestDeepRecursion:
         assert code == 1
         assert len(out.splitlines()) == 1  # the header row only
         assert err == f"error: {self.message()}\n"
+
+
+class TestLongFlatInput:
+    """A long flat sum or product is read in a loop, not one nested call
+    per term, so it answers; deep parentheses still recurse per level."""
+
+    @pytest.mark.parametrize("expr, value", [
+        (" + ".join(["psi1^4"] * 1200), "25/24"),
+        ("*".join(["1"] * 1199 + ["psi1^4"]), "1/1152")],
+        ids=["sum", "product"])
+    def test_answers(self, capsys, expr, value):
+        code, out, err = run(capsys, "eval", "--g", "2", "--n", "1", expr)
+        assert (code, out, err) == (0, value + "\n", "")
+
+    def test_deep_parentheses_are_a_recursion_error(self, capsys):
+        limit = sys.getrecursionlimit()
+        expr = "(" * 400 + "psi1^4" + ")" * 400
+        code, out, err = run(capsys, "eval", "--g", "2", "--n", "1", expr)
+        assert (code, out) == (1, "")
+        assert err == ("error: the evaluation recurses deeper than Python's "
+                       f"limit of {limit} nested calls\n")
+        assert sys.getrecursionlimit() == limit
 
 
 class TestInProcessCalls:

@@ -1,5 +1,8 @@
-"""Expression parser: grammar, validation, round trips."""
+"""Expression parser: grammar, validation, error order, and parity with
+the expression-tree oracle."""
 
+import random
+import re
 import sys
 from fractions import Fraction
 
@@ -7,24 +10,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pshodge.expr import (Diff, Lam, Lit, ParseError, Pow, Prod, Psi, Sum,
-                          SymbolRangeError, _tokenize, parse_expression,
-                          to_text)
-from pshodge.strata import expr_integral
+import expr_tree as E
+from pshodge.expr import (ParseError, SymbolRangeError, _tokenize,
+                          parse_expression)
+
+
+def F(*args):
+    return Fraction(*args)
 
 
 class TestGrammar:
+    """Keys are sorted multisets of symbol indices, ``lambda_j`` as j and
+    ``psi_i`` as ``g + i``; only monomials of degree ``3g - 3 + n`` are
+    kept, each with a ``Fraction`` coefficient."""
+
     def test_product_node(self):
-        e = parse_expression("lambda1*psi1^3", 2, 1)
-        assert e == Prod(Lam(1), Pow(Psi(1), 3))
+        poly = parse_expression("lambda1*psi1^3", 2, 1)
+        assert poly == {(1, 3, 3, 3): F(1)}
+        assert all(type(c) is Fraction for c in poly.values())
 
     def test_difference_of_product_and_power(self):
-        e = parse_expression("2*lambda2 - lambda1^2", 2, 1)
-        assert e == Diff(Prod(Lit(Fraction(2)), Lam(2)), Pow(Lam(1), 2))
+        poly = parse_expression("(2*lambda2 - lambda1^2)*psi1^2", 2, 1)
+        assert poly == {(2, 3, 3): F(2), (1, 1, 3, 3): F(-1)}
 
     def test_rational_literal(self):
-        assert parse_expression("3/4", 1, 1) == Lit(Fraction(3, 4))
-        assert parse_expression("-5/10", 1, 1) == Lit(Fraction(-1, 2))
+        assert parse_expression("3/4", 0, 3) == {(): F(3, 4)}
+        assert parse_expression("-5/10", 0, 3) == {(): F(-1, 2)}
+        assert parse_expression("0/7", 0, 3) == {}
 
     def test_whitespace_insignificant(self):
         a = parse_expression("lambda1 * psi1 ^ 3", 2, 1)
@@ -32,12 +44,17 @@ class TestGrammar:
         assert a == b
 
     def test_parentheses(self):
-        e = parse_expression("(lambda1 + psi1)^2", 2, 1)
-        assert e == Pow(Sum(Lam(1), Psi(1)), 2)
+        poly = parse_expression("(lambda1 + psi1)^2", 1, 2)
+        assert poly == {(1, 1): F(1), (1, 2): F(2), (2, 2): F(1)}
 
     def test_precedence(self):
-        e = parse_expression("1 + 2*psi1", 1, 1)
-        assert e == Sum(Lit(Fraction(1)), Prod(Lit(Fraction(2)), Psi(1)))
+        assert parse_expression("1 + 2*psi1", 1, 1) == {(2,): F(2)}
+
+    def test_only_the_top_degree_is_kept(self):
+        # lambda1 and 1 lie below the dimension, lambda2*psi1^3 above it
+        poly = parse_expression("1 + lambda1 + psi1^4 - lambda2*psi1^3", 2, 1)
+        assert poly == {(3, 3, 3, 3): F(1)}
+        assert parse_expression("psi1^4 - psi1^4", 2, 1) == {}
 
 
 class TestErrors:
@@ -65,7 +82,7 @@ class TestErrors:
         assert str(err.value) == ("symbol psi0 is out of range: "
                                   "n=3 allows psi1..psi3")
         with pytest.raises(SymbolRangeError) as err:
-            expr_integral(0, 3, Lam(0))
+            parse_expression("lambda0", 0, 3)
         assert str(err.value) == ("symbol lambda0 is out of range: "
                                   "g=0 allows no lambda symbol")
 
@@ -146,32 +163,156 @@ class TestTokenizer:
         assert err.value.position == 3
 
 
+class TestErrorOrder:
+    """The whole text is tokenized first; then syntax and symbol-range
+    errors raise left to right; a power of a constant too long to print
+    is refused last, even where it comes first in the text."""
+
+    REFUSED = ("a power of a constant in the expression would have more "
+               "than 4300 digits")
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("2^99999999*psi1^4 + )", ParseError,
+         "expected a value, got ')' (at position 20)"),
+        ("psi1^4 + 2^99999999 * lambda3", SymbolRangeError,
+         "symbol lambda3 is out of range: g=2 allows lambda1..lambda2"),
+        ("2^99999999*psi1^4 $", ParseError,
+         "unexpected character '$' (at position 18)"),
+    ])
+    def test_later_error_beats_a_refused_power(self, text, error, message):
+        with pytest.raises(ValueError) as err:
+            parse_expression(text, 2, 1)
+        assert type(err.value) is error
+        assert str(err.value) == message
+
+    def test_refused_power_is_raised_at_the_end(self):
+        if getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300:
+            pytest.skip("needs Python's default digit limit")
+        for text in ("2^99999999*psi1^4", "psi1^4 + 3^99999999*psi1^4",
+                     "(2^99999999)^99999999 + 5^99999999*lambda1*psi1^3"):
+            with pytest.raises(ValueError) as err:
+                parse_expression(text, 2, 1)
+            assert type(err.value) is ValueError
+            assert str(err.value) == self.REFUSED
+
+
+def random_atom(rng, g, n):
+    """A symbol, now and then out of range, or a literal, now and then
+    with a zero denominator."""
+    r = rng.random()
+    if r < 0.3 and g:
+        wide = rng.random() < 0.05
+        return f"lambda{rng.randint(0, g + 1) if wide else rng.randint(1, g)}"
+    if r < 0.7:
+        wide = rng.random() < 0.05
+        return f"psi{rng.randint(0, n + 1) if wide else rng.randint(1, n)}"
+    text = str(rng.randint(-3, 4))
+    return text + (f"/{rng.randint(0, 3)}" if rng.random() < 0.3 else "")
+
+
+def random_text(rng, g, n, depth):
+    """A random expression text: sums, differences, products and powers,
+    some of them powers of constants too long to print."""
+    if depth == 0 or rng.random() < 0.3:
+        return random_atom(rng, g, n)
+    if rng.random() < 0.25:
+        e = rng.choice((0, 1, 2, 3, 4, 99999999))
+        return f"({random_text(rng, g, n, depth - 1)})^{e}"
+    op = rng.choice((" + ", " - ", "*", "*"))
+    return (random_text(rng, g, n, depth - 1) + op
+            + random_text(rng, g, n, depth - 1))
+
+
+NOISE = ["lambda", "psi", "1", "2", "+", "-", "*", "/", "^", "(", ")", "$",
+         " "]
+
+
+def mutate(rng, text):
+    """Delete, replace or insert up to two tokens of ``text``."""
+    parts = re.findall(r"\d+|lambda|psi|.", text, re.S)
+    for _ in range(rng.choice((0, 0, 1, 1, 2))):
+        i = rng.randint(0, len(parts))
+        r = rng.random()
+        if r < 0.4 and i < len(parts):
+            del parts[i]
+        elif r < 0.7 and i < len(parts):
+            parts[i] = rng.choice(NOISE)
+        else:
+            parts.insert(i, rng.choice(NOISE))
+    return "".join(parts)
+
+
+def outcome(read, text, g, n):
+    """The polynomial ``read`` gives for ``text``, or the type and
+    message of what it raises."""
+    try:
+        return read(text, g, n)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def oracle(text, g, n):
+    return E.expand(E.parse_tree(text, g, n), g, n, 3 * g - 3 + n)
+
+
+class TestOracleParity:
+    def test_random_texts_match_the_tree_oracle(self):
+        """Differential oracle: on random texts, the one-pass parser and
+        the tree parser followed by the tree expansion give the same
+        polynomial, or the same error type and message."""
+        rng = random.Random(27)
+        ambients = [(0, 3), (1, 1), (1, 2), (2, 1), (3, 2), (4, 1)]
+        seen = {}
+        for _ in range(4000):
+            g, n = rng.choice(ambients)
+            text = mutate(rng, random_text(rng, g, n, rng.randint(0, 4)))
+            got = outcome(parse_expression, text, g, n)
+            assert got == outcome(oracle, text, g, n), (g, n, text)
+            kind = (got[0].__name__ if isinstance(got, tuple)
+                    else "value" if got else "zero")
+            seen[kind] = seen.get(kind, 0) + 1
+        # "ValueError" is the refusal of a power of a constant
+        assert set(seen) == {"value", "zero", "ParseError",
+                             "SymbolRangeError", "ValueError"}
+        assert min(seen.values()) >= 20, seen
+
+
 def expr_trees(g, n, depth=3):
     leaves = st.one_of(
-        st.integers(-9, 9).map(lambda v: Lit(Fraction(v))),
+        st.integers(-9, 9).map(lambda v: E.Lit(Fraction(v))),
         st.tuples(st.integers(1, 9), st.integers(1, 9)).map(
-            lambda t: Lit(Fraction(t[0], t[1]))),
-        st.integers(1, g).map(Lam),
-        st.integers(1, n).map(Psi),
+            lambda t: E.Lit(Fraction(t[0], t[1]))),
+        st.integers(1, g).map(E.Lam),
+        st.integers(1, n).map(E.Psi),
     )
 
     def extend(children):
         return st.one_of(
-            st.tuples(children, children).map(lambda t: Sum(*t)),
-            st.tuples(children, children).map(lambda t: Diff(*t)),
-            st.tuples(children, children).map(lambda t: Prod(*t)),
-            st.tuples(children, st.integers(0, 4)).map(lambda t: Pow(*t)),
+            st.tuples(children, children).map(lambda t: E.Sum(*t)),
+            st.tuples(children, children).map(lambda t: E.Diff(*t)),
+            st.tuples(children, children).map(lambda t: E.Prod(*t)),
+            st.tuples(children, st.integers(0, 4)).map(lambda t: E.Pow(*t)),
         )
 
     return st.recursive(leaves, extend, max_leaves=8)
 
 
 class TestRoundTrip:
+    """An oracle tree, printed, parses to the oracle's expansion of it."""
+
     @settings(max_examples=120)
     @given(expr_trees(3, 2))
     def test_print_parse_round_trip(self, tree):
-        assert parse_expression(to_text(tree), 3, 2) == tree
+        # times 1 + psi1 + ... + psi1^8, which lifts every monomial of the
+        # tree to the top degree 8 of Mbar_{3,2}
+        lift = E.Lit(Fraction(1))
+        for d in range(1, 9):
+            lift = E.Sum(lift, E.Pow(E.Psi(1), d))
+        tree = E.Prod(tree, lift)
+        assert (parse_expression(E.to_text(tree), 3, 2)
+                == E.expand(tree, 3, 2, 8))
 
     def test_negative_literal_round_trip(self):
-        tree = Prod(Lit(Fraction(-3, 7)), Psi(1))
-        assert parse_expression(to_text(tree), 1, 1) == tree
+        tree = E.Prod(E.Lit(Fraction(-3, 7)), E.Psi(1))
+        assert parse_expression(E.to_text(tree), 1, 1) == {(2,): F(-3, 7)}
+        assert E.expand(tree, 1, 1, 1) == {(2,): F(-3, 7)}

@@ -2,7 +2,6 @@
 
 import functools
 import random
-import signal
 from collections import Counter
 from fractions import Fraction
 from itertools import (combinations, combinations_with_replacement,
@@ -11,8 +10,8 @@ from math import comb, factorial, perm
 
 import pytest
 
+import expr_tree as E
 import pshodge
-from pshodge import expr as E
 from pshodge import hodge, selfcheck, strata
 from pshodge.expr import parse_expression
 from pshodge.hodge import kappa_integral
@@ -75,14 +74,13 @@ def complete_product(g, n, lams):
                           hat_lambda(g, n, lams[-1]))
 
 
-def product_route_integral(g, n, expression):
-    """The pseudostable integral by the complete ``hat_lambda`` product of
-    each lambda multiset, with the psi part attached, then integrated:
-    the route that builds every term and shares no scale with
-    ``expr_integral``."""
+def product_route_integral(g, n, poly):
+    """The pseudostable integral of a parsed polynomial by the complete
+    ``hat_lambda`` product of each lambda multiset, with the psi part
+    attached, then integrated: the route that builds every term and
+    shares no scale with ``expr_integral``."""
     terms = {}
-    for key, coeff in strata._expand(expression, g, n,
-                                     3 * g - 3 + n).items():
+    for key, coeff in poly.items():
         lams, psi = strata._split(key, g, n)
         accumulate(terms, (
             ((tails, lam, tuple(a + b for a, b in zip(core_psi, psi))), c)
@@ -256,7 +254,7 @@ def random_expression(rng, g, n, depth):
 def reference_expand(node, g, n, dim):
     """The expander as it stood before integer coefficients: every
     coefficient a ``Fraction`` and every power by square-and-multiply.
-    Kept as the oracle for :func:`pshodge.strata._expand`."""
+    Kept as the oracle for :func:`pshodge.expr.parse_expression`."""
     one = Fraction(1)
 
     def degree(key):
@@ -591,42 +589,6 @@ class TestPseudostableIdentities:
                          "lambda_g lambda_g-1 excess")]
 
 
-class TestTreeChecks:
-    """A tree built in code is checked on (2, 1) while it is expanded: the
-    first bad node, left to right, raises, and a negative exponent is
-    refused before its base is looked at."""
-
-    @pytest.fixture(autouse=True)
-    def no_hang(self):
-        # a negative exponent on a sum would loop forever (-1 >> 1 == -1)
-        def hang(signum, frame):
-            raise TimeoutError("the expansion did not end")
-        old = signal.signal(signal.SIGALRM, hang)
-        signal.alarm(10)
-        yield
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
-
-    @pytest.mark.parametrize("space", ["stable", "ps"])
-    @pytest.mark.parametrize("node, error, message", [
-        (E.Lam(3), E.SymbolRangeError,
-         "symbol lambda3 is out of range: g=2 allows lambda1..lambda2"),
-        (E.Psi(0), E.SymbolRangeError,
-         "symbol psi0 is out of range: n=1 allows psi1"),
-        (E.Prod(E.Psi(2), E.Lam(5)), E.SymbolRangeError,
-         "symbol psi2 is out of range: n=1 allows psi1"),
-        (E.Pow(E.Lam(3), -1), ValueError, "exponents must be non-negative"),
-        (E.Pow(E.Sum(E.Lam(1), E.Psi(1)), -1), ValueError,
-         "exponents must be non-negative"),
-        ("psi1", TypeError, "not an expression node: 'psi1'"),
-    ])
-    def test_first_bad_node_raises(self, node, error, message, space):
-        with pytest.raises(error) as err:
-            expr_integral(2, 1, node, space)
-        assert type(err.value) is error
-        assert str(err.value) == message
-
-
 class TestNormalFormEvaluation:
     def test_matches_tree_evaluator(self):
         """Differential oracle: the normal-form evaluator against the
@@ -647,9 +609,10 @@ class TestNormalFormEvaluation:
                         else E.Lam(rng.randint(1, g)))
                 complement = E.Sum(complement, lift)
             node = E.Prod(node, complement)
+            poly = parse_expression(E.to_text(node), g, n)
             values = {}
             for space in ("stable", "ps"):
-                value = expr_integral(g, n, node, space)
+                value = expr_integral(g, n, poly, space)
                 assert value == reference_integral(g, n, node, space), \
                     (g, n, E.to_text(node), space)
                 values[space] = value
@@ -658,38 +621,35 @@ class TestNormalFormEvaluation:
         assert nonzero >= 50 and differ >= 10
 
     def test_expansion_matches_reference_expander(self):
-        """Differential oracle: the integer expander against the Fraction
-        one it replaced, at every dimension up to the top one, so that
-        terms above the dimension are dropped on the way; equal dicts
-        whose values are all ``Fraction``.  Products whose two sides
-        expand to one monomial each, within the dimension and beyond it,
-        are counted from the reference expansions of the sides."""
+        """Differential oracle: the one-pass parser, on the printed tree,
+        against the Fraction expander of the tree that the integer
+        expander replaced, at the top degree: equal dicts whose values
+        are all ``Fraction``.  Products whose two sides expand to one
+        monomial each, within the dimension and beyond it, are counted
+        from the reference expansions of the sides."""
         rng = random.Random(1729)
         ambients = [(0, 3)] + [(g, n) for g in range(1, 5) for n in range(4)
                                if is_stable(g, n)]
         seen = Counter()
-        for _ in range(1000):
+        for _ in range(4000):
             g, n = rng.choice(ambients)
             node = random_expand_tree(rng, g, n, rng.randint(0, 5))
             top = 3 * g - 3 + n
-            for dim in range(top + 1):
-                got = strata._expand(node, g, n, dim)
-                assert got == reference_expand(node, g, n, dim), \
-                    (g, n, dim, E.to_text(node))
-                assert all(type(c) is Fraction for c in got.values())
-                seen["nonzero"] += bool(got)
+            got = parse_expression(E.to_text(node), g, n)
+            assert got == reference_expand(node, g, n, top), \
+                (g, n, E.to_text(node))
+            assert all(type(c) is Fraction for c in got.values())
+            seen["nonzero"] += bool(got)
             for sub in tree_nodes(node):
                 if isinstance(sub, E.Prod):
-                    # a side truncated at dim keeps its degrees <= dim
-                    sizes = [[len(reference_expand(side, g, n, d))
-                              for d in range(top + 1)]
-                             for side in (sub.left, sub.right)]
-                    for dim in range(top + 1):
-                        kept = [s[:dim + 1] for s in sizes]
-                        if all(sum(k) == 1 for k in kept):
-                            seen["product of monomials"] += 1
-                            seen["product of monomials above dim"] += sum(
-                                k.index(1) for k in kept) > dim
+                    # a side truncated at top keeps its degrees <= top
+                    kept = [[len(reference_expand(side, g, n, d))
+                             for d in range(top + 1)]
+                            for side in (sub.left, sub.right)]
+                    if all(sum(k) == 1 for k in kept):
+                        seen["product of monomials"] += 1
+                        seen["product of monomials above dim"] += sum(
+                            k.index(1) for k in kept) > top
                 if isinstance(sub, E.Lit):
                     seen["zero" if sub.value == 0 else
                          "negative" if sub.value < 0 else
@@ -700,6 +660,19 @@ class TestNormalFormEvaluation:
                     seen["power of a sum"] += isinstance(sub.base,
                                                          (E.Sum, E.Diff))
         assert len(seen) == 13 and min(seen.values()) >= 50, seen
+
+    @pytest.mark.parametrize("space, value", [
+        # lambda2*lambda1*psi1 reads 1/2880 stably and 1/480 on the ps side
+        ("stable", Fraction(1, 1152) - Fraction(1, 480) + Fraction(1, 5760)),
+        ("ps", Fraction(1, 1152) - Fraction(1, 480) + Fraction(1, 960))])
+    def test_polynomial_built_in_code(self, space, value):
+        # psi1^4 - lambda1*psi1^3 + 1/2*lambda2*lambda1*psi1 on Mbar_{2,1}:
+        # keys are sorted multisets, lambda_j as j and psi_1 as g + 1 = 3
+        poly = {(3, 3, 3, 3): Fraction(1), (1, 3, 3, 3): Fraction(-1),
+                (1, 2, 3): Fraction(1, 2)}
+        text = "psi1^4 - lambda1*psi1^3 + 1/2*lambda2*lambda1*psi1"
+        assert parse_expression(text, 2, 1) == poly
+        assert expr_integral(2, 1, poly, space) == value
 
     @pytest.mark.parametrize("g, n, text", [
         (2, 1, "2*psi1^4"), (2, 2, "lambda1^2*lambda2*psi1")])
