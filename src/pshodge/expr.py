@@ -206,7 +206,8 @@ class _Parser:
             (key, c), = base.items()
             if self.degree(key) * e > self.dim:
                 return {}
-            return {tuple(sorted(key * e)): c ** e}
+            # a constant's key is (), and () * e overflows past sys.maxsize
+            return {tuple(sorted(key * e)) if key else (): c ** e}
         # square and multiply: truncation commutes with the product
         out = {(): 1}
         while e:

@@ -97,7 +97,7 @@ from math import comb, factorial, perm, prod
 from operator import add
 
 from .hodge import HodgeMonomial, ch_in_lambda, hodge_integral
-from .multiset import accumulate, add_term, counts, multiply
+from .multiset import accumulate, add_term, counts
 from .wk import is_stable, psi_exponents
 
 __all__ = [

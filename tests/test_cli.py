@@ -263,6 +263,9 @@ class TestHugeLiteralPower:
     @pytest.mark.parametrize("expr, value", [
         ("1^10000000000*psi1^4", "1/1152"),
         ("(-1)^10000000001*psi1^4", "-1/1152"),
+        # exponents past sys.maxsize
+        ("1^99999999999999999999*psi1^4", "1/1152"),
+        ("(-1)^99999999999999999999*psi1^4", "-1/1152"),
         ("(1+psi1)^10000000000*psi1^4", "1/1152")])
     def test_unit_base_is_never_refused(self, capsys, digit_limit, expr,
                                         value):
