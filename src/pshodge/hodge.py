@@ -44,15 +44,17 @@ steps:
    ``int psi^d lambda_g = binom(2g-3+n; d) b_g`` with the one-point
    number ``b_g`` memoised per genus (Faber--Pandharipande, "Hodge
    integrals, partition matrices, and the lambda_g conjecture"), and
-   kept in the GRR memo as ``Fraction``s.
-   Integrals with kappa classes enter through :func:`kappa_integral`,
-   which eliminates them at entry: with the pointed convention
-   ``kappa_a = pi_*(psi^{a+1})`` each kappa factor becomes a fresh point,
-   absorbing any sub-multiset of the other kappa factors with
-   alternating signs, down to WK correlators, with a memo local to the
-   call.
+   kept in the GRR memo as ``Fraction``s.  A pure psi monomial is its
+   own leaf.  Integrals with kappa classes enter through
+   :func:`kappa_integral`, which eliminates them at entry: with the
+   pointed convention ``kappa_a = pi_*(psi^{a+1})`` each kappa factor
+   becomes a fresh point, absorbing any sub-multiset of the other kappa
+   factors with alternating signs, with a memo local to the call, down
+   to psi correlators read through the same GRR leaf memo.
 
-Every operation is pure, exact, and memoised.
+Every operation is pure, exact, and memoised, and each memo is read
+before any stability or degree check.  The GRR leaf is the one place
+that reads the WK table.
 """
 
 from __future__ import annotations
@@ -193,9 +195,6 @@ class HodgeMonomial:
                     lam[j] = lam.get(j, 0) + e
         return HodgeMonomial(int(g), int(n), tuple(sorted(lam.items())),
                              psi_exponents(n, psis))
-
-    def degree(self):
-        return sum(j * e for j, e in self.lambda_exp) + sum(self.psi_exp)
 
 
 _CH_MEMO = {}
@@ -393,12 +392,12 @@ def _eliminate_kappa(g, psi, kappa, memo):
     ``kappa_a = pi_*(psi^{a+1})`` the first kappa factor is eliminated
     against a fresh point: a sub-multiset S of the other kappa factors
     merges into the fresh point's exponent, with sign ``(-1)^|S|``.  The
-    pure psi correlators left are read from the WK table.  ``memo`` is
-    local to one :func:`kappa_integral` call and keyed by
-    ``(psi, kappa)``: without it, ``kappa_1^k`` would take ``2^(k-1)``
-    paths to its leaves."""
+    pure psi correlators left are read through the GRR leaf memo
+    (:func:`_reduce` with no ch factor).  ``memo`` is local to one
+    :func:`kappa_integral` call and keyed by ``(psi, kappa)``: without
+    it, ``kappa_1^k`` would take ``2^(k-1)`` paths to its leaves."""
     if not kappa:
-        return default_table()._psi_eval(g, psi)
+        return _reduce(g, psi, ())
     hit = memo.get((psi, kappa))
     if hit is not None:
         return hit
@@ -422,8 +421,8 @@ def kappa_integral(g, n, psi, kappa):
     """Integral of ``prod kappa_a prod psi_i^{e_i}`` over Mbar_{g,n};
     ``psi`` is read by :func:`pshodge.wk.psi_exponents`.  The kappa
     factors are eliminated at entry (:func:`_eliminate_kappa`), with a
-    memo local to the call, outside the GRR memo.  A negative genus or
-    kappa index raises ``ValueError``.
+    memo local to the call; the psi correlators left are the GRR memo's
+    leaves.  A negative genus or kappa index raises ``ValueError``.
 
     >>> kappa_integral(1, 1, None, [1])
     Fraction(1, 24)
@@ -454,31 +453,26 @@ def _odd_ch_product(g, lambda_exp):
 def hodge_integral(monomial):
     """Exact integral of a :class:`HodgeMonomial` over Mbar_{g,n}.
 
-    Returns 0 on unstable ``(g, n)``, on a total-degree mismatch, and for
-    any ``lambda_j`` with ``j > g``.  Pure psi monomials delegate to the
-    Witten--Kontsevich evaluator directly.
+    The memo is read first.  On a miss the lambda factors are expanded in
+    odd ch (one ``lambda_g`` held back) and each term is reduced by
+    :func:`_reduce`, whose checks give the zeros: an unstable ``(g, n)``,
+    a total-degree mismatch, and any ``lambda_j`` with ``j > g``, whose ch
+    polynomial is empty.  A pure psi monomial is the one ch-free term, so
+    it is read through the psi leaf of the reduction.
 
     >>> hodge_integral(HodgeMonomial.of(1, 1, lambdas={1: 1}))
     Fraction(1, 24)
     """
-    g, n = monomial.g, monomial.n
-    if not is_stable(g, n):
-        return _ZERO
-    if monomial.degree() != 3 * g - 3 + n:
-        return _ZERO
-    if any(j > g for j, _ in monomial.lambda_exp):
-        return _ZERO
+    g = monomial.g
     psi = tuple(sorted(monomial.psi_exp))
-    if not monomial.lambda_exp:
-        return default_table().integral(g, psi)
-    key = (g, psi, monomial.lambda_exp)
+    lams = monomial.lambda_exp
+    key = (g, psi, lams)
     hit = _HODGE_MEMO.get(key)
     if hit is not None:
         return hit
     # one lambda_g factor is kept out of the ch expansion and carried
     # through the reduction (the ``top`` flag of :func:`_reduce`)
-    lams = monomial.lambda_exp
-    top = lams[-1][0] == g
+    top = bool(lams) and lams[-1][0] == g
     if top:
         lams = lams[:-1] + ((g, lams[-1][1] - 1),)
     value = _ZERO

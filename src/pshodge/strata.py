@@ -71,7 +71,7 @@ one).
    tables where they have ``sum_m C(i, m)^2 m!`` labelled matchings.
    Stably, each monomial is a Hodge integral and no strata class is
    formed;
-3. integrate each integrable term of that product against the
+2. integrate each integrable term of that product against the
    monomial's psi part at once.  Psi classes pull back unchanged and
    no product term carries core psi, so a term with i tails
    ``(a_k, 1)``, core lambda monomial ``lam`` and coefficient c gives

@@ -144,8 +144,11 @@ class WKTable:
 
     The psi memo maps a sorted key ``(g, d)`` to the integer ``A(g, d)``
     (see the module docstring); :meth:`integral` converts it back to the
-    rational correlator.  Every stored value is a pure function of its
-    key, and :func:`pshodge.clear_caches` does not empty the memo.
+    rational correlator.  Every lookup reads the memo first and checks
+    stability and degree only on a miss; a key that fails them is 0 and
+    is not stored, so the memo holds only stable keys of the right
+    degree.  Every stored value is a pure function of its key, and
+    :func:`pshodge.clear_caches` does not empty the memo.
     """
 
     def __init__(self):
@@ -175,16 +178,16 @@ class WKTable:
         return Fraction(a, _scale(g, d)) if a else _ZERO
 
     def _scaled(self, g, d):
-        """``A(g, d)`` for a sorted tuple ``d``; 0 off the stable range."""
-        n = len(d)
-        if not is_stable(g, n):
-            return 0
-        if sum(d) != 3 * g - 3 + n:
-            return 0
+        """``A(g, d)`` for a sorted tuple ``d``; 0 off the stable range.  The
+        memo is read before the stability and degree checks, and a 0 from
+        them is not stored."""
         key = (g, d)
         hit = self._psi.get(key)
         if hit is not None:
             return hit
+        n = len(d)
+        if not is_stable(g, n) or sum(d) != 3 * g - 3 + n:
+            return 0
         if g == 0 and n == 3:
             value = 1
         elif g == 1 and n == 1:
@@ -199,37 +202,30 @@ class WKTable:
         return value
 
     def _string(self, g, d):
-        psi = self._psi
         rest = d[1:]
         total = 0
         for v, c in counts(rest).items():
             if v:
-                key = (g, replace_one(rest, v, v - 1))
-                x = psi.get(key)
-                total += c * (2 * v + 1) * (
-                    self._scaled(*key) if x is None else x)
+                total += c * (2 * v + 1) * self._scaled(
+                    g, replace_one(rest, v, v - 1))
         return total
 
     def _dvv(self, g, d):
         # tau_p is the smallest exponent, so the genus and separating sums
         # split only p - 2 (see the module docstring); each pair of equal
-        # terms is visited once; every key has the right dimension, so the
-        # memo is read before calling _scaled
-        psi = self._psi
+        # terms is visited once
         scaled = self._scaled
         p = d[0]
         rest = d[1:]
         total = 0
         for v, c in counts(rest).items():
-            key = (g, replace_one(rest, v, p + v - 1))
-            x = psi.get(key)
-            total += c * (2 * v + 1) * (scaled(*key) if x is None else x)
+            total += c * (2 * v + 1) * scaled(
+                g, replace_one(rest, v, p + v - 1))
         if g >= 1:
             genus = 0
             for a in range((p - 1) // 2):
-                key = (g - 1, tuple(sorted(rest + (a, p - 2 - a))))
-                x = psi.get(key)
-                genus += 2 * (scaled(*key) if x is None else x)
+                genus += 2 * scaled(g - 1,
+                                    tuple(sorted(rest + (a, p - 2 - a))))
             if p % 2 == 0:
                 genus += scaled(g - 1, tuple(sorted(rest + (p // 2 - 1,) * 2)))
             total += 12 * g * genus
@@ -247,13 +243,9 @@ class WKTable:
                 g1 = (w + a) // 3
                 if g1 > g:
                     break
-                key = (g1, tuple(sorted(part1 + (a,))))
-                x = psi.get(key)
-                left = scaled(*key) if x is None else x
+                left = scaled(g1, tuple(sorted(part1 + (a,))))
                 if left:
-                    key = (g - g1, tuple(sorted(part2 + (p - 2 - a,))))
-                    x = psi.get(key)
-                    right = scaled(*key) if x is None else x
+                    right = scaled(g - g1, tuple(sorted(part2 + (p - 2 - a,))))
                     split += comb(g, g1) * left * right
             total += mult * split if i < half else mult * split // 2
         return total

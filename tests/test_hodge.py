@@ -178,14 +178,48 @@ class TestHodgeIntegral:
         lam = hodge_integral(HodgeMonomial.of(1, 1, {1: 1}))
         assert two_psi - lam == Fraction(1, 24)
 
-    def test_rank_bound_vanishing(self):
-        assert hodge_integral(HodgeMonomial.of(1, 2, {2: 1})) == 0
+    # lambda_to_ch(j, g) is empty for j > g, so no term reaches _reduce
+    @pytest.mark.parametrize("g, n, lambdas, psis", [
+        pytest.param(1, 2, {2: 1}, None, id="lambda2-on-g1"),
+        pytest.param(2, 1, {3: 1}, {1: 1}, id="lambda3-on-g2"),
+        pytest.param(2, 2, {2: 1, 3: 1}, None, id="lambda_g-beside-lambda3"),
+        pytest.param(3, 1, {1: 1, 4: 1}, {1: 2}, id="lambda4-on-g3"),
+    ])
+    def test_rank_bound_vanishing(self, g, n, lambdas, psis):
+        m = HodgeMonomial.of(g, n, lambdas, psis)
+        assert sum(j * e for j, e in m.lambda_exp) + sum(m.psi_exp) == \
+            3 * g - 3 + n  # only the rank bound makes these vanish
+        assert hodge_integral(m) == 0
 
-    def test_degree_mismatch(self):
-        assert hodge_integral(HodgeMonomial.of(2, 1, {1: 1})) == 0
+    # a zero from the psi leaf, the lambda_g leaf, and _reduce with and
+    # without lambda_g
+    @pytest.mark.parametrize("g, n, lambdas, psis", [
+        pytest.param(2, 1, {1: 1}, None, id="lambda1"),
+        pytest.param(2, 1, None, {1: 3}, id="psi-leaf"),
+        pytest.param(2, 1, {2: 1}, {1: 1}, id="lambda_g-leaf"),
+        pytest.param(3, 1, {1: 1, 3: 1}, {1: 2}, id="lambda_g-with-ch"),
+        pytest.param(3, 2, {1: 1, 2: 1}, {1: 1, 2: 3}, id="no-lambda_g"),
+    ])
+    def test_degree_mismatch(self, g, n, lambdas, psis):
+        assert hodge_integral(HodgeMonomial.of(g, n, lambdas, psis)) == 0
 
-    def test_unstable_ambient(self):
-        assert hodge_integral(HodgeMonomial.of(1, 0, {1: 1})) == 0
+    # a zero from each branch of the reduction; at genus 0 every lambda_j
+    # has j > g, and on Mbar_{1,0} the integral of 1 has the right degree
+    @pytest.mark.parametrize("g, n, lambdas, psis", [
+        pytest.param(1, 0, {1: 1}, None, id="1,0-lambda_g-leaf"),
+        pytest.param(1, 0, {1: 2}, None, id="1,0-lambda_g-with-ch"),
+        pytest.param(1, 0, {2: 1}, None, id="1,0-lambda2"),
+        pytest.param(1, 0, None, None, id="1,0-psi"),
+        pytest.param(0, 0, None, None, id="0,0-psi"),
+        pytest.param(0, 0, {1: 1}, None, id="0,0-lambda1"),
+        pytest.param(0, 1, None, {1: 1}, id="0,1-psi"),
+        pytest.param(0, 1, {1: 1}, None, id="0,1-lambda1"),
+        pytest.param(0, 2, None, [0, 0], id="0,2-psi"),
+        pytest.param(0, 2, {1: 1}, [1, 0], id="0,2-lambda1"),
+    ])
+    def test_unstable_ambient(self, g, n, lambdas, psis):
+        assert not is_stable(g, n)
+        assert hodge_integral(HodgeMonomial.of(g, n, lambdas, psis)) == 0
 
     def test_ch_parity_vanishing(self):
         # even ch_l vanish through B_{l+1} = 0; this makes the odd-ch

@@ -707,9 +707,7 @@ class TestNormalFormEvaluation:
         assert (2, (0, 3), (), True) in hodge._CH_MEMO
         assert all(len(key) == 4 and type(key[3]) is bool
                    for key in hodge._CH_MEMO)
-        stored = dict(hodge._CH_MEMO)
-        assert kappa_integral(1, 1, None, [1]) == Fraction(1, 24)
-        assert hodge._CH_MEMO == stored  # kappa elimination stores nothing
+        kappa = kappa_integral(2, 0, None, [1, 1, 1])
         strata.clear_caches()  # each module clears only its own memos
         assert not strata._PRODUCTS and not strata._RESTRICTIONS
         assert not strata._MATCHINGS
@@ -721,6 +719,17 @@ class TestNormalFormEvaluation:
         assert not strata._RESTRICTIONS
         assert not strata._MATCHINGS
         assert not hodge._HODGE_MEMO and not hodge._CH_MEMO
+        # kappa elimination keeps its own memo local to the call and reads
+        # its psi correlators through the GRR leaf memo, so it stores only
+        # ch-free keys without lambda_g, each the WK value
+        assert kappa_integral(2, 0, None, [1, 1, 1]) == kappa
+        leaves = dict(hodge._CH_MEMO)
+        assert leaves
+        for (g, psi, ch, top), value in leaves.items():
+            assert ch == () and top is False
+            assert value == wk_integral(g, psi)
+        assert kappa_integral(2, 0, None, [1, 1, 1]) == kappa
+        assert hodge._CH_MEMO == leaves
         assert expr_integral(3, 1, e, "ps") == first
 
 

@@ -258,6 +258,11 @@ class TestPinnedValues:
         assert wk_integral(0, [0, 0]) == 0
         assert wk_integral(0, []) == 0
         assert wk_integral(1, []) == 0
+        # a zero from the stability or degree check is not stored
+        table = WKTable()
+        assert table.integral(0, [0, 0]) == table.integral(1, []) == 0
+        assert table.integral(2, [3]) == table.integral(0, [1, 1, 1]) == 0
+        assert len(table) == 0
 
 
 class TestKeyCanonicalisation:
