@@ -455,10 +455,11 @@ def hodge_integral(monomial):
 
     The memo is read first.  On a miss the lambda factors are expanded in
     odd ch (one ``lambda_g`` held back) and each term is reduced by
-    :func:`_reduce`, whose checks give the zeros: an unstable ``(g, n)``,
-    a total-degree mismatch, and any ``lambda_j`` with ``j > g``, whose ch
-    polynomial is empty.  A pure psi monomial is the one ch-free term, so
-    it is read through the psi leaf of the reduction.
+    :func:`_reduce`, so the zeros come from the reduction: an unstable
+    ``(g, n)`` or a total-degree mismatch fails the checks of
+    :func:`_reduce` and its leaves, and a ``lambda_j`` with ``j > g`` has
+    an empty ch polynomial, so no term is reduced.  A pure psi monomial is
+    the one ch-free term, read through the psi leaf of the reduction.
 
     >>> hodge_integral(HodgeMonomial.of(1, 1, lambdas={1: 1}))
     Fraction(1, 24)
