@@ -1,8 +1,15 @@
 r"""Exact Hodge integrals: monomials in lambda and psi classes on Mbar_{g,n}.
 
 ``lambda_j`` is the j-th Chern class of the rank-g Hodge bundle E.
-Integrals of monomials in lambda and psi classes are evaluated in three
-steps:
+A lambda part with a repeated index is first rewritten in the
+square-free basis by Mumford's relation ``c(E) c(E^dual) = 1``
+("Towards an enumerative geometry of the moduli space of curves",
+1983): ``lambda_k^2 = 2 sum_{i>=1} (-1)^(i+1) lambda_{k-i} lambda_{k+i}``.
+When no term is left (``lambda_g^2``, or any lambda part of degree above
+g(g+1)/2) the integral is 0; when every term carries ``lambda_g``, the
+terms are integrated on the ``lambda_g`` keys of step 2; otherwise the
+monomial is integrated as it stands.  Integrals of monomials in lambda
+and psi classes are evaluated in three steps:
 
 1. every lambda factor is rewritten as a universal polynomial in the
    Chern characters ``ch_1, ch_2, ...`` of E.  Chern classes are
@@ -450,16 +457,91 @@ def _odd_ch_product(g, lambda_exp):
     return poly
 
 
+@lru_cache(maxsize=None)
+def _times_lambda(g, key, j):
+    """The square-free key ``key`` (a sorted tuple of distinct lambda
+    indices) times ``lambda_j`` in rank g, reduced to square-free keys by
+    Mumford's relation ``c(E) c(E^dual) = 1``: its degree-2j part gives
+    ``lambda_j^2 = 2 sum_{i>=1} (-1)^(i+1) lambda_{j-i} lambda_{j+i}``,
+    with ``lambda_0 = 1`` and ``lambda_i = 0`` for i > g.  Each rewrite
+    raises the sum of the squared indices at a fixed degree, so the
+    recursion ends.  Returns a dict from square-free keys to nonzero
+    ``int`` coefficients; the memoised dict is shared: do not mutate it.
+
+    >>> _times_lambda(2, (1,), 1)
+    {(2,): 2}
+    """
+    if j > g:
+        return {}
+    if not j:
+        return {key: 1}
+    if j not in key:
+        return {tuple(sorted(key + (j,))): 1}
+    rest = tuple(i for i in key if i != j)
+    out = {}
+    for i in range(1, min(j, g - j) + 1):
+        sign = 2 if i % 2 else -2
+        for low, c in _times_lambda(g, rest, j - i).items():
+            accumulate(out, ((mono, sign * c * d) for mono, d
+                             in _times_lambda(g, low, j + i).items()))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _square_free(g, lams):
+    """The lambda monomial ``lams`` (sorted ``(j, e)`` pairs) in rank g as
+    a dict from square-free keys to nonzero ``int`` coefficients, built one
+    factor at a time by :func:`_times_lambda`.  It is empty exactly when
+    the monomial vanishes in the ring ``Q[lambda]/(c(E) c(E^dual) - 1)``,
+    for instance ``lambda_g^e`` with e >= 2 and every monomial of degree
+    above g(g+1)/2.  The memoised dict is shared: do not mutate it.
+
+    >>> _square_free(3, ((2, 3),))
+    {(1, 2, 3): 2}
+    """
+    if not lams:
+        return {(): 1}
+    j, e = lams[-1]
+    prefix = lams[:-1] + ((j, e - 1),) if e > 1 else lams[:-1]
+    out = {}
+    for key, c in _square_free(g, prefix).items():
+        accumulate(out, ((mono, c * d) for mono, d
+                         in _times_lambda(g, key, j).items()))
+    return out
+
+
+def _ch_route(g, psi, lams):
+    """The integral of ``lams`` (sorted ``(j, e)`` pairs) times the sorted
+    psi exponents ``psi`` over Mbar_{g,n}: the lambda factors are expanded
+    in odd ch and each term is reduced by :func:`_reduce`.  One
+    ``lambda_g`` factor is kept out of the expansion and carried through
+    the reduction (the ``top`` flag)."""
+    top = bool(lams) and lams[-1][0] == g
+    if top:
+        lams = lams[:-1] + ((g, lams[-1][1] - 1),)
+    value = _ZERO
+    for mono, coeff in _odd_ch_product(g, lams).items():
+        value += coeff * _reduce(g, psi, mono, top)
+    return value
+
+
 def hodge_integral(monomial):
     """Exact integral of a :class:`HodgeMonomial` over Mbar_{g,n}.
 
-    The memo is read first.  On a miss the lambda factors are expanded in
+    The memo is read first.  On a miss a lambda part with a repeated index
+    is rewritten in the square-free basis by Mumford's relation
+    (:func:`_square_free`).  If no term is left, the integral is 0; if
+    every term carries ``lambda_g``, the integral is the sum of those
+    terms, each on the ``lambda_g`` branch of the reduction.  Otherwise,
+    and for a square-free lambda part, the lambda factors are expanded in
     odd ch (one ``lambda_g`` held back) and each term is reduced by
-    :func:`_reduce`, so the zeros come from the reduction: an unstable
+    :func:`_reduce` (:func:`_ch_route`).  So the zeros come from the
+    relation or from the reduction: ``lambda_g^2``, and every lambda part
+    of degree above g(g+1)/2, has no square-free term; an unstable
     ``(g, n)`` or a total-degree mismatch fails the checks of
-    :func:`_reduce` and its leaves, and a ``lambda_j`` with ``j > g`` has
-    an empty ch polynomial, so no term is reduced.  A pure psi monomial is
-    the one ch-free term, read through the psi leaf of the reduction.
+    :func:`_reduce` and its leaves; and a ``lambda_j`` with ``j > g`` has
+    no square-free term and an empty ch polynomial.  A pure psi monomial
+    is the one ch-free term, read through the psi leaf of the reduction.
 
     >>> hodge_integral(HodgeMonomial.of(1, 1, lambdas={1: 1}))
     Fraction(1, 24)
@@ -471,13 +553,15 @@ def hodge_integral(monomial):
     hit = _HODGE_MEMO.get(key)
     if hit is not None:
         return hit
-    # one lambda_g factor is kept out of the ch expansion and carried
-    # through the reduction (the ``top`` flag of :func:`_reduce`)
-    top = bool(lams) and lams[-1][0] == g
-    if top:
-        lams = lams[:-1] + ((g, lams[-1][1] - 1),)
-    value = _ZERO
-    for mono, coeff in _odd_ch_product(g, lams).items():
-        value += coeff * _reduce(g, psi, mono, top)
+    terms = _square_free(g, lams) if any(e > 1 for _, e in lams) else None
+    # rewrite only when every term stays on the lambda_g branch: a term
+    # without lambda_g reaches the ch keys of the monomial as it stands,
+    # and the lambda_g terms would add their keys on top
+    if terms is not None and all(mono[-1] == g for mono in terms):
+        value = _ZERO
+        for mono, c in terms.items():
+            value += c * _ch_route(g, psi, tuple((j, 1) for j in mono))
+    else:
+        value = _ch_route(g, psi, lams)
     _HODGE_MEMO[key] = value
     return value

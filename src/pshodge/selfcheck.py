@@ -17,7 +17,8 @@ are reproducible and independent of any warm memo.  The suites, in
     against three random elimination orders.
 ``mumford-relations``
     every homogeneous part of ``c(E) c(E^dual) - 1`` against every
-    complementary psi monomial, g = 1..4, n = 0..2.
+    complementary psi monomial, g = 1..4, n = 0..2, on the ch route,
+    which does not use the relation.
 ``hodge-closed-forms``
     ``lambda_g psi`` (Faber--Pandharipande and the lambda_g formula,
     n = 1..3) for g = 1..5; ``lambda_g lambda_{g-1} psi`` (n = 1, 2) and
@@ -28,7 +29,8 @@ are reproducible and independent of any warm memo.  The suites, in
     the pseudostable ambients with g = 1..4, n = 1..3.
 ``ps-nonlinear``
     three nonlinear pseudostable identities on Mbar^ps_{g,1}, g = 2..5,
-    each derived from the integrable terms of its product.
+    each derived from the integrable terms of its product; the stable
+    ``lambda_g^2 = 0`` and every pseudostable side on the ch route.
 ``elsv-agreement``
     transposition counts against ELSV for |mu| <= 7, g <= 4 and at most
     13 transpositions (149 instances).
@@ -56,14 +58,13 @@ from fractions import Fraction
 from math import factorial, prod
 
 from . import hodge
-from .expr import parse_expression
 from .hodge import (HodgeMonomial, bell_polynomial, hodge_integral,
                     kappa_integral)
 from .hurwitz import HurwitzInstance, elsv_value, hurwitz_brute, riemann_hurwitz_m
-from .multiset import compositions, partitions, sub_multisets
+from .multiset import compositions, counts, partitions, sub_multisets
 from .strata import (TautClass, class_integrate, class_multiply,
-                     expr_integral, hat_lambda, is_pseudostable,
-                     t_pullback_ch, _make_term)
+                     hat_lambda, is_pseudostable, t_pullback_ch,
+                     _lambda_product, _make_term)
 from .wk import default_table, is_stable, wk_integral
 
 __all__ = ["SuiteResult", "run_all", "mumford_relation_terms",
@@ -218,7 +219,10 @@ def suite_kappa_order():
 
 
 def suite_mumford():
-    """Every homogeneous part of c(E)c(E^dual) - 1 integrates to zero."""
+    """Every homogeneous part of c(E)c(E^dual) - 1 integrates to zero.
+    Each integral is taken on the ch route (:func:`_ch_route_integral`):
+    :func:`~pshodge.hodge.hodge_integral` rewrites lambda monomials by
+    this very relation, and would check it against itself."""
     result = SuiteResult("mumford-relations", True)
     for g in range(1, 5):
         for n in range(0, 3):
@@ -231,7 +235,8 @@ def suite_mumford():
                     continue
                 for exps in compositions(dim - deg, n):
                     total = sum(
-                        (coeff * hodge_integral(HodgeMonomial.of(g, n, lam, exps))
+                        (coeff * _ch_route_integral(
+                            HodgeMonomial.of(g, n, lam, exps))
                          for coeff, lam in terms), Fraction(0))
                     result.record(total == 0, ("mumford", g, n, deg, exps))
     return result
@@ -261,12 +266,27 @@ def _ch_route_integral(mono):
     """:func:`~pshodge.hodge.hodge_integral` on the general ch route: every
     lambda factor, a top ``lambda_g`` too, is expanded into odd Chern
     characters and summed over ``hodge._reduce`` with its ``top`` flag
-    off, so no lambda_g formula leaf and no theorem about ``lambda_g`` is
-    used."""
+    off, so no lambda_g formula leaf, no rewrite by Mumford's relation and
+    no theorem about ``lambda_g`` is used."""
     psi = tuple(sorted(mono.psi_exp))
     return sum((c * hodge._reduce(mono.g, psi, key) for key, c
                 in hodge._odd_ch_product(mono.g, mono.lambda_exp).items()),
                Fraction(0))
+
+
+def _ps_ch_route_integral(g, lams, d):
+    """``int_{Mbar^ps_{g,1}} prod_{j in lams} lambda_j psi_1^d`` for a
+    sorted tuple ``lams``: the sum over the integrable terms of the
+    ``hat_lambda`` product (:func:`pshodge.strata._lambda_product`), each
+    core taken by :func:`_ch_route_integral` and each tail worth 1/24."""
+    total = Fraction(0)
+    for (tails, lam, _), c in _lambda_product(g, 1, lams,
+                                              integrable=True).terms.items():
+        i = len(tails)
+        core = HodgeMonomial.of(g - i, 1 + i, counts(lam),
+                                (d,) + tuple(a for a, _ in tails))
+        total += c * _ch_route_integral(core) / 24 ** i
+    return total / prod(map(factorial, lams))
 
 
 def suite_hodge_closed_forms():
@@ -357,7 +377,12 @@ def suite_ps_nonlinear():
       (Getzler--Pandharipande, with ``(-1)!! = 1``).
 
     The closed forms take their Bernoulli numbers from
-    :func:`_bernoulli_numbers`, not from the engine."""
+    :func:`_bernoulli_numbers`, not from the engine.  The pseudostable
+    sides are summed over the integrable terms by
+    :func:`_ps_ch_route_integral`, and the stable ``lambda_g^2`` is taken
+    by :func:`_ch_route_integral`: both keep every core on the ch route,
+    since :func:`~pshodge.hodge.hodge_integral` answers the ``lambda_h^2``
+    cores by Mumford's relation, a step of the derivations above."""
     result = SuiteResult("ps-nonlinear", True)
     bern = [abs(b) for b in _bernoulli_numbers(9)]
 
@@ -366,22 +391,21 @@ def suite_ps_nonlinear():
                 / (2 ** (2 * h - 1) * factorial(2 * h)
                    * prod(range(1, 2 * h - 2, 2))))
 
-    def excess(text, g):
-        mono = parse_expression(text, g, 1)
-        return (expr_integral(g, 1, mono, "ps")
-                - expr_integral(g, 1, mono, "stable"))
+    def excess(g, lams, d):
+        stable = hodge_integral(HodgeMonomial.of(g, 1, counts(lams), (d,)))
+        return _ps_ch_route_integral(g, lams, d) - stable
 
     for g in range(2, 6):
-        square = parse_expression(f"lambda{g}^2*psi1^{g - 2}", g, 1)
-        result.record(expr_integral(g, 1, square, "ps")
+        result.record(_ps_ch_route_integral(g, (g, g), g - 2)
                       == Fraction(1, 24 ** g * factorial(g)),
                       ("lambda_g^2 ps", g))
-        result.record(expr_integral(g, 1, square, "stable") == 0,
+        square = HodgeMonomial.of(g, 1, {g: 2}, (g - 2,))
+        result.record(_ch_route_integral(square) == 0,
                       ("lambda_g^2 stable", g))
-        result.record(excess(f"lambda{g}*lambda1*psi1^{2 * g - 3}", g)
+        result.record(excess(g, (1, g), 2 * g - 3)
                       == _lambda_g_one_point(g - 1, bern) / 24,
                       ("lambda_g lambda_1 excess", g))
-        result.record(excess(f"lambda{g}*lambda{g - 1}*psi1^{g - 1}", g)
+        result.record(excess(g, (g - 1, g), g - 1)
                       == sum(top_two(g - i) / (factorial(i) * 24 ** i)
                              for i in range(1, g)),
                       ("lambda_g lambda_g-1 excess", g))

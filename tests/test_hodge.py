@@ -8,7 +8,8 @@ from math import comb, factorial
 import pytest
 
 from pshodge import hodge
-from pshodge.hodge import (HodgeMonomial, _reduce, bell_polynomial, bernoulli,
+from pshodge.hodge import (HodgeMonomial, _reduce, _square_free,
+                           bell_polynomial, bernoulli,
                            ch_in_lambda, clear_caches, hodge_integral,
                            kappa_integral, lambda_to_ch)
 from pshodge.multiset import (accumulate, compositions, counts, multiply,
@@ -267,6 +268,65 @@ class TestMumfordRelations:
             assert hodge_integral(HodgeMonomial.of(g, n, {g: 2}, exps)) == 0
 
 
+class TestSquareFree:
+    """The square-free normal form of a lambda monomial under Mumford's
+    relation ``lambda_k^2 = 2 sum_{i>=1} (-1)^(i+1) lambda_{k-i}
+    lambda_{k+i}``."""
+
+    @pytest.mark.parametrize("g", range(2, 7))
+    def test_lambda1_square(self, g):
+        assert _square_free(g, ((1, 2),)) == {(2,): 2}
+
+    @pytest.mark.parametrize("g", range(1, 7))
+    def test_top_square_vanishes(self, g):
+        assert _square_free(g, ((g, 2),)) == {}
+
+    @pytest.mark.parametrize("g", range(1, 6))
+    def test_degree_above_bound_vanishes(self, g):
+        """Every lambda monomial of degree g(g+1)/2 + 1, indices at most
+        g; at degree g(g+1)/2 the product of all lambda_j survives."""
+        bound = g * (g + 1) // 2
+        top = tuple(range(1, g + 1))
+        assert _square_free(g, tuple((j, 1) for j in top)) == {top: 1}
+        for lam in partitions(bound + 1):
+            if max(lam) <= g:
+                assert _square_free(g, tuple(counts(lam).items())) == {}, lam
+
+    @pytest.mark.parametrize("g", range(2, 8))
+    def test_cube_below_top(self, g):
+        """``lambda_{g-1}^3 = 2 lambda_g lambda_{g-1} lambda_{g-2}``, with
+        ``lambda_0 = 1``."""
+        want = tuple(j for j in (g - 2, g - 1, g) if j)
+        assert _square_free(g, ((g - 1, 3),)) == {want: 2}
+
+    @pytest.mark.parametrize("g", range(1, 6))
+    def test_square_free_is_fixed(self, g):
+        for k in range(1, g * (g + 1) // 2 + 1):
+            for lam in partitions(k):
+                if max(lam) <= g and len(set(lam)) == len(lam):
+                    key = tuple(sorted(lam))
+                    pairs = tuple((j, 1) for j in key)
+                    assert _square_free(g, pairs) == {key: 1}
+
+    def test_int_coefficients(self):
+        for g in range(1, 6):
+            for k in range(1, 3 * g - 2):
+                for lam in partitions(k):
+                    for c in _square_free(g, tuple(counts(lam).items())
+                                          ).values():
+                        assert type(c) is int and c, (g, lam)
+
+    @pytest.mark.parametrize("g", range(2, 8))
+    def test_faber_cube(self, g):
+        """``lambda_{g-1}^3`` on Mbar_g is twice Faber's
+        ``lambda_g lambda_{g-1} lambda_{g-2}``, read on the lambda_g
+        branch."""
+        mono = HodgeMonomial.of(g, 0, {g - 1: 3})
+        assert hodge_integral(mono) == 2 * (
+            BERNOULLI[2 * g - 2] * BERNOULLI[2 * g]
+            / (2 * factorial(2 * g - 2) * (2 * g - 2) * (2 * g)))
+
+
 # |B_0| .. |B_14| by the Akiyama--Tanigawa algorithm, a route that shares
 # no code with ``hodge.bernoulli`` and the GRR prefactors
 BERNOULLI = [abs(b) for b in _bernoulli_numbers(15)]
@@ -447,7 +507,11 @@ def lambda_g_formula(g, psi):
 def grr_monomials(seed=8):
     """Monomials like the benchmark's GRR pool, at g <= 4 and n <= 3:
     lambda_g and lambda_g lambda_{g-1} against psi, Faber's top product,
-    and seeded random lambda triples against psi."""
+    seeded random lambda triples against psi, and then seeded random
+    square-free lambda triples against psi.  A square-free triple takes
+    the general route: its factors are not rewritten by Mumford's
+    relation, which sends ``lambda_g^2`` to 0 and ``lambda_1^2 lambda_2``
+    at g = 2 to the lambda_g branch."""
     rng = random.Random(seed)
 
     def random_psi(total, n):
@@ -470,6 +534,13 @@ def grr_monomials(seed=8):
                 lam = [rng.randint(1, g) for _ in range(3)]
                 if sum(lam) > dim:
                     continue
+                out.append(HodgeMonomial.of(g, n, counts(lam),
+                                            random_psi(dim - sum(lam), n)))
+    for g in range(3, 5):
+        for n in range(1, 4):
+            dim = 3 * g - 3 + n
+            for _ in range(2):
+                lam = rng.sample(range(1, g + 1), 3)
                 out.append(HodgeMonomial.of(g, n, counts(lam),
                                             random_psi(dim - sum(lam), n)))
     return out
@@ -548,6 +619,30 @@ class TestReductionOracle:
                         nonzero += bool(want)
         assert (checked, nonzero) == (2049, 1385)
         assert any(key[3] for key in hodge._CH_MEMO)
+
+    def test_mumford_rewrite_matches_ch_route(self):
+        """Every lambda monomial with a repeated index at g <= 6, n <= 2,
+        with lambda indices at most g and sorted psi exponents: the
+        engine, which rewrites it by Mumford's relation, against the ch
+        route, which expands every lambda factor into Chern characters
+        and does not use the relation."""
+        clear_caches()
+        checked = nonzero = 0
+        for g, n in product(range(1, 7), range(3)):
+            if not is_stable(g, n):
+                continue
+            dim = 3 * g - 3 + n
+            for k in range(2, dim + 1):
+                for lam in partitions(k):
+                    if max(lam) > g or len(set(lam)) == len(lam):
+                        continue
+                    for psi in psi_tuples(n, dim - k):
+                        mono = HodgeMonomial.of(g, n, counts(lam), psi)
+                        want = _ch_route_integral(mono)
+                        assert hodge_integral(mono) == want, (g, lam, psi)
+                        checked += 1
+                        nonzero += bool(want)
+        assert (checked, nonzero) == (3622, 2855)
 
     @pytest.mark.parametrize("g, n, lambdas, psis", [
         (5, 0, {5: 1, 4: 1, 3: 1}, None),

@@ -572,15 +572,17 @@ class TestPseudostableIdentities:
     def test_selfcheck_suite(self, monkeypatch):
         """The ``ps-nonlinear`` selfcheck suite passes, and once every ps
         value is off it reports the three checks that read one, per
-        genus."""
+        genus.  The suite reads its ps values through
+        ``selfcheck._ps_ch_route_integral``."""
         result = selfcheck.suite_ps_nonlinear()
         assert (result.name, result.passed, result.failures) == \
             ("ps-nonlinear", True, [])
+        ps = selfcheck._ps_ch_route_integral
 
-        def off(g, n, e, space):
-            return expr_integral(g, n, e, space) + (space == "ps")
+        def off(g, lams, d):
+            return ps(g, lams, d) + 1
 
-        monkeypatch.setattr(selfcheck, "expr_integral", off)
+        monkeypatch.setattr(selfcheck, "_ps_ch_route_integral", off)
         result = selfcheck.suite_ps_nonlinear()
         assert not result.passed
         assert result.failures == [
