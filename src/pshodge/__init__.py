@@ -10,7 +10,7 @@ Layers, bottom up:
   Mumford's kappa term entering as a new marking); kappa classes are
   eliminated against fresh points at entry;
 * :mod:`pshodge.strata` -- the elliptic-tail strata algebra, with one
-  term-product kernel and one memo of ``hat_lambda`` products, and the
+  product loop and one memo of ``hat_lambda`` products, and the
   translation of pseudostable Hodge integrals to stable ones;
 * :mod:`pshodge.hurwitz` -- Hurwitz numbers counted from the characters
   of S_d, against their linear-Hodge evaluation (ELSV), an independent

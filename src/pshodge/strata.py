@@ -52,21 +52,21 @@ one).
 1. for each lambda multiset that occurs, form the product of the
    ``j! * hat_lambda_j``, whose coefficients ``j!/i!`` are integers, so
    the products keep plain ``int`` coefficients and the monomial's
-   coefficient is divided by ``prod j!`` once.  The product of all
-   factors but the last is complete, since a later factor can give a
-   bare tail its ``psi_bullet``; the last factor is multiplied in
-   keeping only the integrable terms, those whose tails all carry
-   ``psi_bullet``.  One term-product kernel builds both, told which
-   ``psi_bullet`` exponents a product tail may end with, and one memo
-   (``_PRODUCTS``) holds both kinds of product, each built from its
-   complete prefix.  The restrictions of a core lambda monomial over
-   fresh tails, grouped by the tails they bump, depend only on the
-   monomial and the tail count and are built once per pair
-   (``_RESTRICTIONS``).  The kernel walks the matchings of two tail
-   multisets by contingency table, how many tails of each type meet
-   tails of each other type, and multiplies each table's terms by its
-   number of labelled matchings; the tables of a pair of multisets are
-   built once (``_MATCHINGS``).  The i tails of a ``hat_lambda_j``
+   coefficient is divided by ``prod j!`` once.  Each product is its
+   prefix's product times its last factor, both read from one memo
+   (``_PRODUCTS``).  The prefix is complete, since a later factor can
+   give a bare tail its ``psi_bullet``; the last factor is multiplied in
+   keeping only the integrable terms, whose tails all carry
+   ``psi_bullet``.  :func:`class_multiply` builds both kinds in one loop
+   that writes each term straight into the product.  A bare tail gains
+   ``psi_bullet`` only by meeting a tail of the other term or by one
+   bump from its core lambda classes, so for the integrable kind the
+   loop skips a pair of terms where one has more bare tails than the
+   other's ``len(tails) + sum(core_lambda)``.  It walks the matchings
+   of two tail multisets by contingency table, how many tails of each
+   type meet tails of each other type (``_MATCHINGS``), and restricts
+   a core lambda monomial over fresh tails by a table grouped by the
+   tails bumped (``_RESTRICTIONS``).  The i tails of a ``hat_lambda_j``
    correction term are all bare, so two such terms meet in i + 1
    tables where they have ``sum_m C(i, m)^2 m!`` labelled matchings.
    Stably, each monomial is a Hodge integral and no strata class is
@@ -163,12 +163,13 @@ def _degree(key):
 
 
 def _make_term(g, n, coeff, tails, core_lambda, core_psi):
-    """``(key, coeff)`` for a term on ambient (g, n), or None when it is
-    the zero class.
+    """``(key, coeff)`` for a term that a class constructor names on
+    ambient (g, n), or None when it is the zero class.
 
     ``tails`` holds ``(a, b)`` pairs and ``core_lambda`` the core lambda
     indices with multiplicity, each in any order.  ``coeff`` is kept as
-    given, so an ``int`` stays an ``int``.
+    given, so an ``int`` stays an ``int``.  Products build their terms
+    in :func:`class_multiply`.
     """
     if not coeff:
         return None
@@ -406,73 +407,78 @@ def _matchings(t_tails, u_tails):
     return tables
 
 
-def _term_product(g, n, t, u, base, bullets):
-    """The ``(key, coeff)`` strata terms of ``base`` times the product of
-    the decorations ``t`` and ``u`` on Mbar_{g,n} whose tails all end
-    with a ``psi_bullet`` exponent in ``bullets``: ``(0, 1)`` keeps every
-    term, ``(1,)`` only the integrable ones.
-
-    Matchings are walked by tail type (:func:`_matchings`), not one by
-    one: every labelled matching with the same contingency table gives
-    the same terms, so each table's terms are yielded once with its
-    count of labelled matchings folded into the coefficient."""
-    t_tails, t_lambda, t_psi = t
-    u_tails, u_lambda, u_psi = u
-    i, ip = len(t_tails), len(u_tails)
-    core_psi = tuple(map(add, t_psi, u_psi))
-    for m, tables in enumerate(_matchings(t_tails, u_tails)):
-        t_restrictions = _restrictions_by_bumps(t_lambda, ip - m)
-        u_restrictions = _restrictions_by_bumps(u_lambda, i - m)
-        for weight, pairs, t_rest, u_rest in tables:
-            # u's core restrictions bump t's unmatched tails
-            new_ts = _bumped(t_rest, u_restrictions, bullets)
-            if not new_ts:
-                continue
-            # t's core restrictions bump u's unmatched tails
-            new_us = _bumped(u_rest, t_restrictions, bullets)
-            if not new_us:
-                continue
-            scaled = base * weight
-            # a merged psi_bullet^2 leaves no branch
-            for branches in iproduct(*[
-                    _excess_branches(ta + ua, tb + ub, bullets)
-                    for (ta, tb), (ua, ub) in pairs]):
-                sign = 1
-                matched_tails = []
-                for s, ab in branches:
-                    sign *= s
-                    matched_tails.append(ab)
-                coeff = scaled * sign
-                for t_lams, new_u in new_us:
-                    for u_lams, new_t in new_ts:
-                        tails = matched_tails + new_t + new_u
-                        for lam_t in t_lams:
-                            for lam_u in u_lams:
-                                term = _make_term(g, n, coeff, tails,
-                                                  lam_t + lam_u, core_psi)
-                                if term is not None:
-                                    yield term
-
-
 def class_multiply(first, second, integrable=False):
     """Product of two strata classes on the same ambient Mbar_{g,n}.
 
     Bilinear; on terms it sums over matchings of m tails of one factor
     with m tails of the other, weighting every matched pair by the excess
     class and treating unmatched tails as fresh degenerations of the
-    other factor's core (see module docstring).  With ``integrable``,
-    the one term-product kernel keeps only the terms whose tails all
-    carry ``psi_bullet``; the product then integrates against any psi
-    monomial as the full one does, but cannot be multiplied further.
+    other factor's core (see module docstring).  One loop walks the
+    matchings by contingency table (:func:`_matchings`), checks the core
+    once per m, since ``i + i' - m`` tails fix it, and adds each term
+    straight into the product.  With ``integrable``, only the terms
+    whose tails all carry ``psi_bullet`` are kept (such a product
+    integrates as the full one does, but cannot be multiplied further),
+    and a pair of terms is skipped when one has more bare tails than the
+    other's ``len(tails) + sum(core_lambda)``: a bare tail gains
+    ``psi_bullet`` only by meeting a tail of the other term or by one
+    bump from its core lambda classes.
     """
     first._check_ambient(second)
     g, n = first.g, first.n
     bullets = (1,) if integrable else (0, 1)
+    # each term with its reach and its number of bare tails (b <= 1)
+    u_terms = [(u, uc, len(u[0]) + sum(u[1]),
+                len(u[0]) - sum(b for _, b in u[0]))
+               for u, uc in second.terms.items()]
     out = {}
     for t, tc in first.terms.items():
-        for u, uc in second.terms.items():
-            accumulate(out, _term_product(g, n, t, u, tc * uc, bullets))
-    return TautClass(g, n, out)
+        t_tails, t_lambda, t_psi = t
+        i = len(t_tails)
+        t_reach, t_bare = i + sum(t_lambda), i - sum(b for _, b in t_tails)
+        for u, uc, u_reach, u_bare in u_terms:
+            if integrable and (t_bare > u_reach or u_bare > t_reach):
+                continue  # some bare tail cannot gain its psi_bullet
+            u_tails, u_lambda, u_psi = u
+            ip = len(u_tails)
+            core_psi = tuple(map(add, t_psi, u_psi))
+            for m, tables in enumerate(_matchings(t_tails, u_tails)):
+                gc = g - i - ip + m  # the core's genus
+                if gc < 0 or not is_stable(gc, n + i + ip - m):
+                    continue  # the gluing map does not exist
+                t_restrictions = _restrictions_by_bumps(t_lambda, ip - m)
+                u_restrictions = _restrictions_by_bumps(u_lambda, i - m)
+                for weight, pairs, t_rest, u_rest in tables:
+                    # u's core restrictions bump t's unmatched tails
+                    new_ts = _bumped(t_rest, u_restrictions, bullets)
+                    if not new_ts:
+                        continue
+                    # t's core restrictions bump u's unmatched tails
+                    new_us = _bumped(u_rest, t_restrictions, bullets)
+                    if not new_us:
+                        continue
+                    scaled = tc * uc * weight
+                    # a merged psi_bullet^2 leaves no branch
+                    for branches in iproduct(*[
+                            _excess_branches(ta + ua, tb + ub, bullets)
+                            for (ta, tb), (ua, ub) in pairs]):
+                        coeff = scaled
+                        matched_tails = []
+                        for s, ab in branches:
+                            coeff *= s
+                            matched_tails.append(ab)
+                        for t_lams, new_u in new_us:
+                            for u_lams, new_t in new_ts:
+                                tails = tuple(sorted(
+                                    matched_tails + new_t + new_u))
+                                for lam_t in t_lams:
+                                    for lam_u in u_lams:
+                                        lam = tuple(sorted(lam_t + lam_u))
+                                        if lam and lam[-1] > gc:
+                                            continue  # rank bound
+                                        key = (tails, lam, core_psi)
+                                        out[key] = out.get(key, 0) + coeff
+    return TautClass(g, n, {key: c for key, c in out.items() if c})
 
 
 def class_integrate(cls):
@@ -565,37 +571,31 @@ def clear_caches():
     _MATCHINGS.clear()
 
 
-def _scaled_hat_lambda(g, n, j):
-    """``j! * hat_lambda_j`` on Mbar_{g,n}: its coefficients ``j!/i!``
-    are plain integers."""
-    scale = factorial(j)
-    return TautClass(g, n, {
-        key: scale * c.numerator // c.denominator
-        for key, c in hat_lambda(g, n, j).terms.items()})
-
-
 def _lambda_product(g, n, lams, integrable=False):
     """``prod_{j in lams} j! * hat_lambda_j`` on Mbar_{g,n} for a sorted
-    multiset, with ``int`` coefficients; with ``integrable``, only its
-    terms whose tails all carry ``psi_bullet``.
+    multiset, with ``int`` coefficients (``j!/i!`` for one factor); with
+    ``integrable``, only its terms whose tails all carry ``psi_bullet``.
 
     Memoised in ``_PRODUCTS`` by ``(g, n, lams, integrable)``.  Each
-    product is its prefix's product times one more factor, so products
-    sharing a prefix share the work.  The prefix is always complete,
-    since a later factor can give its bare tails their ``psi_bullet``;
-    only the last factor is multiplied in with ``integrable``.  Every
-    ``hat_lambda_j`` is homogeneous of degree j, so no truncation is
-    needed.
+    product is its complete prefix's product times its last factor, both
+    read from the memo, so products sharing a prefix or a factor share
+    the work; only the last factor is multiplied in with ``integrable``.
+    Every ``hat_lambda_j`` is homogeneous of degree j, so no truncation
+    is needed.
     """
     if not lams:
         return TautClass.one(g, n)
     key = (g, n, lams, integrable)
     cls = _PRODUCTS.get(key)
     if cls is None:
-        cls = _scaled_hat_lambda(g, n, lams[-1])
         if len(lams) > 1 or integrable:
-            cls = class_multiply(_lambda_product(g, n, lams[:-1]), cls,
-                                 integrable)
+            cls = class_multiply(_lambda_product(g, n, lams[:-1]),
+                                 _lambda_product(g, n, lams[-1:]), integrable)
+        else:
+            scale = factorial(lams[0])
+            cls = TautClass(g, n, {
+                term: scale * c.numerator // c.denominator
+                for term, c in hat_lambda(g, n, lams[0]).terms.items()})
         _PRODUCTS[key] = cls
     return cls
 

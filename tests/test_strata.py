@@ -140,8 +140,8 @@ def reference_bumped(rest, restrictions):
 def reference_term_product(g, n, t, u, base):
     """Every ``(key, coeff)`` strata term of ``base`` times the product of
     the decorations ``t`` and ``u``, by a complete kernel of its own that
-    scans the restriction tables: the oracle for ``strata._term_product``
-    with bullets ``(0, 1)``."""
+    scans the restriction tables: the oracle for the complete
+    ``class_multiply``."""
     t_tails, t_lambda, t_psi = t
     u_tails, u_lambda, u_psi = u
     i, ip = len(t_tails), len(u_tails)
@@ -188,7 +188,7 @@ def reference_term_product(g, n, t, u, base):
 def reference_integrable_term_product(g, n, t, u, base):
     """The terms of ``reference_term_product`` in which every tail
     carries ``psi_bullet``, by an integrable kernel of its own: the
-    oracle for ``strata._term_product`` with bullets ``(1,)``.  A
+    oracle for ``class_multiply`` with ``integrable``.  A
     matched pair takes only the ``psi_bullet`` branch of the excess
     weight, and each core's lambda restriction only the bump vector that
     gives every bare unmatched tail of the other factor its
@@ -735,6 +735,18 @@ class TestNormalFormEvaluation:
         assert expr_integral(3, 1, e, "ps") == first
 
 
+def bare_tails(key):
+    """The tails of a strata term that carry no ``psi_bullet``."""
+    return sum(1 for _, b in key[0] if b == 0)
+
+
+def reach(key):
+    """The most bare tails of another term that a strata term can give a
+    ``psi_bullet``: one per tail it matches, one per unit of its core
+    lambda degree."""
+    return len(key[0]) + sum(key[1])
+
+
 # every monomial up to genus 3; at genus 4 the complete products of three
 # or more factors take seconds, so the cubes stand in
 SWEEP = [(2, 1, 9), (2, 2, 9), (3, 1, 9), (3, 2, 9)]
@@ -809,20 +821,48 @@ class TestIntegrableProducts:
             if all(b == 1 for _, b in key[0])}
         assert len(kept.terms) < len(full.terms)
 
+    def test_integrable_products_of_general_classes(self):
+        """The skip rule on classes with ``psi_star`` exponents, bulleted
+        tails and core psi: the integrable product of two seeded random
+        classes at g <= 4, n <= 2 is the complete product restricted to
+        its terms whose tails all carry ``psi_bullet``."""
+        rng = random.Random(selfcheck.SEED)
+        skippable = kept = 0
+        for g, n in product(range(1, 5), range(3)):
+            if not is_stable(g, n):
+                continue
+            for _ in range(30):
+                a = selfcheck.random_taut_class(rng, g, n)
+                b = selfcheck.random_taut_class(rng, g, n)
+                full = class_multiply(a, b).terms
+                integrable = {key: c for key, c in full.items()
+                              if all(bullet == 1 for _, bullet in key[0])}
+                assert class_multiply(a, b, integrable=True).terms == \
+                    integrable, (g, n, a, b)
+                kept += len(integrable)
+                skippable += sum(
+                    bare_tails(t) > reach(u) or bare_tails(u) > reach(t)
+                    for t in a.terms for u in b.terms)
+        assert kept > 100 and skippable > 20, (kept, skippable)
+
     def test_kernel_matches_reference_kernels(self, monkeypatch):
-        """Differential oracle: the one term-product kernel, under both
-        bullet sets, against the complete and the integrable kernels it
-        replaced, on every ordered term pair that ``class_multiply`` meets
-        while the monomial sweep to genus 3, the g=4, 5 cubes and ps
-        ``lambda_6^2`` run."""
-        kernel = strata._term_product
+        """Differential oracle: the one-term products of ``class_multiply``,
+        complete and integrable, against the complete and the integrable
+        kernels it replaced, on every ordered term pair that
+        ``class_multiply`` meets while the monomial sweep to genus 3, the
+        g=4, 5 cubes and ps ``lambda_6^2`` run.  The pairs that the
+        integrable skip rule drops (one term has more bare tails than the
+        other's tails plus its core lambda degree) occur, and the
+        integrable reference kernel finds no term for any of them."""
+        multiply = strata.class_multiply
         met = set()
 
-        def recording(g, n, t, u, base, bullets):
-            met.add((bullets, g, n, t, u))
-            return kernel(g, n, t, u, base, bullets)
+        def recording(first, second, integrable=False):
+            met.update((integrable, first.g, first.n, t, u)
+                       for t in first.terms for u in second.terms)
+            return multiply(first, second, integrable)
 
-        monkeypatch.setattr(strata, "_term_product", recording)
+        monkeypatch.setattr(strata, "class_multiply", recording)
         pshodge.clear_caches()
         try:
             for g, n, max_lambdas in SWEEP:
@@ -833,15 +873,21 @@ class TestIntegrableProducts:
         finally:
             monkeypatch.undo()
             pshodge.clear_caches()  # drop the products built while recording
-        assert {key[0] for key in met} == {(0, 1), (1,)}
-        pairs = {key[1:] for key in met}
-        for g, n, t, u in pairs:
-            for bullets, reference in (
-                    ((0, 1), reference_term_product),
-                    ((1,), reference_integrable_term_product)):
-                assert accumulate({}, kernel(g, n, t, u, 1, bullets)) == \
-                    accumulate({}, reference(g, n, t, u, 1)), \
-                    (bullets, g, n, t, u)
+        assert {key[0] for key in met} == {False, True}
+        skipped = 0
+        for g, n, t, u in {key[1:] for key in met}:
+            for integrable, reference in (
+                    (False, reference_term_product),
+                    (True, reference_integrable_term_product)):
+                assert multiply(TautClass(g, n, {t: 1}),
+                                TautClass(g, n, {u: 1}), integrable).terms \
+                    == accumulate({}, reference(g, n, t, u, 1)), \
+                    (integrable, g, n, t, u)
+            if bare_tails(t) > reach(u) or bare_tails(u) > reach(t):
+                skipped += (True, g, n, t, u) in met
+                assert not list(reference_integrable_term_product(
+                    g, n, t, u, 1)), (g, n, t, u)
+        assert skipped > 0, skipped
 
 
 class TestScaledProducts:
