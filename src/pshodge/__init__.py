@@ -37,7 +37,7 @@ __all__ = ["clear_caches", "__version__"]
 def clear_caches():
     """Drop the Hodge-integral and GRR memos, the one memo of ``hat_lambda``
     products (complete prefixes and integrable last products alike), the
-    table of lambda restrictions over fresh tails and the tail matchings
-    by type (the WK table is managed separately)."""
+    table of lambda restrictions over unmatched tails and the tail
+    matchings by type (the WK table is managed separately)."""
     hodge.clear_caches()
     strata.clear_caches()

@@ -352,13 +352,16 @@ def suite_ps_nonlinear():
     """Three nonlinear pseudostable identities on Mbar^ps_{g,1}, g = 2..5.
 
     Each follows from the integrable terms of the ``hat_lambda`` product,
-    those with ``psi_bullet`` on every tail.  For the three products below
-    the i-tail integrable term has coefficient ``1/i!``, every tail
-    decorated ``psi_bullet`` alone (a factor ``1/24`` each), and core
-    ``lambda_{a-i} lambda_{b-i}`` on Mbar_{g-i,1+i} for
-    ``hat_lambda_a hat_lambda_b``, with ``lambda_0 = 1`` (term lists
-    inspected for g = 2..9).  The attaching markings carry no psi class,
-    and the i = 0 term is the stable integral.
+    those with ``psi_bullet`` on every tail, by the two-factor lemma: for
+    1 <= a <= b, the integrable terms of
+    ``a! hat_lambda_a * b! hat_lambda_b`` on Mbar_{g,n} are, for
+    i = 0..a, the term ``a! b!/i! G^i_*(lambda_{a-i} lambda_{b-i})`` with
+    ``lambda_0 = 1``, every tail ``(0, 1)`` (``psi_bullet`` alone, a
+    factor ``1/24`` each) and no core psi; a term is dropped when its
+    core Mbar_{g-i,n+i} is unstable or ``b - i > g - i``
+    (``tests/test_strata.py`` checks it against ``strata._lambda_product``
+    for g = 2..7 and n = 1..3).  So the attaching markings carry no psi
+    class, and the i = 0 term is the stable integral.
 
     * ``int_ps lambda_g^2 psi_1^{g-2} = 1/(24^g g!)``, while stably
       ``lambda_g^2 = 0``: the core of every term with i < g tails is

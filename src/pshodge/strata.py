@@ -64,11 +64,15 @@ one).
    loop skips a pair of terms where one has more bare tails than the
    other's ``len(tails) + sum(core_lambda)``.  It walks the matchings
    of two tail multisets by contingency table, how many tails of each
-   type meet tails of each other type (``_MATCHINGS``), and restricts
-   a core lambda monomial over fresh tails by a table grouped by the
-   tails bumped (``_RESTRICTIONS``).  The i tails of a ``hat_lambda_j``
-   correction term are all bare, so two such terms meet in i + 1
-   tables where they have ``sum_m C(i, m)^2 m!`` labelled matchings.
+   type meet tails of each other type (``_MATCHINGS``).  For each
+   table it restricts either core lambda monomial over the other
+   term's unmatched tails by one memoised step, :func:`_restrictions`
+   (``_RESTRICTIONS``), which lists the kept lambda tuples with the
+   tails they leave: only a bare tail is bumped, at most once, and for
+   the integrable kind every bare tail is.  The i tails of a
+   ``hat_lambda_j`` correction term are all bare, so two such terms meet
+   in i + 1 tables where they have ``sum_m C(i, m)^2 m!`` labelled
+   matchings.
    Stably, each monomial is a Hodge integral and no strata class is
    formed;
 2. integrate each integrable term of that product against the
@@ -106,7 +110,6 @@ __all__ = [
     "TautClass",
     "is_pseudostable",
     "hat_lambda",
-    "restrict_lambda_to_tails",
     "class_multiply",
     "class_integrate",
     "t_pullback_ch",
@@ -261,70 +264,52 @@ class TautClass:
             if _degree(key) <= max_degree})
 
 
-def restrict_lambda_to_tails(j, new_tails):
-    """Expansion of a core ``lambda_j`` over ``new_tails`` fresh genus-1 tails.
-
-    On the deeper stratum the Hodge bundle splits off one line bundle per
-    tail whose Chern class is the tail psi class, so lambda_j becomes
-    ``sum_s e_s(tail psi classes) * lambda_{j-s}``.  Returns unit-coefficient
-    pairs ``(j - s, slots)``: the core keeps ``lambda_{j-s}`` and each slot
-    listed acquires one tail psi factor.
-
-    >>> restrict_lambda_to_tails(1, 1)
-    [(1, ()), (0, (0,))]
-    >>> restrict_lambda_to_tails(2, 1)
-    [(2, ()), (1, (0,))]
-    """
-    if j < 0:
-        raise ValueError("negative lambda index")
-    out = []
-    for s in range(min(j, new_tails) + 1):
-        for slots in combinations(range(new_tails), s):
-            out.append((j - s, slots))
-    return out
-
-
 _RESTRICTIONS = {}
 
 
-def _restrictions_by_bumps(core_lambda, new_tails):
-    """All ways to restrict a core lambda monomial over ``new_tails``
-    fresh tails, grouped by bump vector.
+def _restrictions(core_lambda, tails, bullets):
+    """The restrictions of a core lambda monomial to the stratum that
+    carries the other term's unmatched ``tails``, as ``(lams, bumped)``
+    pairs.
 
-    Returns a dict from the per-slot count of acquired tail psi factors
-    to the list of lambda tuples the core keeps (each in no particular
-    order).  Slots collecting two factors are dropped on the spot (tail
-    psi squares vanish).  The table depends only on the two arguments
-    and is memoised in ``_RESTRICTIONS``; callers must not mutate it.
+    There the Hodge bundle splits off one line bundle per tail, whose
+    Chern class is the tail psi class (Whitney), so ``lambda_j`` becomes
+    ``sum_s e_s(tail psi classes) * lambda_{j-s}``.  Each tail psi factor
+    bumps a tail's ``psi_bullet`` exponent, and ``psi_bullet^2 = 0``, so
+    only a bare tail can be bumped, and at most once.  A pair is kept
+    when every tail ends with a ``psi_bullet`` exponent in ``bullets``,
+    ``(0, 1)`` or ``(1,)``; with ``(1,)`` every bare tail is bumped.
+    ``lams`` lists the lambda tuples the core keeps (each in no
+    particular order, with multiplicity) and ``bumped`` the tails after
+    the bumps, in the order of ``tails``.  Memoised in ``_RESTRICTIONS``
+    by the three arguments; callers must not mutate the lists.
+
+    >>> _restrictions((1,), ((0, 0),), (0, 1))
+    [([(1,)], [(0, 0)]), ([()], [(0, 1)])]
+    >>> _restrictions((2,), ((0, 0), (0, 0)), (1,))
+    [([()], [(0, 1), (0, 1)])]
     """
-    key = (core_lambda, new_tails)
+    key = (core_lambda, tails, bullets)
     table = _RESTRICTIONS.get(key)
     if table is not None:
         return table
-    table = {}
-    options = [restrict_lambda_to_tails(j, new_tails) for j in core_lambda]
+    groups = {}  # the slots of the tails left bare -> the kept lambdas
 
-    def rec(idx, kept, bumps):
+    def rec(idx, kept, bare):
         if idx == len(core_lambda):
-            table.setdefault(tuple(bumps), []).append(kept)
+            groups.setdefault(bare, []).append(kept)
             return
-        for jc, slots in options[idx]:
-            if any(bumps[s] for s in slots):
-                continue
-            for s in slots:
-                bumps[s] += 1
-            rec(idx + 1, kept + (jc,) if jc else kept, bumps)
-            for s in slots:
-                bumps[s] -= 1
+        j = core_lambda[idx]
+        for s in range(min(j, len(bare)) + 1):
+            for slots in combinations(bare, s):
+                rec(idx + 1, kept + (j - s,) if s < j else kept,
+                    tuple(k for k in bare if k not in slots))
 
-    rec(0, (), [0] * new_tails)
-    _RESTRICTIONS[key] = table
+    rec(0, (), tuple(k for k, (_, b) in enumerate(tails) if not b))
+    table = _RESTRICTIONS[key] = [
+        (lams, [(a, 0 if k in bare else 1) for k, (a, _) in enumerate(tails)])
+        for bare, lams in groups.items() if not bare or 0 in bullets]
     return table
-
-
-# _INCREMENTS[bullets][b]: the psi_bullet exponents a tail carrying
-# psi_bullet^b may gain so that it ends with an exponent in ``bullets``.
-_INCREMENTS = {(0, 1): ((0, 1), (0,)), (1,): ((1,), (0,))}
 
 
 def _excess_branches(a, b, bullets):
@@ -337,22 +322,6 @@ def _excess_branches(a, b, bullets):
         out.append((-1, (a + 1, b)))
     if b + 1 in bullets:
         out.append((-1, (a, b + 1)))
-    return out
-
-
-def _bumped(rest, restrictions, bullets):
-    """``(lams, tails)`` for every bump vector of ``restrictions`` that
-    leaves each of the unmatched tails ``rest`` with a ``psi_bullet``
-    exponent in ``bullets``: the kept lambda tuples and the bumped
-    tails."""
-    if not rest:
-        return [(restrictions[()], [])]  # the most frequent call
-    increments = _INCREMENTS[bullets]
-    out = []
-    for bumps in iproduct(*[increments[b] for _, b in rest]):
-        lams = restrictions.get(bumps)
-        if lams is not None:
-            out.append((lams, [(a, b + e) for (a, b), e in zip(rest, bumps)]))
     return out
 
 
@@ -415,8 +384,10 @@ def class_multiply(first, second, integrable=False):
     class and treating unmatched tails as fresh degenerations of the
     other factor's core (see module docstring).  One loop walks the
     matchings by contingency table (:func:`_matchings`), checks the core
-    once per m, since ``i + i' - m`` tails fix it, and adds each term
-    straight into the product.  With ``integrable``, only the terms
+    once per m, since ``i + i' - m`` tails fix it, restricts each core's
+    lambda classes over the other term's unmatched tails once per table
+    (:func:`_restrictions`), and adds each term straight into the
+    product.  With ``integrable``, only the terms
     whose tails all carry ``psi_bullet`` are kept (such a product
     integrates as the full one does, but cannot be multiplied further),
     and a pair of terms is skipped when one has more bare tails than the
@@ -446,15 +417,13 @@ def class_multiply(first, second, integrable=False):
                 gc = g - i - ip + m  # the core's genus
                 if gc < 0 or not is_stable(gc, n + i + ip - m):
                     continue  # the gluing map does not exist
-                t_restrictions = _restrictions_by_bumps(t_lambda, ip - m)
-                u_restrictions = _restrictions_by_bumps(u_lambda, i - m)
                 for weight, pairs, t_rest, u_rest in tables:
                     # u's core restrictions bump t's unmatched tails
-                    new_ts = _bumped(t_rest, u_restrictions, bullets)
+                    new_ts = _restrictions(u_lambda, t_rest, bullets)
                     if not new_ts:
                         continue
                     # t's core restrictions bump u's unmatched tails
-                    new_us = _bumped(u_rest, t_restrictions, bullets)
+                    new_us = _restrictions(t_lambda, u_rest, bullets)
                     if not new_us:
                         continue
                     scaled = tc * uc * weight
@@ -565,7 +534,7 @@ _PRODUCTS = {}
 
 def clear_caches():
     """Drop the memoised ``hat_lambda`` products, the table of lambda
-    restrictions over fresh tails and the tail matchings by type."""
+    restrictions over unmatched tails and the tail matchings by type."""
     _PRODUCTS.clear()
     _RESTRICTIONS.clear()
     _MATCHINGS.clear()

@@ -19,8 +19,7 @@ from pshodge.multiset import accumulate, compositions, multiply, partitions
 from pshodge.selfcheck import suite_hat_lambda_square
 from pshodge.strata import (EmptyModuliError, TautClass, class_integrate,
                             class_multiply, expr_integral, hat_lambda,
-                            is_pseudostable,
-                            restrict_lambda_to_tails, t_pullback_ch)
+                            is_pseudostable, t_pullback_ch)
 from pshodge.strata import _make_term
 from pshodge.wk import is_stable, wk_integral
 
@@ -128,27 +127,28 @@ def reference_excess_branches(a, b):
 def reference_bumped(rest, restrictions):
     """``(lams, tails)`` for every bump vector of ``restrictions`` that
     leaves each of the unmatched tails ``rest`` with at most one
-    ``psi_bullet``, found by scanning the table."""
+    ``psi_bullet``, found by scanning the table; ``lams`` lists the kept
+    lambda tuples with multiplicity."""
     out = []
     for bumps, lams in restrictions.items():
         tails = [(a, b + e) for (a, b), e in zip(rest, bumps)]
         if all(b <= 1 for _, b in tails):
-            out.append((lams, tails))
+            out.append((list(lams.elements()), tails))
     return out
 
 
 def reference_term_product(g, n, t, u, base):
     """Every ``(key, coeff)`` strata term of ``base`` times the product of
     the decorations ``t`` and ``u``, by a complete kernel of its own that
-    scans the restriction tables: the oracle for the complete
-    ``class_multiply``."""
+    scans the Whitney tables of ``restrictions_from_scratch``: the oracle
+    for the complete ``class_multiply``."""
     t_tails, t_lambda, t_psi = t
     u_tails, u_lambda, u_psi = u
     i, ip = len(t_tails), len(u_tails)
     core_psi = tuple(a + b for a, b in zip(t_psi, u_psi))
     for m in range(min(i, ip) + 1):
-        t_restrictions = strata._restrictions_by_bumps(t_lambda, ip - m)
-        u_restrictions = strata._restrictions_by_bumps(u_lambda, i - m)
+        t_restrictions = restrictions_from_scratch(t_lambda, ip - m)
+        u_restrictions = restrictions_from_scratch(u_lambda, i - m)
         for tsel in combinations(range(i), m):
             new_ts = reference_bumped(
                 [t_tails[x] for x in range(i) if x not in tsel],
@@ -190,16 +190,16 @@ def reference_integrable_term_product(g, n, t, u, base):
     carries ``psi_bullet``, by an integrable kernel of its own: the
     oracle for ``class_multiply`` with ``integrable``.  A
     matched pair takes only the ``psi_bullet`` branch of the excess
-    weight, and each core's lambda restriction only the bump vector that
-    gives every bare unmatched tail of the other factor its
-    ``psi_bullet``."""
+    weight, and each core's lambda restriction (from
+    ``restrictions_from_scratch``) only the bump vector that gives every
+    bare unmatched tail of the other factor its ``psi_bullet``."""
     t_tails, t_lambda, t_psi = t
     u_tails, u_lambda, u_psi = u
     i, ip = len(t_tails), len(u_tails)
     core_psi = tuple(a + b for a, b in zip(t_psi, u_psi))
     for m in range(min(i, ip) + 1):
-        t_restrictions = strata._restrictions_by_bumps(t_lambda, ip - m)
-        u_restrictions = strata._restrictions_by_bumps(u_lambda, i - m)
+        t_restrictions = restrictions_from_scratch(t_lambda, ip - m)
+        u_restrictions = restrictions_from_scratch(u_lambda, i - m)
         for tsel in combinations(range(i), m):
             t_rest = [t_tails[x] for x in range(i) if x not in tsel]
             u_lams = u_restrictions.get(tuple(1 - b for _, b in t_rest))
@@ -225,8 +225,8 @@ def reference_integrable_term_product(g, n, t, u, base):
                     tails.append(ab)
                 else:
                     coeff = base * sign
-                    for lam_t in t_lams:
-                        for lam_u in u_lams:
+                    for lam_t in t_lams.elements():
+                        for lam_u in u_lams.elements():
                             term = _make_term(g, n, coeff, tails,
                                               lam_t + lam_u, core_psi)
                             if term is not None:
@@ -363,21 +363,33 @@ class TestHatLambda:
 
 
 class TestRestriction:
+    """Hand-expanded Whitney restrictions of one core ``lambda_j`` over
+    bare tails, ``lambda_j -> sum_s e_s(tail psi) lambda_{j-s}``: each
+    pair is the kept lambda tuples and the tails after the bumps."""
+
     def test_single_tail(self):
-        assert restrict_lambda_to_tails(1, 1) == [(1, ()), (0, (0,))]
+        assert strata._restrictions((1,), ((0, 0),), (0, 1)) == [
+            ([(1,)], [(0, 0)]), ([()], [(0, 1)])]
 
     def test_no_tails(self):
-        assert restrict_lambda_to_tails(5, 0) == [(5, ())]
+        for bullets in ((0, 1), (1,)):
+            assert strata._restrictions((5,), (), bullets) == [
+                ([(5,)], [])]
 
     def test_degree_two(self):
-        assert restrict_lambda_to_tails(2, 1) == [(2, ()), (1, (0,))]
+        assert strata._restrictions((2,), ((0, 0),), (0, 1)) == [
+            ([(2,)], [(0, 0)]), ([(1,)], [(0, 1)])]
 
     def test_two_tails_elementary_symmetric(self):
-        out = restrict_lambda_to_tails(2, 2)
-        assert (2, ()) in out
-        assert (1, (0,)) in out and (1, (1,)) in out
-        assert (0, (0, 1)) in out
-        assert len(out) == 4
+        """``e_1`` bumps either tail, ``e_2`` both; the integrable kind
+        keeps only ``e_2``, and ``lambda_1`` cannot bump two tails."""
+        tails = ((0, 0), (0, 0))
+        assert strata._restrictions((2,), tails, (0, 1)) == [
+            ([(2,)], [(0, 0), (0, 0)]), ([(1,)], [(0, 1), (0, 0)]),
+            ([(1,)], [(0, 0), (0, 1)]), ([()], [(0, 1), (0, 1)])]
+        assert strata._restrictions((2,), tails, (1,)) == [
+            ([()], [(0, 1), (0, 1)])]
+        assert strata._restrictions((1,), tails, (1,)) == []
 
 
 class TestProducts:
@@ -543,8 +555,9 @@ class TestPseudostableIntegrals:
 
 class TestPseudostableIdentities:
     """Two nonlinear pseudostable closed forms, checked through
-    ``expr_integral`` for g = 2..7 and g = 2..10 (derived in the
-    ``ps-nonlinear`` suite's docstring).  Each checks the whole ps
+    ``expr_integral`` for g = 2..7 and g = 2..10, and the two-factor
+    lemma they follow from (derived and stated in the ``ps-nonlinear``
+    suite's docstring).  Each checks the whole ps
     pipeline, the strata products up to g=7 included, against values
     that share no code with it."""
 
@@ -568,6 +581,29 @@ class TestPseudostableIdentities:
         e = parse_expression(f"lambda{g}*lambda1*psi1^{2 * g - 3}", g, 1)
         assert expr_integral(g, 1, e, "ps") - \
             expr_integral(g, 1, e, "stable") == b_h / 24
+
+    def test_two_factor_lemma(self):
+        """The lemma in the ``ps-nonlinear`` suite's docstring: for
+        1 <= a <= b the integrable terms of
+        ``a! hat_lambda_a * b! hat_lambda_b`` are, for i = 0..a, the term
+        ``a! b!/i! G^i_*(lambda_{a-i} lambda_{b-i})`` with every tail
+        ``(0, 1)`` and no core psi, dropped when the core is unstable or
+        ``b - i > g - i``.  Every pair with b <= g + 1 (the product is
+        zero for b = g + 1) for g = 2..7 and n = 1..3."""
+        cases = 0
+        for g, n in product(range(2, 8), range(1, 4)):
+            if not is_pseudostable(g, n):
+                continue
+            for a, b in combinations_with_replacement(range(1, g + 2), 2):
+                lemma = {
+                    (((0, 1),) * i, tuple(j for j in (a - i, b - i) if j),
+                     (0,) * n): factorial(a) * factorial(b) // factorial(i)
+                    for i in range(a + 1)
+                    if is_stable(g - i, n + i) and b - i <= g - i}
+                assert strata._lambda_product(
+                    g, n, (a, b), integrable=True).terms == lemma, (g, n, a, b)
+                cases += 1
+        assert cases == 348
 
     def test_selfcheck_suite(self, monkeypatch):
         """The ``ps-nonlinear`` selfcheck suite passes, and once every ps
@@ -922,39 +958,83 @@ class TestScaledProducts:
             assert cls.terms == {key: scale * c for key, c in full.items()}
 
 
+@functools.cache
 def restrictions_from_scratch(core_lambda, new_tails):
-    """The restrictions of a core lambda monomial over fresh tails, factor
-    by factor from ``restrict_lambda_to_tails``: a dict from the bump
-    vector to a Counter of the sorted kept lambda tuples."""
+    """The restrictions of a core lambda monomial over ``new_tails`` fresh
+    tails by the Whitney formula, factor by factor: ``lambda_j`` becomes
+    ``sum_s e_s(tail psi classes) * lambda_{j-s}``, and a tail psi class
+    met twice vanishes.  A dict from the bump vector (one 0 or 1 per
+    tail) to the Counter of the sorted kept lambda tuples; callers must
+    not mutate it."""
     states = {(0,) * new_tails: Counter({(): 1})}
     for j in core_lambda:
         step = {}
         for bumps, kept in states.items():
-            for jc, slots in restrict_lambda_to_tails(j, new_tails):
-                if any(bumps[s] for s in slots):
-                    continue  # a tail psi square vanishes
-                bumped = tuple(1 if s in slots else b
-                               for s, b in enumerate(bumps))
-                out = step.setdefault(bumped, Counter())
-                for lams, mult in kept.items():
-                    out[tuple(sorted(lams + ((jc,) if jc else ())))] += mult
+            for s in range(min(j, new_tails) + 1):
+                for slots in combinations(range(new_tails), s):
+                    if any(bumps[k] for k in slots):
+                        continue  # a tail psi square vanishes
+                    bumped = tuple(1 if k in slots else b
+                                   for k, b in enumerate(bumps))
+                    out = step.setdefault(bumped, Counter())
+                    for lams, mult in kept.items():
+                        out[tuple(sorted(lams + ((j - s,) if j > s else ())))
+                            ] += mult
         states = step
     return states
+
+
+def restrictions_over(core_lambda, tails, bullets):
+    """What ``strata._restrictions`` must return, from the Whitney table:
+    a Counter from each pair of a bump vector's bumped tails (in the
+    order of ``tails``) and its sorted kept lambda tuple, keeping the
+    bump vectors that leave every tail with a ``psi_bullet`` exponent in
+    ``bullets``."""
+    out = Counter()
+    for bumps, kept in restrictions_from_scratch(
+            core_lambda, len(tails)).items():
+        bumped = tuple((a, b + e) for (a, b), e in zip(tails, bumps))
+        if all(b in bullets for _, b in bumped):
+            for lams, mult in kept.items():
+                out[bumped, lams] += mult
+    return out
+
+
+# ψ*-decorated and bulleted tails beside bare ones, so that a bump meets
+# both a tail that can take it and one that cannot
+TAIL_TYPES = [(0, 0), (0, 1), (1, 0), (2, 1)]
 
 
 class TestRestrictionTables:
     @pytest.mark.parametrize("new_tails", range(5))
     @pytest.mark.parametrize("size", range(5))
     def test_tables_match_enumeration(self, size, new_tails):
-        """Every sorted core lambda multiset of length <= 4 with entries
-        <= 5."""
+        """``strata._restrictions`` against the Whitney enumeration, for
+        both ``bullets`` values, every sorted core lambda multiset of
+        length ``size`` <= 4 with entries <= 5 and every sorted multiset
+        of ``new_tails`` <= 4 tails of ``TAIL_TYPES``; the table is
+        memoised under its arguments.  The cases ``TestRestriction``
+        expands by hand are among them: ``lambda_1`` and ``lambda_2``
+        over one bare tail, ``lambda_5`` over none and ``lambda_2`` over
+        two bare tails (``e_1`` twice and ``e_2``)."""
+        strata.clear_caches()
         for core in combinations_with_replacement(range(1, 6), size):
-            table = strata._restrictions_by_bumps(core, new_tails)
-            assert {bumps: Counter(tuple(sorted(k)) for k in lams)
-                    for bumps, lams in table.items()} == \
-                restrictions_from_scratch(core, new_tails), core
-            assert strata._RESTRICTIONS[core, new_tails] is table
-            assert strata._restrictions_by_bumps(core, new_tails) is table
+            for tails in combinations_with_replacement(TAIL_TYPES,
+                                                       new_tails):
+                for bullets in ((0, 1), (1,)):
+                    table = strata._restrictions(core, tails, bullets)
+                    found = Counter()
+                    for lams, bumped in table:
+                        assert len(bumped) == len(tails)
+                        for lam in lams:
+                            found[tuple(bumped), tuple(sorted(lam))] += 1
+                    assert found == restrictions_over(core, tails, bullets), \
+                        (core, tails, bullets)
+                    assert strata._RESTRICTIONS[core, tails, bullets] \
+                        is table
+                    assert strata._restrictions(core, tails, bullets) \
+                        is table
+        strata.clear_caches()
 
 
 def labelled_matchings(t_tails, u_tails, m):
