@@ -1,10 +1,13 @@
 r"""Exact Hodge integrals: monomials in lambda and psi classes on Mbar_{g,n}.
 
-``lambda_j`` is the j-th Chern class of the rank-g Hodge bundle E.
-A lambda part with a repeated index is first rewritten in the
-square-free basis by Mumford's relation ``c(E) c(E^dual) = 1``
-("Towards an enumerative geometry of the moduli space of curves",
-1983): ``lambda_k^2 = 2 sum_{i>=1} (-1)^(i+1) lambda_{k-i} lambda_{k+i}``.
+``lambda_j`` is the j-th Chern class of the rank-g Hodge bundle E.  A
+lambda part is the sorted tuple of its indices with multiplicity
+(``(1, 1, 2)`` for ``lambda_1^2 lambda_2``), as in the parser and the
+strata algebra; only :meth:`HodgeMonomial.of` reads exponents.  A part
+with a repeated index is first rewritten in the square-free basis by
+Mumford's relation ``c(E) c(E^dual) = 1`` ("Towards an enumerative
+geometry of the moduli space of curves", 1983):
+``lambda_k^2 = 2 sum_{i>=1} (-1)^(i+1) lambda_{k-i} lambda_{k+i}``.
 When no term is left (``lambda_g^2``, or any lambda part of degree above
 g(g+1)/2) the integral is 0; when every term carries ``lambda_g``, the
 terms are integrated on the ``lambda_g`` keys of step 2; otherwise the
@@ -175,7 +178,11 @@ def ch_in_lambda(l):
 
 @dataclass(frozen=True)
 class HodgeMonomial:
-    """A monomial in lambda and psi classes on Mbar_{g,n}, in canonical form."""
+    """A monomial in lambda and psi classes on Mbar_{g,n}, in canonical form:
+    ``lambda_exp`` is the sorted tuple of lambda indices with multiplicity
+    (``(1, 1, 2)`` for ``lambda_1^2 lambda_2``), the format of the parser
+    and :mod:`pshodge.strata`, and ``psi_exp`` holds one exponent per
+    marking."""
 
     g: int
     n: int
@@ -184,12 +191,14 @@ class HodgeMonomial:
 
     @staticmethod
     def of(g, n, lambdas=None, psis=None):
-        """Build a monomial; ``lambdas`` maps index j to its exponent and
-        ``psis`` is read by :func:`pshodge.wk.psi_exponents`.  A negative
+        """Build a monomial; ``lambdas`` maps index j to its exponent, as a
+        dict or as ``(j, e)`` pairs, and ``psis`` is read by
+        :func:`pshodge.wk.psi_exponents`.  This is the one place that turns
+        exponents into the sorted multiset ``lambda_exp``.  A negative
         genus raises ``ValueError``."""
         if int(g) < 0:
             raise ValueError("genus must be non-negative")
-        lam = {}
+        lam = []
         if lambdas:
             items = lambdas.items() if isinstance(lambdas, dict) else lambdas
             for j, e in items:
@@ -198,9 +207,8 @@ class HodgeMonomial:
                     raise ValueError("lambda indices start at 1")
                 if e < 0:
                     raise ValueError("exponents must be non-negative")
-                if e:
-                    lam[j] = lam.get(j, 0) + e
-        return HodgeMonomial(int(g), int(n), tuple(sorted(lam.items())),
+                lam += [j] * e
+        return HodgeMonomial(int(g), int(n), tuple(sorted(lam)),
                              psi_exponents(n, psis))
 
 
@@ -209,11 +217,16 @@ _HODGE_MEMO = {}
 
 
 def clear_caches():
-    """Drop the Hodge-integral and GRR reduction memos.  The GRR memo also
-    holds the psi correlators it has read, as ``Fraction``s; the WK table
-    they come from is managed separately."""
+    """Drop the Hodge-integral and GRR reduction memos and the square-free
+    rewrites (:func:`_square_free`, :func:`_times_lambda`).  The GRR memo
+    also holds the psi correlators it has read, as ``Fraction``s; the WK
+    table they come from is managed separately.  The universal tables
+    (:func:`bernoulli`, :func:`lambda_to_ch`, :func:`ch_in_lambda` and
+    the lambda_g one-point numbers) stay."""
     _CH_MEMO.clear()
     _HODGE_MEMO.clear()
+    _square_free.cache_clear()
+    _times_lambda.cache_clear()
 
 
 @lru_cache(maxsize=None)
@@ -444,16 +457,15 @@ def kappa_integral(g, n, psi, kappa):
                             {})
 
 
-def _odd_ch_product(g, lambda_exp):
-    """The product of ``lambda_j^e`` over the ``(j, e)`` pairs of
-    ``lambda_exp`` in rank g, as a polynomial in the odd Chern characters
-    alone (the even ones of the Hodge bundle vanish)."""
+def _odd_ch_product(g, lams):
+    """The product of ``lambda_j`` over the sorted lambda multiset ``lams``
+    in rank g, one factor at a time, as a polynomial in the odd Chern
+    characters alone (the even ones of the Hodge bundle vanish)."""
     poly = {(): _ONE}
-    for j, e in lambda_exp:
+    for j in lams:
         odd = {mono: c for mono, c in lambda_to_ch(j, g).items()
                if all(l % 2 for l in mono)}
-        for _ in range(e):
-            poly = multiply(poly, odd)
+        poly = multiply(poly, odd)
     return poly
 
 
@@ -489,36 +501,34 @@ def _times_lambda(g, key, j):
 
 @lru_cache(maxsize=None)
 def _square_free(g, lams):
-    """The lambda monomial ``lams`` (sorted ``(j, e)`` pairs) in rank g as
-    a dict from square-free keys to nonzero ``int`` coefficients, built one
-    factor at a time by :func:`_times_lambda`.  It is empty exactly when
+    """The lambda monomial ``lams`` (a sorted multiset of indices) in rank g
+    as a dict from square-free keys to nonzero ``int`` coefficients, built
+    one factor at a time by :func:`_times_lambda`.  It is empty exactly when
     the monomial vanishes in the ring ``Q[lambda]/(c(E) c(E^dual) - 1)``,
     for instance ``lambda_g^e`` with e >= 2 and every monomial of degree
     above g(g+1)/2.  The memoised dict is shared: do not mutate it.
 
-    >>> _square_free(3, ((2, 3),))
+    >>> _square_free(3, (2, 2, 2))
     {(1, 2, 3): 2}
     """
     if not lams:
         return {(): 1}
-    j, e = lams[-1]
-    prefix = lams[:-1] + ((j, e - 1),) if e > 1 else lams[:-1]
     out = {}
-    for key, c in _square_free(g, prefix).items():
+    for key, c in _square_free(g, lams[:-1]).items():
         accumulate(out, ((mono, c * d) for mono, d
-                         in _times_lambda(g, key, j).items()))
+                         in _times_lambda(g, key, lams[-1]).items()))
     return out
 
 
 def _ch_route(g, psi, lams):
-    """The integral of ``lams`` (sorted ``(j, e)`` pairs) times the sorted
+    """The integral of the sorted lambda multiset ``lams`` times the sorted
     psi exponents ``psi`` over Mbar_{g,n}: the lambda factors are expanded
     in odd ch and each term is reduced by :func:`_reduce`.  One
-    ``lambda_g`` factor is kept out of the expansion and carried through
-    the reduction (the ``top`` flag)."""
-    top = bool(lams) and lams[-1][0] == g
+    ``lambda_g``, the last index when present, is dropped from the
+    expansion and carried through the reduction (the ``top`` flag)."""
+    top = lams[-1:] == (g,)
     if top:
-        lams = lams[:-1] + ((g, lams[-1][1] - 1),)
+        lams = lams[:-1]
     value = _ZERO
     for mono, coeff in _odd_ch_product(g, lams).items():
         value += coeff * _reduce(g, psi, mono, top)
@@ -553,14 +563,14 @@ def hodge_integral(monomial):
     hit = _HODGE_MEMO.get(key)
     if hit is not None:
         return hit
-    terms = _square_free(g, lams) if any(e > 1 for _, e in lams) else None
+    terms = _square_free(g, lams) if len(set(lams)) < len(lams) else None
     # rewrite only when every term stays on the lambda_g branch: a term
     # without lambda_g reaches the ch keys of the monomial as it stands,
     # and the lambda_g terms would add their keys on top
     if terms is not None and all(mono[-1] == g for mono in terms):
         value = _ZERO
         for mono, c in terms.items():
-            value += c * _ch_route(g, psi, tuple((j, 1) for j in mono))
+            value += c * _ch_route(g, psi, mono)
     else:
         value = _ch_route(g, psi, lams)
     _HODGE_MEMO[key] = value

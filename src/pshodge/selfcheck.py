@@ -61,7 +61,7 @@ from . import hodge
 from .hodge import (HodgeMonomial, bell_polynomial, hodge_integral,
                     kappa_integral)
 from .hurwitz import HurwitzInstance, elsv_value, hurwitz_brute, riemann_hurwitz_m
-from .multiset import compositions, counts, partitions, sub_multisets
+from .multiset import compositions, partitions, sub_multisets
 from .strata import (TautClass, class_integrate, class_multiply,
                      hat_lambda, is_pseudostable, t_pullback_ch,
                      _lambda_product, _make_term)
@@ -89,22 +89,15 @@ class SuiteResult:
 
 
 def mumford_relation_terms(g, d):
-    """Degree-d part of ``c(E) c(E^dual) - 1`` as ``(coeff, lambda_exp)`` pairs.
+    """Degree-d part of ``c(E) c(E^dual) - 1`` as ``(coeff, lams)`` pairs,
+    the term ``(-1)^j lambda_i lambda_j`` with ``lambda_0 = 1`` and
+    ``lams`` the sorted multiset of its nonzero indices.
 
     The relation forces the integral of each part (times any complementary
     psi monomial) to vanish on Mbar_{g,n}.
     """
-    out = []
-    for i in range(0, d + 1):
-        j = d - i
-        if i > g or j > g:
-            continue
-        lam = {}
-        for idx in (i, j):
-            if idx:
-                lam[idx] = lam.get(idx, 0) + 1
-        out.append(((-1) ** j, tuple(sorted(lam.items()))))
-    return out
+    return [((-1) ** (d - i), tuple(sorted(k for k in (i, d - i) if k)))
+            for i in range(d + 1) if i <= g and d - i <= g]
 
 
 def random_taut_class(rng, g, n):
@@ -236,7 +229,7 @@ def suite_mumford():
                 for exps in compositions(dim - deg, n):
                     total = sum(
                         (coeff * _ch_route_integral(
-                            HodgeMonomial.of(g, n, lam, exps))
+                            HodgeMonomial(g, n, lam, exps))
                          for coeff, lam in terms), Fraction(0))
                     result.record(total == 0, ("mumford", g, n, deg, exps))
     return result
@@ -283,8 +276,8 @@ def _ps_ch_route_integral(g, lams, d):
     for (tails, lam, _), c in _lambda_product(g, 1, lams,
                                               integrable=True).terms.items():
         i = len(tails)
-        core = HodgeMonomial.of(g - i, 1 + i, counts(lam),
-                                (d,) + tuple(a for a, _ in tails))
+        core = HodgeMonomial(g - i, 1 + i, lam,
+                             (d,) + tuple(a for a, _ in tails))
         total += c * _ch_route_integral(core) / 24 ** i
     return total / prod(map(factorial, lams))
 
@@ -395,7 +388,7 @@ def suite_ps_nonlinear():
                    * prod(range(1, 2 * h - 2, 2))))
 
     def excess(g, lams, d):
-        stable = hodge_integral(HodgeMonomial.of(g, 1, counts(lams), (d,)))
+        stable = hodge_integral(HodgeMonomial(g, 1, lams, (d,)))
         return _ps_ch_route_integral(g, lams, d) - stable
 
     for g in range(2, 6):

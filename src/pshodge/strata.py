@@ -81,11 +81,13 @@ one).
    ``(a_k, 1)``, core lambda monomial ``lam`` and coefficient c gives
    ``c / 24^i`` times the stable Hodge integral over Mbar_{g-i,n+i} of
    ``lam`` with the monomial's psi exponents at the original markings
-   and the ``a_k`` at the attaching ones.  Every term has the
-   monomial's degree and a ``psi_bullet`` on every tail, so nothing is
-   checked or skipped; the terms of one monomial are summed as an
-   integer numerator over a running denominator, and no strata class
-   is formed for the sum.
+   and the ``a_k`` at the attaching ones.  ``lam``, like the lambda part
+   of a stable monomial, is already the sorted multiset a
+   :class:`~pshodge.hodge.HodgeMonomial` holds, so neither is converted.
+   Every term has the monomial's degree and a ``psi_bullet`` on every
+   tail, so nothing is checked or skipped; the terms of one monomial are
+   summed as an integer numerator over a running denominator, and no
+   strata class is formed for the sum.
 
 Each ``hat_lambda_j`` is homogeneous of degree j, so no product needs
 truncating.
@@ -469,10 +471,8 @@ def class_integrate(cls):
         if any(b == 0 for _, b in tails):
             continue
         i = len(tails)
-        mono = HodgeMonomial.of(
-            g - i, n + i, counts(core_lambda),
-            core_psi + tuple(a for a, _ in tails))
-        value = hodge_integral(mono)
+        value = hodge_integral(HodgeMonomial(
+            g - i, n + i, core_lambda, core_psi + tuple(a for a, _ in tails)))
         if value:
             total += coeff * value * _TAIL_PSI ** i
     return total
@@ -591,8 +591,7 @@ def expr_integral(g, n, poly, space="stable"):
         total = _ZERO
         for key, coeff in poly.items():
             lams, psi = _split(key, g, n)
-            total += coeff * hodge_integral(
-                HodgeMonomial(g, n, tuple(counts(lams).items()), psi))
+            total += coeff * hodge_integral(HodgeMonomial(g, n, lams, psi))
         return total
     total = _ZERO
     for key, coeff in poly.items():
@@ -601,9 +600,8 @@ def expr_integral(g, n, poly, space="stable"):
         for (tails, lam, _), c in _lambda_product(
                 g, n, lams, integrable=True).terms.items():
             i = len(tails)
-            value = hodge_integral(HodgeMonomial(
-                g - i, n + i, tuple(counts(lam).items()),
-                tuple(sorted(psi + tuple(a for a, _ in tails)))))
+            value = hodge_integral(HodgeMonomial(g - i, n + i, lam, tuple(
+                sorted(psi + tuple(a for a, _ in tails)))))
             if value:
                 num, den = add_term(num, den, c * value.numerator,
                                     value.denominator * 24 ** i)

@@ -17,7 +17,8 @@ the string and dilaton equations and the Dijkgraaf--Verlinde--Verlinde
 form of the Virasoro constraints have integer coefficients.  With ``d``
 sorted, ``p`` its smallest exponent and ``rest`` the others:
 
-* string:  ``A(g, 0 X) = sum_v c_v (2v + 1) A(g, X with one v lowered)``;
+* string:  DVV at ``p = 0``, whose merge terms give
+  ``A(g, 0 X) = sum_v c_v (2v + 1) A(g, X with one v lowered)``;
 * dilaton: ``A(g, 1 X) = 3 (2g - 2 + n) A(g, X)`` for X with n insertions;
 * DVV:     ``A(g, d)`` is the sum of the merge terms
   ``c_v (2v + 1) A(g, rest with v raised to p + v - 1)``, the genus
@@ -31,15 +32,16 @@ sorted, ``p`` its smallest exponent and ``rest`` the others:
 Base values: ``A(0, (0, 0, 0)) = 1`` and ``A(1, (1,)) = 3``, that is
 ``<tau_0^3>_0 = 1`` and ``<tau_1>_1 = 1/24``.
 
-DVV holds for whichever marking carries ``tau_p``.  A key reaches DVV
-only when string and dilaton do not apply, so ``p >= 2``.  The smallest
-exponent is taken because the genus-reduction and separating terms
-split ``p - 2`` between two new insertions: a small ``p`` gives few
-splits, and the merge terms move the weight onto one exponent of
-``rest`` instead.  Taking the largest exponent reaches many more keys:
-a cold ``<tau_40>_14`` fills 905 memo entries instead of 5784, and
-``<tau_{3g-2}>_g`` grows about 1.2x per genus instead of 2x (g = 40 in
-well under a second).
+DVV holds for whichever marking carries ``tau_p``.  Below ``p = 2`` only
+the merge terms are left, and one with ``p + v = 0`` is skipped; a
+``psi^1`` marking whose removal leaves a stable space is forgotten by
+dilaton instead.  The smallest exponent is taken because the
+genus-reduction and separating terms split ``p - 2`` between two new
+insertions: a small ``p`` gives few splits, and the merge terms move
+the weight onto one exponent of ``rest`` instead.  Taking the largest
+exponent reaches many more keys: a cold ``<tau_40>_14`` fills 905 memo
+entries instead of 5784, and ``<tau_{3g-2}>_g`` grows about 1.2x per
+genus instead of 2x (g = 40 in well under a second).
 
 Only a self-complementary sub-multiset ``S = S^c`` is left to halve.
 There is one exactly when every multiplicity in ``rest`` is even (the
@@ -192,8 +194,6 @@ class WKTable:
             value = 1
         elif g == 1 and n == 1:
             value = 3
-        elif d[0] == 0:
-            value = self._string(g, d)
         elif d[0] == 1 and is_stable(g, n - 1):
             value = 3 * (2 * g - 3 + n) * self._scaled(g, d[1:])
         else:
@@ -201,26 +201,20 @@ class WKTable:
         self._psi[key] = value
         return value
 
-    def _string(self, g, d):
-        rest = d[1:]
-        total = 0
-        for v, c in counts(rest).items():
-            if v:
-                total += c * (2 * v + 1) * self._scaled(
-                    g, replace_one(rest, v, v - 1))
-        return total
-
     def _dvv(self, g, d):
         # tau_p is the smallest exponent, so the genus and separating sums
         # split only p - 2 (see the module docstring); each pair of equal
-        # terms is visited once
+        # terms is visited once; at p = 0 the merges are the string equation
         scaled = self._scaled
         p = d[0]
         rest = d[1:]
         total = 0
         for v, c in counts(rest).items():
-            total += c * (2 * v + 1) * scaled(
-                g, replace_one(rest, v, p + v - 1))
+            if p + v:
+                total += c * (2 * v + 1) * scaled(
+                    g, replace_one(rest, v, p + v - 1))
+        if p < 2:
+            return total
         if g >= 1:
             genus = 0
             for a in range((p - 1) // 2):
