@@ -7,6 +7,7 @@ from math import comb, factorial
 
 import pytest
 
+import pshodge
 from pshodge import hodge
 from pshodge.hodge import (HodgeMonomial, _reduce, _square_free,
                            bell_polynomial, bernoulli,
@@ -196,7 +197,6 @@ class TestHodgeIntegral:
     def test_clear_caches_empties_square_free_rewrites(self):
         """``pshodge.clear_caches`` empties the square-free rewrites, keyed
         by lambda multisets, and keeps the universal tables."""
-        import pshodge
         pshodge.clear_caches()
         assert hodge_integral(HodgeMonomial.of(4, 1, {2: 2}, [6])) == \
             Fraction(899, 99532800)
