@@ -334,8 +334,7 @@ def suite_linear_hodge():
             for j in range(1, g + 1):
                 corrected = hat_lambda(g, n, j)
                 for exps in compositions(dim - j, n):
-                    ps = class_integrate(class_multiply(
-                        corrected, TautClass.psi_monomial(g, n, exps)))
+                    ps = class_integrate(corrected, exps)
                     stable = hodge_integral(HodgeMonomial.of(g, n, {j: 1}, exps))
                     result.record(ps == stable, ("linear", g, n, j, exps))
     return result
@@ -483,14 +482,11 @@ def suite_bell_consistency():
                     class_multiply(zs[i], hat_lambda(g, n, j - 1 - i))
             pool = list(compositions(dim - j, n))
             for exps in rng.sample(pool, min(12, len(pool))):
-                mono = TautClass.psi_monomial(g, n, exps)
-                value = class_integrate(class_multiply(direct, mono))
-                result.record(
-                    class_integrate(class_multiply(assembled, mono)) == value,
-                    ("bell", g, n, j, exps))
-                result.record(
-                    class_integrate(class_multiply(recursion, mono))
-                    == j * value, ("recursion", g, n, j - 1, exps))
+                value = class_integrate(direct, exps)
+                result.record(class_integrate(assembled, exps) == value,
+                              ("bell", g, n, j, exps))
+                result.record(class_integrate(recursion, exps) == j * value,
+                              ("recursion", g, n, j - 1, exps))
     return result
 
 
@@ -508,8 +504,7 @@ def suite_psi_triviality():
         exps = [0] * n
         for _ in range(dim):
             exps[rng.randrange(n)] += 1
-        ps = class_integrate(class_multiply(
-            TautClass.one(g, n), TautClass.psi_monomial(g, n, exps)))
+        ps = class_integrate(TautClass.one(g, n), exps)
         result.record(ps == wk_integral(g, exps), ("psi-trivial", g, n, exps))
         done += 1
     return result

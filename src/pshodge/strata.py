@@ -75,19 +75,18 @@ one).
    matchings.
    Stably, each monomial is a Hodge integral and no strata class is
    formed;
-2. integrate each integrable term of that product against the
-   monomial's psi part at once.  Psi classes pull back unchanged and
-   no product term carries core psi, so a term with i tails
+2. integrate that product against the monomial's psi part with
+   :func:`class_integrate`, the one routine that integrates strata
+   classes.  Psi classes pull back unchanged, so a term with i tails
    ``(a_k, 1)``, core lambda monomial ``lam`` and coefficient c gives
    ``c / 24^i`` times the stable Hodge integral over Mbar_{g-i,n+i} of
    ``lam`` with the monomial's psi exponents at the original markings
-   and the ``a_k`` at the attaching ones.  ``lam``, like the lambda part
-   of a stable monomial, is already the sorted multiset a
-   :class:`~pshodge.hodge.HodgeMonomial` holds, so neither is converted.
-   Every term has the monomial's degree and a ``psi_bullet`` on every
-   tail, so nothing is checked or skipped; the terms of one monomial are
-   summed as an integer numerator over a running denominator, and no
-   strata class is formed for the sum.
+   (product terms carry no core psi) and the ``a_k`` at the attaching
+   ones.  ``lam``, like the lambda part of a stable monomial, is already
+   the sorted multiset a :class:`~pshodge.hodge.HodgeMonomial` holds, so
+   neither is converted.  The terms of one monomial are summed as an
+   integer numerator over a running denominator, and the psi part is
+   never formed as a strata class.
 
 Each ``hat_lambda_j`` is homogeneous of degree j, so no product needs
 truncating.
@@ -119,9 +118,7 @@ __all__ = [
     "clear_caches",
 ]
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
-_TAIL_PSI = Fraction(1, 24)  # integral of the psi class on the tail moduli
 
 STABLE_EXCLUDED = ((0, 0), (0, 1), (0, 2), (1, 0))
 PS_EXCLUDED = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0))
@@ -229,11 +226,6 @@ class TautClass:
             return TautClass.one(g, n)
         return TautClass.from_terms(
             g, n, [_make_term(g, n, 1, (), (j,), (0,) * n)])
-
-    @staticmethod
-    def psi_monomial(g, n, exps):
-        return TautClass.from_terms(
-            g, n, [_make_term(g, n, 1, (), (), psi_exponents(n, exps))])
 
     def _check_ambient(self, other):
         if (self.g, self.n) != (other.g, other.n):
@@ -452,30 +444,40 @@ def class_multiply(first, second, integrable=False):
     return TautClass(g, n, {key: c for key, c in out.items() if c})
 
 
-def class_integrate(cls):
-    """Integrate a strata class over its ambient Mbar_{g,n}.
+def class_integrate(cls, psi=None):
+    """Integrate ``cls * psi^psi`` over the ambient Mbar_{g,n} of ``cls``.
 
-    Per term: zero unless the total degree matches the dimension;
-    otherwise the core Hodge integral times ``1/24`` per tail carrying a
-    tail psi factor (a bare tail integrates to zero by dimension).
+    ``psi`` is read by :func:`pshodge.wk.psi_exponents`; psi classes pull
+    back unchanged, so its exponents join each term's ``core_psi``.  A
+    term with i tails ``(a_k, 1)`` and coefficient c gives ``c / 24^i``
+    times the stable Hodge integral over Mbar_{g-i,n+i} of its core
+    lambda monomial, with those psi exponents at the original markings
+    and the ``a_k`` at the attaching ones; a term with a bare tail gives
+    0.  The term's degree matches the dimension exactly when its core
+    integrand's degree matches the core's, and
+    :func:`~pshodge.hodge.hodge_integral` returns 0 otherwise.  The terms
+    are summed as an integer numerator over a running denominator, the
+    numerators and denominators of ``Fraction`` coefficients apart.
+
+    >>> class_integrate(TautClass.one(2, 1), {1: 4})
+    Fraction(1, 1152)
     """
     g, n = cls.g, cls.n
     if not is_stable(g, n):
         raise EmptyModuliError(g, n, "stable")
-    dim = 3 * g - 3 + n
-    total = _ZERO
-    for key, coeff in cls.terms.items():
-        if _degree(key) != dim:
-            continue
-        tails, core_lambda, core_psi = key
-        if any(b == 0 for _, b in tails):
-            continue
+    psi = psi_exponents(n, psi)
+    num, den = 0, 1
+    for (tails, lam, core_psi), c in cls.terms.items():
+        attached = tuple(a for a, b in tails if b)
         i = len(tails)
+        if len(attached) < i:
+            continue  # a bare tail integrates to zero
         value = hodge_integral(HodgeMonomial(
-            g - i, n + i, core_lambda, core_psi + tuple(a for a, _ in tails)))
+            g - i, n + i, lam, tuple(map(add, core_psi, psi)) + attached))
         if value:
-            total += coeff * value * _TAIL_PSI ** i
-    return total
+            num, den = add_term(num, den, c.numerator * value.numerator,
+                                c.denominator * value.denominator * 24 ** i)
+    return Fraction(num, den)
 
 
 def hat_lambda(g, n, j):
@@ -576,10 +578,10 @@ def expr_integral(g, n, poly, space="stable"):
     :func:`~pshodge.expr.parse_expression` returns for ``(g, n)``.
     ``space`` is ``"stable"`` or ``"ps"``; empty ambient moduli raise
     :class:`EmptyModuliError`.  Evaluation takes the two steps set out
-    in the module docstring: for ps each monomial's value is summed
-    straight from the terms of its integrable ``hat_lambda`` product, one
-    stable Hodge integral per term, without forming a strata class or
-    calling :func:`class_integrate`.
+    in the module docstring: for ps each monomial's value is
+    :func:`class_integrate` of its integrable ``hat_lambda`` product
+    against its psi part, divided by ``prod j!``.  The monomials are
+    summed as an integer numerator over a running denominator.
 
     >>> from pshodge.expr import parse_expression
     >>> poly = parse_expression("(2*lambda2 - lambda1^2)*psi1^2", 2, 1)
@@ -587,23 +589,15 @@ def expr_integral(g, n, poly, space="stable"):
     Fraction(-1, 576)
     """
     check_ambient(g, n, space)
-    if space == "stable":
-        total = _ZERO
-        for key, coeff in poly.items():
-            lams, psi = _split(key, g, n)
-            total += coeff * hodge_integral(HodgeMonomial(g, n, lams, psi))
-        return total
-    total = _ZERO
+    num, den = 0, 1
     for key, coeff in poly.items():
         lams, psi = _split(key, g, n)
-        num, den = 0, 1
-        for (tails, lam, _), c in _lambda_product(
-                g, n, lams, integrable=True).terms.items():
-            i = len(tails)
-            value = hodge_integral(HodgeMonomial(g - i, n + i, lam, tuple(
-                sorted(psi + tuple(a for a, _ in tails)))))
-            if value:
-                num, den = add_term(num, den, c * value.numerator,
-                                    value.denominator * 24 ** i)
-        total += coeff * Fraction(num, den * prod(map(factorial, lams)))
-    return total
+        if space == "stable":
+            value, scale = hodge_integral(HodgeMonomial(g, n, lams, psi)), 1
+        else:
+            value = class_integrate(
+                _lambda_product(g, n, lams, integrable=True), psi)
+            scale = prod(map(factorial, lams))
+        num, den = add_term(num, den, coeff.numerator * value.numerator,
+                            coeff.denominator * value.denominator * scale)
+    return Fraction(num, den)

@@ -560,15 +560,15 @@ def grr_monomials(seed=8):
                 lam = [rng.randint(1, g) for _ in range(3)]
                 if sum(lam) > dim:
                     continue
-                out.append(HodgeMonomial.of(g, n, counts(lam),
-                                            random_psi(dim - sum(lam), n)))
+                out.append(HodgeMonomial(g, n, tuple(sorted(lam)), tuple(
+                    random_psi(dim - sum(lam), n))))
     for g in range(3, 5):
         for n in range(1, 4):
             dim = 3 * g - 3 + n
             for _ in range(2):
                 lam = rng.sample(range(1, g + 1), 3)
-                out.append(HodgeMonomial.of(g, n, counts(lam),
-                                            random_psi(dim - sum(lam), n)))
+                out.append(HodgeMonomial(g, n, tuple(sorted(lam)), tuple(
+                    random_psi(dim - sum(lam), n))))
     return out
 
 
@@ -638,7 +638,7 @@ class TestReductionOracle:
                     if max(lam) != g:
                         continue
                     for psi in psi_tuples(n, dim - k):
-                        mono = HodgeMonomial.of(g, n, counts(lam), psi)
+                        mono = HodgeMonomial(g, n, tuple(sorted(lam)), tuple(psi))
                         want = _ch_route_integral(mono)
                         assert hodge_integral(mono) == want, (g, lam, psi)
                         checked += 1
@@ -663,7 +663,7 @@ class TestReductionOracle:
                     if max(lam) > g or len(set(lam)) == len(lam):
                         continue
                     for psi in psi_tuples(n, dim - k):
-                        mono = HodgeMonomial.of(g, n, counts(lam), psi)
+                        mono = HodgeMonomial(g, n, tuple(sorted(lam)), tuple(psi))
                         want = _ch_route_integral(mono)
                         assert hodge_integral(mono) == want, (g, lam, psi)
                         checked += 1

@@ -33,8 +33,10 @@ queries = [
     ["cli", 2, 1, "stable", "-3*psi1^4"],
 ]
 answers = [[str(v) for v in worker.evaluate(eng, q)] for q in queries]
-calls = {k: v for k, v in tracer.summary(1.0).items() if k.endswith(".calls")}
-print(json.dumps({"answers": answers, "calls": calls}))
+summary = tracer.summary(1.0)
+calls = {k: v for k, v in summary.items() if k.endswith(".calls")}
+print(json.dumps({"answers": answers, "calls": calls,
+                  "integrate": summary["strata.class_integrate.busy_share"]}))
 """
 
 
@@ -55,3 +57,5 @@ def test_benchmark_tracer_entry_points():
     assert out["answers"] == [["1/1152"], ["1/24"], ["-1/576"], ["1", "1"],
                               ["-1/384"]]
     assert out["calls"] and all(out["calls"].values()), out["calls"]
+    # the ps query integrates its product through strata.class_integrate
+    assert out["integrate"] > 0

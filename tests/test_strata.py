@@ -24,6 +24,12 @@ from pshodge.strata import _make_term
 from pshodge.wk import is_stable, wk_integral
 
 
+def psi_class(g, n, exps):
+    """The psi monomial with exponent vector ``exps`` as a one-term
+    strata class."""
+    return TautClass.from_terms(g, n, [_make_term(g, n, 1, (), (), exps)])
+
+
 def reference_integral(g, n, node, space):
     """Reference evaluator over the expression tree, sharing no code with
     the normal form: every node becomes a strata class, every product is
@@ -43,7 +49,7 @@ def reference_integral(g, n, node, space):
         if isinstance(node, E.Psi):
             exps = [0] * n
             exps[node.index - 1] = 1
-            return TautClass.psi_monomial(g, n, exps)
+            return psi_class(g, n, exps)
         if isinstance(node, E.Sum):
             return walk(node.left) + walk(node.right)
         if isinstance(node, E.Diff):
@@ -456,12 +462,48 @@ class TestIntegration:
         assert class_integrate(c) == 0
 
     def test_pure_delegation(self):
-        c = TautClass.psi_monomial(2, 1, (4,))
-        assert class_integrate(c) == Fraction(1, 1152)
+        assert class_integrate(TautClass.one(2, 1), (4,)) == \
+            Fraction(1, 1152)
+        assert class_integrate(TautClass.one(2, 1), {1: 4}) == \
+            Fraction(1, 1152)
 
     def test_degree_mismatch_skipped(self):
-        c = TautClass.psi_monomial(2, 1, (3,))
-        assert class_integrate(c) == 0
+        assert class_integrate(TautClass.one(2, 1), (3,)) == 0
+
+    def test_psi_joins_core_psi_and_attaching_markings(self):
+        # 3 G^1(psi_star psi_bullet * psi_1 on the core) against psi_2:
+        # the core integrand psi_1 psi_2 psi_3 on Mbar_{1,3}, whose
+        # integral is <tau_1^3>_1 = 1/12, times 1/24 for the tail
+        c = cls(2, 2, term(2, 2, 3, tails=((1, 1),), psi=(1, 0)))
+        assert class_integrate(c, (0, 1)) == Fraction(3, 12 * 24)
+
+    @pytest.mark.parametrize("g, n", [
+        (2, 1), (3, 0), (3, 1), (3, 2), (4, 1), (4, 2)])
+    def test_psi_argument_matches_product_with_psi_class(self, g, n):
+        """Differential oracle for the ``psi`` argument: on random
+        classes over the ``algebra-properties`` ambients and products of
+        two of them, integrating against a psi vector equals integrating
+        the product with that psi monomial as a strata class, for every
+        psi vector of total degree up to the dimension."""
+        rng = random.Random(selfcheck.SEED + 10 * g + n)
+        dim = 3 * g - 3 + n
+        nonzero = 0
+        for _ in range(12):
+            a = selfcheck.random_taut_class(rng, g, n)
+            b = selfcheck.random_taut_class(rng, g, n)
+            for c in (a, class_multiply(a, b)):
+                for k in range(dim + 1):
+                    for exps in compositions(k, n):
+                        value = class_integrate(c, exps)
+                        assert value == class_integrate(class_multiply(
+                            c, psi_class(g, n, exps))), (c, exps)
+                        nonzero += bool(value)
+        assert nonzero
+
+    @pytest.mark.parametrize("psi", [(), (1, 2), (-1,), {2: 1}, {1: -1}])
+    def test_psi_argument_refused(self, psi):
+        with pytest.raises(ValueError):
+            class_integrate(TautClass.one(2, 1), psi)
 
 
 class TestTPullbackCh:
@@ -523,7 +565,9 @@ class TestPseudostableIntegrals:
 
     def test_correction_terms_vanish_against_psi(self):
         """Each individual correction term of hat_lambda integrates to zero
-        against pure psi monomials (its tails carry no tail psi class)."""
+        against pure psi monomials (its tails carry no tail psi class),
+        whether the psi monomial is passed to ``class_integrate`` or
+        multiplied in as a strata class."""
         for g, n in [(2, 1), (3, 2), (4, 1)]:
             dim = 3 * g - 3 + n
             for j in range(1, g + 1):
@@ -532,9 +576,9 @@ class TestPseudostableIntegrals:
                         continue
                     single = TautClass(g, n, {key: coeff})
                     for exps in compositions(dim - j, n):
-                        mono = TautClass.psi_monomial(g, n, exps)
-                        assert class_integrate(
-                            class_multiply(single, mono)) == 0
+                        assert class_integrate(single, exps) == \
+                            class_integrate(class_multiply(
+                                single, psi_class(g, n, exps))) == 0
 
     def test_psi_triviality_randomised(self):
         rng = random.Random(5)
